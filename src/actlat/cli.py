@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success/accepted, 1 rejected/refuted/violation, 2 resource
-limit or unknown, 3 usage or parse error.  ``--json`` switches every command
-to a machine-readable report on stdout.  Setting ``ACTLAT_COLOR=0`` disables
-the pass/fail coloring.
+limit or unknown, 3 usage or parse error, 4 internal error.  ``--json``, given
+before the command (``actlat --json check f``), switches every command to a
+machine-readable report on stdout.  Setting ``ACTLAT_COLOR=0`` disables the
+pass/fail coloring.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .search import RefuteResult, SearchConfig, prove, refute
 from .syntax import ParseError, parse_formula, parse_sequent, print_sequent
 from .translate import check_lazy_prefix, nwf_to_wf, project_cyclic, wf_to_nwf
 
-OK, REJECTED, RESOURCE, USAGE = 0, 1, 2, 3
+OK, REJECTED, RESOURCE, USAGE, INTERNAL = 0, 1, 2, 3, 4
 
 
 def _color_enabled() -> bool:
@@ -478,18 +479,22 @@ def main(argv=None) -> int:
         return USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
+    except ProofError as e:  # a ValueError, so it must come first
+        print(f"invalid: {e}", file=sys.stderr)
+        return REJECTED
     except (ParseError, RuleError, ModelError, FrameError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
     except ResourceLimit as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return RESOURCE
-    except ProofError as e:
-        print(f"invalid: {e}", file=sys.stderr)
-        return REJECTED
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
+    except Exception as e:
+        # a defect in the library, never a verdict on the input
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

@@ -119,12 +119,8 @@ def canonical_proofs(rules: RuleSet | None = None) -> dict[str, CyclicProof]:
 def _self_loop(node_id: str, sequent: Sequent, via: str) -> CyclicNode:
     """A locally valid node that is its own only premise (contraction or
     weakening of the empty sequence)."""
-    if via == "C":
-        inst = Instantiation(fmap={"b": sequent.succedent},
-                             smap={"Gamma": sequent.antecedent, "Pi": _E, "Delta": _E})
-    else:
-        inst = Instantiation(fmap={"b": sequent.succedent},
-                             smap={"Gamma": sequent.antecedent, "Pi": _E, "Delta": _E})
+    inst = Instantiation(fmap={"b": sequent.succedent},
+                         smap={"Gamma": sequent.antecedent, "Pi": _E, "Delta": _E})
     return CyclicNode(sequent, RuleApp(via, inst, None), (node_id,))
 
 
@@ -265,7 +261,9 @@ def random_zero_proof(rng: random.Random, rules: RuleSet) -> WfProof:
                 moves.append(("oneL", i))
             elif isinstance(f, Prod):
                 moves.append(("prodL", i))
-            elif isinstance(f, LRes) and i > 0 and target[i - 1] == f.left:
+            elif (isinstance(f, LRes) and i > 0 and target[i - 1] == f.left
+                  and Zero() in target[:i - 1] + (f.right,) + target[i + 1:]):
+                # the main premise drops f.left, which may be the only zero
                 moves.append(("lresL", i))
             elif isinstance(f, Star) and Zero() in rest:
                 moves.append(("omega", i))

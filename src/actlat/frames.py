@@ -154,10 +154,6 @@ class DualAlgebra:
     index: dict[int, int]
     algebra: FiniteActionLattice      # explicit-table view of the same data
 
-    def closure_index(self, x_mask: int) -> int:
-        sets = FrameSets(self.frame)
-        return self.index[sets.gamma(x_mask)]
-
 
 def dual_algebra(f: ResiduatedFrame, name: str | None = None) -> DualAlgebra:
     """Enumerate the closed sets and build the full operation tables.
@@ -299,7 +295,7 @@ def frame_of_algebra(a: FiniteActionLattice) -> GentzenFrame:
     return GentzenFrame(frame, a, ident, ident)
 
 
-def _quantify_pairs(n_rel, cond, conseq, report, law):
+def _quantify_pairs(cond, conseq, report, law):
     bad = cond & ~conseq
     if bad.any():
         report.add(law, tuple(int(v) for v in np.argwhere(bad)[0]))
@@ -323,7 +319,7 @@ def check_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
     if with_cut:
         cond = N[:, wp_of][:, :, None] & N[w_of, :][None, :, :]
         conseq = N[:, None, :]
-        _quantify_pairs(N, cond, np.broadcast_to(conseq, cond.shape), report, "(Cut)")
+        _quantify_pairs(cond, np.broadcast_to(conseq, cond.shape), report, "(Cut)")
     # (1L): eps N z -> 1 N z ; (1R): eps N 1
     one_l = ~N[f.eps, :] | N[w_of[a.one], :]
     if not one_l.all():
@@ -333,7 +329,7 @@ def check_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
     # (.L): a o b N z -> a.b N z
     cond = N[f.op[w_of[:, None], w_of[None, :]], :]
     conseq = N[w_of[a.prod], :]
-    _quantify_pairs(N, cond, conseq, report, "(.L)")
+    _quantify_pairs(cond, conseq, report, "(.L)")
     # (.R): x N a and y N b -> x o y N a.b; chunked over a to bound memory
     B = N[:, wp_of]
     for ai in range(n):
@@ -352,15 +348,15 @@ def check_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
         else:
             cond = base[None, :, :]
         conseq = N[w_of[a.meet], :]
-        _quantify_pairs(N, np.broadcast_to(cond, conseq.shape), conseq, report, law)
+        _quantify_pairs(np.broadcast_to(cond, conseq.shape), conseq, report, law)
     # (^R): x N a and x N b -> x N a ^ b
     cond = N[:, wp_of][:, :, None] & N[:, wp_of][:, None, :]
     conseq = N[:, wp_of[a.meet]]
-    _quantify_pairs(N, cond, conseq, report, "(^R)")
+    _quantify_pairs(cond, conseq, report, "(^R)")
     # (vL): a N z and b N z -> a v b N z
     cond = N[w_of][:, None, :] & N[w_of][None, :, :]
     conseq = N[w_of[a.join], :]
-    _quantify_pairs(N, cond, conseq, report, "(vL)")
+    _quantify_pairs(cond, conseq, report, "(vL)")
     # (vR0)/(vR1): x N a_i -> x N a0 v a1
     for side, law in ((0, "(vR0)"), (1, "(vR1)")):
         base = N[:, wp_of]
@@ -369,7 +365,7 @@ def check_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
         else:
             cond = base[:, None, :]
         conseq = N[:, wp_of[a.join]]
-        _quantify_pairs(N, np.broadcast_to(cond, conseq.shape), conseq, report, law)
+        _quantify_pairs(np.broadcast_to(cond, conseq.shape), conseq, report, law)
     # (\L): x N a and b N z -> a\b N x lres z   (a, b algebra; x in W, z in W')
     lres_alg = w_of[a.lres]
     for ai in range(n):
@@ -667,44 +663,6 @@ def macneille(a: FiniteActionLattice) -> CompletionResult:
     emb_report = embedding_check(gf, dual)
     iso = emb_report.ok and len(set(embedding.tolist())) == a.size == len(dual.closed)
     return CompletionResult(gf, dual, embedding, iso, star_report)
-
-
-# ---------------------------------------------------------------------------
-# Frame files: model-style JSON plus the relation as a pair list.
-
-
-def frame_to_json(f: ResiduatedFrame) -> dict:
-    pairs = [[int(x), int(z)] for x, z in np.argwhere(f.n_rel)]
-    return {
-        "name": f.name,
-        "w_names": list(f.w_names),
-        "wp_names": list(f.wp_names),
-        "n": pairs,
-        "op": f.op.tolist(),
-        "eps": int(f.eps),
-        "lres_w": f.lres_w.tolist(),
-        "rres_w": f.rres_w.tolist(),
-        "zero_wp": None if f.zero_wp is None else int(f.zero_wp),
-    }
-
-
-def frame_from_json(data: dict) -> ResiduatedFrame:
-    w_names = tuple(data["w_names"])
-    wp_names = tuple(data["wp_names"])
-    n_rel = np.zeros((len(w_names), len(wp_names)), dtype=bool)
-    for x, z in data["n"]:
-        n_rel[x, z] = True
-    return ResiduatedFrame(
-        name=data.get("name", "frame"),
-        w_names=w_names,
-        wp_names=wp_names,
-        n_rel=n_rel,
-        op=np.array(data["op"]),
-        eps=int(data["eps"]),
-        lres_w=np.array(data["lres_w"]),
-        rres_w=np.array(data["rres_w"]),
-        zero_wp=data.get("zero_wp"),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .proof_core import CyclicProof, ProofError, ResourceLimit
-from .rules import RuleSet, ancestry_for_children
+from .proof_core import CyclicNode, CyclicProof, ProofError, ResourceLimit
+from .rules import RuleInstance, RuleSet
 from .syntax import Sequent, Star
 
 INFINITY_UP_TO_FUEL = "INFINITY_UP_TO_FUEL"
@@ -71,15 +71,14 @@ def compose(r1: TraceRel, r2: TraceRel) -> TraceRel:
 
 
 def _edge_relation(
-    proof: CyclicProof, rules: RuleSet, nid: str, child_slot: int
+    proof: CyclicProof, node: CyclicNode, ri: RuleInstance, child_slot: int
 ) -> TraceRel:
-    """Trace pairs for one edge, restricted to left positions that hold the
-    same starred formula at both ends."""
-    node = proof.node(nid)
-    rule = rules.resolve(node.app.rule)
-    indices = rule.child_indices()
+    """Trace pairs for one edge out of a node with rule instance ``ri``,
+    restricted to left positions that hold the same starred formula at both
+    ends."""
+    indices = ri.child_indices
     child_index = indices[child_slot] if indices is not None else child_slot
-    anc = ancestry_for_children(rule, node.app.inst, [child_index])
+    anc = ri.ancestry(child_index)
     child = proof.node(node.children[child_slot])
     pairs = set()
     for (i, q_premise), q_conclusion in anc:
@@ -91,7 +90,7 @@ def _edge_relation(
         if child.sequent.formula_at(q_premise) != f:
             continue
         progressing = (
-            rule.name == "starL" and node.app.principal == q_conclusion
+            ri.rule.name == "starL" and node.app.principal == q_conclusion
         )
         pairs.add((q_conclusion, q_premise, progressing))
     return frozenset(pairs)
@@ -108,8 +107,9 @@ def _saturate(proof: CyclicProof, rules: RuleSet) -> _Saturation:
         raise ResourceLimit(f"proof graph exceeds {NODE_CAP} nodes")
     edge_rels: dict[tuple[str, str], list[tuple[TraceRel, tuple[str, ...]]]] = {}
     for nid, node in proof.nodes.items():
+        ri = RuleInstance(rules.resolve(node.app.rule), node.app.inst)
         for slot, child_id in enumerate(node.children):
-            rel = _edge_relation(proof, rules, nid, slot)
+            rel = _edge_relation(proof, node, ri, slot)
             edge_rels.setdefault((nid, child_id), []).append((rel, (nid, child_id)))
     out_edges: dict[str, list[tuple[str, TraceRel, tuple[str, ...]]]] = {}
     for (u, v), rels in edge_rels.items():

@@ -25,16 +25,13 @@ from typing import Callable, Iterable, Mapping
 from .rules import (
     FVar,
     Instantiation,
+    InstantiationError,
     RuleError,
+    RuleInstance,
     RuleSet,
     SchematicRule,
     SVar,
     classify,
-    instantiate,
-    instantiate_conclusion,
-    instantiate_premise,
-    layout,
-    principal_position,
 )
 from .syntax import (
     Formula,
@@ -76,8 +73,9 @@ class RuleApp:
 
 
 def make_app(rules: RuleSet, name: str, inst: Instantiation) -> RuleApp:
+    """The application of a rule with its principal occurrence marked."""
     rule = rules.resolve(name)
-    return RuleApp(rule.name, inst, principal_position(rule, inst))
+    return RuleApp(rule.name, inst, RuleInstance(rule, inst).principal)
 
 
 class OmegaFamily:
@@ -158,76 +156,49 @@ def check_local(
     app: RuleApp,
     child_sequents: tuple[Sequent, ...],
     rules: RuleSet | None = None,
+    family: bool = False,
 ) -> Violation | None:
-    """Compare a node against the instantiation of its rule.
+    """Compare a node against the instance of its rule.
 
-    Returns None when the node is a correct instance, otherwise the first
-    violation.  Infinitary rules are rejected here; their nodes are audited
-    premise-wise by the bounded checkers.
+    ``family`` marks a node whose children are a premise family, as the
+    infinitary rules need; ``child_sequents`` then holds premises 0..k-1 of
+    it, and only those are checked.  Returns None when the node is a correct
+    instance, otherwise the first violation.
     """
     rules = rules or RuleSet()
     try:
         rule = rules.resolve(app.rule)
     except RuleError as e:
         return Violation(None, None, None, None, str(e))
-    if rule.is_omega:
-        return Violation(None, None, None, None, f"rule {rule.name} needs bounded checking")
+    if family != rule.is_omega:
+        shape = "cannot take" if family else "needs"
+        return Violation(None, None, None, None, f"rule {rule.name} {shape} a premise family")
+    ri = RuleInstance(rule, app.inst)
     try:
-        ri = instantiate(rule, app.inst)
-    except Exception as e:
+        conclusion = ri.conclusion
+        premises = (tuple(ri.premise(n) for n in range(len(child_sequents)))
+                    if family else ri.premises)
+    except (InstantiationError, RuleError) as e:
         return Violation(None, None, None, None, f"bad instantiation of {rule.name}: {e}")
-    if ri.conclusion != sequent:
+    if conclusion != sequent:
         return Violation(
-            None, None, ri.conclusion, sequent,
-            f"conclusion of {rule.name} is {print_sequent(ri.conclusion)}, node has {print_sequent(sequent)}",
+            None, None, conclusion, sequent,
+            f"conclusion of {rule.name} is {print_sequent(conclusion)}, node has {print_sequent(sequent)}",
         )
-    if len(ri.premises) != len(child_sequents):
+    if len(premises) != len(child_sequents):
         return Violation(
             None, None, None, None,
-            f"rule {rule.name} has {len(ri.premises)} premises, node has {len(child_sequents)} children",
+            f"rule {rule.name} has {len(premises)} premises, node has {len(child_sequents)} children",
         )
-    for i, (want, got) in enumerate(zip(ri.premises, child_sequents)):
+    for i, (want, got) in enumerate(zip(premises, child_sequents)):
         if want != got:
             return Violation(
                 None, i, want, got,
                 f"premise {i} of {rule.name} must be {print_sequent(want)}, child proves {print_sequent(got)}",
             )
-    if app.principal != principal_position(rule, app.inst):
+    if app.principal != ri.principal:
         return Violation(None, None, None, None, f"principal mark of {rule.name} is wrong")
     return None
-
-
-def _check_omega_node(
-    p: WfProof, fuel: int, rules: RuleSet, address: tuple
-) -> tuple[Violation | None, list[tuple[tuple, WfProof]]]:
-    rule = rules.resolve(p.app.rule)
-    if not rule.is_omega:
-        return (
-            Violation(address, None, None, None, f"rule {rule.name} cannot take a premise family"),
-            [],
-        )
-    try:
-        want_conclusion = instantiate_conclusion(rule, p.app.inst)
-    except Exception as e:
-        return Violation(address, None, None, None, f"bad instantiation of {rule.name}: {e}"), []
-    if want_conclusion != p.sequent:
-        return (
-            Violation(address, None, want_conclusion, p.sequent,
-                      f"conclusion of {rule.name} does not match node"),
-            [],
-        )
-    pending = []
-    for n in range(fuel + 1):
-        child = p.children(n)
-        want = instantiate_premise(rule, p.app.inst, n)
-        if child.sequent != want:
-            return (
-                Violation(address, n, want, child.sequent,
-                          f"premise {n} of {rule.name} must be {print_sequent(want)}"),
-                [],
-            )
-        pending.append((address + (n,), child))
-    return None, pending
 
 
 @dataclass
@@ -255,23 +226,18 @@ def check_wf(p: WfProof, omega_fuel: int = 5, rules: RuleSet | None = None) -> W
     while stack:
         address, node = stack.pop()
         checked += 1
-        if node.is_omega:
-            bounded = True
-            violation, pending = _check_omega_node(node, omega_fuel, rules, address)
-            if violation:
-                return WfReport(False, checked, bounded, violation)
-            stack.extend(pending)
-        else:
-            violation = check_local(
-                node.sequent, node.app, tuple(c.sequent for c in node.children), rules
+        bounded = bounded or node.is_omega
+        children = (tuple(node.children(n) for n in range(omega_fuel + 1))
+                    if node.is_omega else node.children)
+        violation = check_local(node.sequent, node.app, tuple(c.sequent for c in children),
+                                rules, node.is_omega)
+        if violation:
+            return WfReport(
+                False, checked, bounded,
+                Violation(address, violation.premise_index, violation.expected,
+                          violation.found, violation.message),
             )
-            if violation:
-                return WfReport(
-                    False, checked, bounded,
-                    Violation(address, violation.premise_index, violation.expected,
-                              violation.found, violation.message),
-                )
-            stack.extend((address + (i,), c) for i, c in enumerate(node.children))
+        stack.extend((address + (i,), c) for i, c in enumerate(children))
     return WfReport(True, checked, bounded)
 
 
@@ -548,16 +514,16 @@ def _zeroR(p, sigma_l, sigma_r, beta, rules):
         if not classify(rule).analytic:
             raise ProofError(f"structural rule {rule.name} must be analytic")
     rhs = rule.conclusion.rhs
-    new_inst = _widen_inst(rule, p.app.inst, sigma_l, sigma_r, beta)
+    ri = RuleInstance(rule, _widen_inst(rule, p.app.inst, sigma_l, sigma_r, beta))
     new_sequent = Sequent(sigma_l + p.sequent.antecedent + sigma_r, beta)
-    app = RuleApp(rule.name, new_inst, principal_position(rule, new_inst))
+    app = RuleApp(rule.name, ri.inst, ri.principal)
     if p.is_omega:
         # the widened family is a fresh generator with no closed form
         family = OmegaFamily(lambda n: _zeroR(p.children(n), sigma_l, sigma_r, beta, rules))
         return WfProof(new_sequent, app, family)
     new_children = []
-    for i, child in enumerate(p.children):
-        ms, _ = rule.premise_meta(i if rule.name != "prodL1" else 1)
+    for i, child in zip(ri.child_indices, p.children, strict=True):
+        ms, _ = rule.premise_meta(i)
         if ms.rhs == rhs:
             new_children.append(_zeroR(child, sigma_l, sigma_r, beta, rules))
         else:
@@ -586,8 +552,8 @@ def _invert_at(p: WfProof, pos: int, rules: RuleSet,
         child = p.children[0]
         return child
     replacement = replacement_of(p.sequent.formula_at(pos))
-    origins, _, _ = layout(rule.conclusion, p.app.inst)
-    origin = origins[pos]
+    ri = RuleInstance(rule, p.app.inst)
+    origin = ri.layout[0][pos]
     if origin.kind != "svar":
         raise ProofError(
             f"cannot push inversion through {rule.name}: occurrence {pos} is "
@@ -598,26 +564,22 @@ def _invert_at(p: WfProof, pos: int, rules: RuleSet,
         p.sequent.antecedent[:pos] + replacement + p.sequent.antecedent[pos + 1:],
         p.sequent.succedent,
     )
-    app = RuleApp(rule.name, new_inst, principal_position(rule, new_inst))
-
-    def premise_positions(child_index: int) -> list[int]:
-        ms, _ = rule.premise_meta(child_index)
-        p_origins, _, _ = layout(ms, p.app.inst)
-        return [q for q, o in enumerate(p_origins)
-                if o.kind == "svar" and o.name == origin.name and o.offset == origin.offset]
+    app = make_app(rules, rule.name, new_inst)
 
     def transform_child(child: WfProof, child_index: int) -> WfProof:
+        # the occurrence sits inside a sequence metavariable, so its immediate
+        # ancestors are the same slot of that metavariable in the premise
         out = child
-        for q in sorted(premise_positions(child_index), reverse=True):
+        ancestors = [q for (_, q), c in ri.ancestry(child_index) if c == pos]
+        for q in sorted(ancestors, reverse=True):
             out = _invert_at(out, q, rules, peel, replacement_of)
         return out
 
     if p.is_omega:
         family = OmegaFamily(lambda n: transform_child(p.children(n), n))
         return WfProof(new_sequent, app, family)
-    indices = rule.child_indices()
     new_children = tuple(
-        transform_child(child, indices[i]) for i, child in enumerate(p.children)
+        transform_child(child, i) for i, child in zip(ri.child_indices, p.children, strict=True)
     )
     return WfProof(new_sequent, app, new_children)
 
@@ -657,8 +619,7 @@ def to_standard_omega(p: WfProof, rules: RuleSet | None = None) -> WfProof:
         inst = p.app.inst
         alpha = inst.fmap["a"]
         gamma_len = len(inst.smap["Gamma"])
-        std = rules.resolve("starLomega")
-        app = RuleApp("starLomega", inst, principal_position(std, inst))
+        app = make_app(rules, "starLomega", inst)
 
         def premise(n: int) -> WfProof:
             if n == 0:
@@ -678,9 +639,7 @@ def to_standard_omega(p: WfProof, rules: RuleSet | None = None) -> WfProof:
         return WfProof(p.sequent, p.app, family)
     new_children = tuple(to_standard_omega(c, rules) for c in p.children)
     if rule.name == "prodL1":
-        prod = rules.resolve("prodL")
-        app = RuleApp("prodL", p.app.inst, principal_position(prod, p.app.inst))
-        return WfProof(p.sequent, app, new_children)
+        return WfProof(p.sequent, make_app(rules, "prodL", p.app.inst), new_children)
     return WfProof(p.sequent, p.app, new_children)
 
 

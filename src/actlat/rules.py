@@ -229,14 +229,6 @@ class SchematicRule:
         return fvars, svars
 
 
-@dataclass(frozen=True)
-class RuleInstance:
-    rule: SchematicRule
-    inst: Instantiation
-    premises: tuple[Sequent, ...]
-    conclusion: Sequent
-
-
 def _check_var_only(rule: SchematicRule, inst: Instantiation) -> None:
     for name in rule.var_only:
         bound = inst.fmap.get(name)
@@ -248,14 +240,76 @@ def _check_var_only(rule: SchematicRule, inst: Instantiation) -> None:
             )
 
 
+_UNSET = object()
+
+
+class RuleInstance:
+    """One application of a rule: its ground shape under one instantiation.
+
+    This is the one place that works out a node's conclusion, premises,
+    principal position, conclusion layout and immediate ancestry.  Each fact
+    is computed on first use and then kept, so a caller pays only for what
+    it reads.  The fields are plain properties over slots because the first
+    read of a ``functools.cached_property`` costs several times more on
+    Python 3.11, and most instances are read only a few times.
+    """
+
+    __slots__ = ("rule", "inst", "_conclusion", "_premises", "_layout", "_principal")
+
+    def __init__(self, rule: SchematicRule, inst: Instantiation):
+        self.rule = rule
+        self.inst = inst
+        self._conclusion = self._premises = self._layout = None
+        self._principal = _UNSET  # None is a valid principal position
+
+    @property
+    def child_indices(self) -> tuple[int, ...] | None:
+        """Valid child indices; None means every natural number."""
+        return self.rule.child_indices()
+
+    @property
+    def conclusion(self) -> Sequent:
+        if self._conclusion is None:
+            self._conclusion = instantiate_conclusion(self.rule, self.inst)
+        return self._conclusion
+
+    def premise(self, child_index: int) -> Sequent:
+        """The premise at one child index, for the infinitary rules too."""
+        return instantiate_premise(self.rule, self.inst, child_index)
+
+    @property
+    def premises(self) -> tuple[Sequent, ...]:
+        """The premises of a finitary rule, in child order."""
+        if self._premises is None:
+            self._premises = tuple(subst_metaseq(ms, self.inst) for ms in self.rule.premises)
+        return self._premises
+
+    @property
+    def layout(self) -> tuple[list[Origin], Origin, dict[int, int]]:
+        """Origins of the conclusion's occurrences, see :func:`layout`."""
+        if self._layout is None:
+            self._layout = layout(self.rule.conclusion, self.inst)
+        return self._layout
+
+    @property
+    def principal(self) -> int | None:
+        """Ground position of the principal occurrence, if any."""
+        if self._principal is _UNSET:
+            self._principal = principal_position(self.rule, self.inst, self)
+        return self._principal
+
+    def ancestry(self, child_index: int) -> frozenset[tuple[tuple[int, int], int]]:
+        """Immediate-ancestor pairs between one premise and the conclusion."""
+        return ancestry_for_children(self.rule, self.inst, (child_index,), self)
+
+
 def instantiate(rule: SchematicRule, inst: Instantiation) -> RuleInstance:
-    """Ground instance of a finitary rule: premises then conclusion."""
+    """Instance of a finitary rule; rejects a non-variable for a
+    variable-only metavariable at once."""
     if rule.is_omega:
         raise RuleError(f"rule {rule.name} has infinitely many premises; use instantiate_premise")
     _check_var_only(rule, inst)
-    premises = tuple(subst_metaseq(ms, inst) for ms in rule.premises)
-    conclusion = subst_metaseq(rule.conclusion, inst)
-    return RuleInstance(rule, inst, premises, conclusion)
+    return RuleInstance(rule, inst)
 
 
 def instantiate_premise(rule: SchematicRule, inst: Instantiation, child_index: int) -> Sequent:
@@ -543,8 +597,6 @@ def is_analytic_quasiequation(q: Quasiequation) -> bool:
     _vars_in_order(q.conclusion.lhs, seen)
     if not isinstance(q.conclusion.rhs, Var) or q.conclusion.rhs.name in seen:
         return False
-    flat: list[str] = []
-    _vars_in_order(q.conclusion.lhs, flat)
     # distinctness: re-walk counting duplicates
     count: list[str] = []
 
@@ -654,13 +706,17 @@ def layout(ms: MetaSequent, inst: Instantiation) -> tuple[list[Origin], Origin, 
     return origins, Origin(rhs_kind, rhs_name, None, -1), starts
 
 
-def principal_position(rule: SchematicRule, inst: Instantiation) -> int | None:
-    """Ground occurrence position of the principal formula, if any."""
-    if rule.principal is None:
-        return None
-    if rule.principal == -1:
-        return -1
-    _, _, starts = layout(rule.conclusion, inst)
+def principal_position(
+    rule: SchematicRule, inst: Instantiation, instance: RuleInstance | None = None
+) -> int | None:
+    """Ground occurrence position of the principal formula, if any.
+
+    ``instance``, when given, is the instance of ``rule`` under ``inst``;
+    its conclusion layout is reused.
+    """
+    if rule.principal is None or rule.principal == -1:
+        return rule.principal
+    _, _, starts = instance.layout if instance else layout(rule.conclusion, inst)
     return starts[rule.principal]
 
 
@@ -679,16 +735,21 @@ def ancestry(instance: RuleInstance) -> frozenset[tuple[tuple[int, int], int]]:
     are the image of the same formula metavariable, or when both sit at the
     same offset inside images of the same sequence metavariable.
     """
-    rule, inst = instance.rule, instance.inst
-    return ancestry_for_children(rule, inst, range(len(instance.premises)))
+    return ancestry_for_children(
+        instance.rule, instance.inst, range(len(instance.rule.premises)), instance
+    )
 
 
 def ancestry_for_children(
-    rule: SchematicRule, inst: Instantiation, child_indices
+    rule: SchematicRule, inst: Instantiation, child_indices,
+    instance: RuleInstance | None = None,
 ) -> frozenset[tuple[tuple[int, int], int]]:
-    c_origins, c_rhs, c_starts = layout(rule.conclusion, inst)
+    """Immediate-ancestor pairs for the given children; ``instance`` as in
+    :func:`principal_position`."""
+    instance = instance or RuleInstance(rule, inst)
+    c_origins, c_rhs, _ = instance.layout
+    principal = instance.principal
     pairs: set[tuple[tuple[int, int], int]] = set()
-    principal = principal_position(rule, inst)
     for i in child_indices:
         ms, aux_items = rule.premise_meta(i)
         p_origins, p_rhs, p_starts = layout(ms, inst)

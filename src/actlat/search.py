@@ -23,12 +23,12 @@ from .progress import check_cyclic_progress
 from .proof_core import CyclicNode, CyclicProof, RuleApp
 from .rules import (
     Instantiation,
+    RuleInstance,
     RuleSet,
     SchematicRule,
     classify,
     instantiate,
     match_conclusion,
-    principal_position,
 )
 from .models import FiniteActionLattice, find_sequent_counterexample
 from .syntax import (
@@ -46,22 +46,21 @@ from .syntax import (
 )
 
 
+LOOP_WINDOW = 20         # back-edges may reach this many ancestors up
+VISIT_CAP = 2000         # expansions of one sequent before it is dropped
+MAX_CANDIDATES = 64      # complete candidate graphs checked before giving up
+WIDTH_SLACK = 4          # premises may exceed the goal width by this much
+STEP_CAP = 200_000       # total expansions before giving up
+
+
 @dataclass
 class SearchConfig:
     depth: int = 40
-    loop_window: int = 20
-    visit_cap: int = 2000
-    max_candidates: int = 64
-    split_cap: int = 10**6
     with_cut: bool = False
-    width_slack: int = 4          # premises may exceed the goal width by this much
-    step_cap: int = 200_000       # total expansions before giving up
-    semantic_prune: bool = True   # drop subgoals refuted by a sound counter-model
 
     def __post_init__(self):
-        if min(self.depth, self.loop_window, self.visit_cap, self.max_candidates,
-               self.width_slack + 1, self.step_cap) <= 0:
-            raise ValueError("all search bounds must be positive")
+        if self.depth <= 0:
+            raise ValueError("search depth must be positive")
 
 
 @dataclass
@@ -74,8 +73,7 @@ class SearchResult:
 @dataclass(frozen=True)
 class _Cand:
     sequent: Sequent
-    rule: str
-    inst: Instantiation
+    ri: RuleInstance
     children: tuple
 
 
@@ -99,12 +97,12 @@ def _subformulas(f: Formula) -> set[Formula]:
 
 
 def _expansions(goal: Sequent, rules: RuleSet, user: Sequence[SchematicRule],
-                cfg: SearchConfig) -> Iterator[tuple[str, Instantiation, tuple[Sequent, ...]]]:
+                with_cut: bool) -> Iterator[RuleInstance]:
+    """Rule instances whose conclusion is the goal, in search order."""
     lhs, rhs = goal.antecedent, goal.succedent
 
-    def emit(name: str, inst: Instantiation):
-        ri = instantiate(rules.resolve(name), inst)
-        return name, inst, ri.premises
+    def emit(name: str, inst: Instantiation) -> RuleInstance:
+        return instantiate(rules.resolve(name), inst)
 
     # axioms
     if len(lhs) == 1 and isinstance(rhs, Var) and lhs[0] == rhs:
@@ -175,14 +173,13 @@ def _expansions(goal: Sequent, rules: RuleSet, user: Sequence[SchematicRule],
                                               smap={"Gamma": lhs[:i], "Delta": lhs[i + 1:]}))
     # user structural rules, in the given order
     for rule in user:
-        for inst in match_conclusion(rule, goal, cfg.split_cap):
+        for inst in match_conclusion(rule, goal):
             missing_f, missing_s = rule.metavariable_names()
             if set(inst.fmap) < missing_f or set(inst.smap) < missing_s:
                 continue  # premise-only metavariables are not searchable
-            ri = instantiate(rule, inst)
-            yield rule.name, inst, ri.premises
+            yield instantiate(rule, inst)
     # cut, with cut formulas drawn from subformulas of the goal
-    if cfg.with_cut:
+    if with_cut:
         pool = sorted(
             set().union(*(_subformulas(f) for f in lhs + (rhs,))),
             key=str,
@@ -193,11 +190,10 @@ def _expansions(goal: Sequent, rules: RuleSet, user: Sequence[SchematicRule],
                 for alpha in pool:
                     inst = Instantiation(fmap={"a": alpha, "b": rhs},
                                          smap={"Gamma": gamma, "Delta": delta, "Pi": pi})
-                    ri = instantiate(cut, inst)
-                    yield "Cut", inst, ri.premises
+                    yield instantiate(cut, inst)
 
 
-def _to_cyclic(cand: _Cand, rules: RuleSet) -> CyclicProof:
+def _to_cyclic(cand: _Cand) -> CyclicProof:
     nodes: dict[str, CyclicNode] = {}
     counter = itertools.count()
 
@@ -211,11 +207,8 @@ def _to_cyclic(cand: _Cand, rules: RuleSet) -> CyclicProof:
             else:
                 child_ids.append(build(child, stack))
         stack.pop()
-        rule = rules.resolve(c.rule)
-        nodes[nid] = CyclicNode(
-            c.sequent, RuleApp(rule.name, c.inst, principal_position(rule, c.inst)),
-            tuple(child_ids),
-        )
+        app = RuleApp(c.ri.rule.name, c.ri.inst, c.ri.principal)
+        nodes[nid] = CyclicNode(c.sequent, app, tuple(child_ids))
         return nid
 
     root = build(cand, [])
@@ -226,15 +219,13 @@ class _StepsExhausted(Exception):
     pass
 
 
-def _pruning_models(user_rules, cfg) -> list[FiniteActionLattice]:
+def _pruning_models(user_rules) -> list[FiniteActionLattice]:
     """Finite models whose failures soundly rule subgoals out.  A model only
     qualifies when it satisfies the quasiequations of every active
     structural rule (built-in rules and cut are sound in any model)."""
     from .models import holds_quasieq, two_chain
     from .rules import q_of
 
-    if not cfg.semantic_prune:
-        return []
     model = two_chain()
     for rule in user_rules:
         if not classify(rule).structural:
@@ -255,8 +246,8 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
     rules = rules or RuleSet(list(user_rules))
     visits: dict[Sequent, int] = {}
     steps = [0]
-    max_width = goal.width + cfg.width_slack
-    pruning = _pruning_models(user_rules, cfg)
+    max_width = goal.width + WIDTH_SLACK
+    pruning = _pruning_models(user_rules)
 
     def viable(s: Sequent) -> bool:
         if s.width > max_width:
@@ -269,32 +260,31 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
         # keeps.  Each frame passes its children a path of its own: generators
         # suspended in a sibling's subtree never leave entries behind.
         visits[s] = visits.get(s, 0) + 1
-        if visits[s] > cfg.visit_cap:
+        if visits[s] > VISIT_CAP:
             return
-        lo = max(0, len(path) - cfg.loop_window)
+        lo = max(0, len(path) - LOOP_WINDOW)
         for i in range(lo, len(path)):
             anc, _ = path[i]
             if anc == s and any(r == "starL" for _, r in path[i:]):
                 yield _Back(i)
         if depth <= 0:
             return
-        for name, inst, premises in _expansions(s, rules, user_rules, cfg):
+        for ri in _expansions(s, rules, user_rules, cfg.with_cut):
             steps[0] += 1
-            if steps[0] > cfg.step_cap:
+            if steps[0] > STEP_CAP:
                 raise _StepsExhausted
-            if any(p == s for p in premises):
+            if any(p == s for p in ri.premises):
                 continue  # a premise equal to its conclusion can never progress
-            if not all(viable(p) for p in premises):
+            if not all(viable(p) for p in ri.premises):
                 continue
-            yield from _combine(s, name, inst, premises, 0, (), depth,
-                                path + ((s, name),))
+            yield from _combine(s, ri, 0, (), depth, path + ((s, ri.rule.name),))
 
-    def _combine(s, name, inst, premises, idx, done, depth, path):
-        if idx == len(premises):
-            yield _Cand(s, name, inst, done)
+    def _combine(s, ri, idx, done, depth, path):
+        if idx == len(ri.premises):
+            yield _Cand(s, ri, done)
             return
-        for sub in candidates(premises[idx], depth - 1, path):
-            yield from _combine(s, name, inst, premises, idx + 1, done + (sub,), depth, path)
+        for sub in candidates(ri.premises[idx], depth - 1, path):
+            yield from _combine(s, ri, idx + 1, done + (sub,), depth, path)
 
     if not viable(goal):
         return SearchResult(False, None, "goal fails in a sound finite counter-model")
@@ -306,11 +296,11 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
             if isinstance(cand, _Back):
                 continue
             produced += 1
-            proof = _to_cyclic(cand, rules)
+            proof = _to_cyclic(cand)
             if check_cyclic_local(proof, rules).ok and \
                     check_cyclic_progress(proof, rules).accepted:
                 return SearchResult(True, proof)
-            if produced >= cfg.max_candidates:
+            if produced >= MAX_CANDIDATES:
                 return SearchResult(False, None, "candidate budget exhausted")
     except _StepsExhausted:
         return SearchResult(False, None, "step budget exhausted")

@@ -31,18 +31,15 @@ from .proof_core import (
     RuleApp,
     WfProof,
     check_local,
+    make_app,
     to_standard_omega,
 )
 from .rules import (
     Instantiation,
+    RuleInstance,
     RuleSet,
     SchematicRule,
-    ancestry_for_children,
     classify,
-    instantiate_conclusion,
-    instantiate_premise,
-    layout,
-    principal_position,
 )
 from .syntax import Sequent, Star, power_formula
 
@@ -88,21 +85,24 @@ def evolve_assignment(
     rule: SchematicRule,
     inst: Instantiation,
     child_index: int,
+    instance: RuleInstance | None = None,
 ) -> StarAssignment:
     """Carry an assignment from a conclusion to one premise along immediate
     ancestry; positions with no ancestor in the premise drop out.
 
     Only allowed for linear rules, the id axiom, or principal rules whose
-    principal occurrence is unassigned.
+    principal occurrence is unassigned.  ``instance``, when given, is the
+    instance of ``rule`` under ``inst`` and is reused.
     """
+    instance = instance or RuleInstance(rule, inst)
     flags = classify(rule)
-    principal = principal_position(rule, inst)
+    principal = instance.principal
     if not (flags.linear or rule.name == "id" or principal is not None):
         raise AssignmentError(f"cannot evolve through {rule.name}")
     if principal is not None and principal in f:
         raise AssignmentError("the principal occurrence is assigned; use projection")
     out: StarAssignment = {}
-    for (_, q_premise), q_conclusion in ancestry_for_children(rule, inst, [child_index]):
+    for (_, q_premise), q_conclusion in instance.ancestry(child_index):
         if q_conclusion in f and q_premise >= 0:
             if q_premise in out and out[q_premise] != f[q_conclusion]:
                 raise AssignmentError("conflicting ancestor assignments")
@@ -110,18 +110,16 @@ def evolve_assignment(
     return out
 
 
-def project_instantiation(
-    rule: SchematicRule, inst: Instantiation, f: StarAssignment
-) -> Instantiation:
+def project_instantiation(instance: RuleInstance, f: StarAssignment) -> Instantiation:
     """Apply an assignment inside the images of the conclusion's sequence
-    metavariables."""
-    origins, _, _ = layout(rule.conclusion, inst)
-    out = inst.copy()
+    metavariables of a rule instance."""
+    origins, _, _ = instance.layout
+    out = instance.inst.copy()
     for pos, value in f.items():
         origin = origins[pos]
         if origin.kind != "svar":
             raise AssignmentError(
-                f"assigned occurrence {pos} is not inside a sequence metavariable of {rule.name}"
+                f"assigned occurrence {pos} is not inside a sequence metavariable of {instance.rule.name}"
             )
         image = out.smap[origin.name]
         target = image[origin.offset]
@@ -134,34 +132,36 @@ def project_instantiation(
 
 
 def check_rule_uniformity(
-    rule: SchematicRule, inst: Instantiation, f: StarAssignment, rules: RuleSet | None = None
+    rule: SchematicRule, inst: Instantiation, f: StarAssignment, rules: RuleSet | None = None,
+    instance: RuleInstance | None = None,
 ):
     """Project an instance and assert the result instantiates the same rule.
 
     Returns (projected instantiation, projected premises, projected
     conclusion); a mismatch raises, signalling a rule-engine bug.
+    ``instance`` as in :func:`evolve_assignment`.
     """
-    conclusion = instantiate_conclusion(rule, inst)
-    validate_assignment(f, conclusion)
-    projected = project_instantiation(rule, inst, f)
-    want_conclusion = project_sequent(conclusion, f)
-    got_conclusion = instantiate_conclusion(rule, projected)
+    instance = instance or RuleInstance(rule, inst)
+    validate_assignment(f, instance.conclusion)
+    projected = RuleInstance(rule, project_instantiation(instance, f))
+    want_conclusion = project_sequent(instance.conclusion, f)
+    got_conclusion = projected.conclusion
     if got_conclusion != want_conclusion:
         raise UniformityError(
             f"projected conclusion of {rule.name} is {got_conclusion}, expected {want_conclusion}"
         )
     premises = []
     if not rule.is_omega:
-        for i in range(len(rule.premises)):
-            fi = evolve_assignment(f, rule, inst, i)
-            want = project_sequent(instantiate_premise(rule, inst, i), fi)
-            got = instantiate_premise(rule, projected, i)
+        for i in instance.child_indices:
+            fi = evolve_assignment(f, rule, inst, i, instance)
+            want = project_sequent(instance.premise(i), fi)
+            got = projected.premise(i)
             if got != want:
                 raise UniformityError(
                     f"projected premise {i} of {rule.name} is {got}, expected {want}"
                 )
             premises.append(got)
-    return projected, tuple(premises), got_conclusion
+    return projected.inst, tuple(premises), got_conclusion
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ class ProjectedLazy(LazyPreproof):
         self.src = src
         self.rules = rules or src.rules
         self.f0 = dict(f)
-        self._states: dict[tuple[int, ...], StarAssignment] = {}
+        self._states: dict[tuple[int, ...], tuple[StarAssignment, NodeView, RuleInstance]] = {}
 
     def _case(self, view: NodeView, f: StarAssignment) -> tuple[str, int | None]:
         if view.app.rule == "starL":
@@ -289,7 +289,9 @@ class ProjectedLazy(LazyPreproof):
                 return ("zero", k) if f[k] == 0 else ("succ", k)
         return ("copy", None)
 
-    def _state(self, addr: tuple[int, ...]) -> StarAssignment:
+    def _state(self, addr: tuple[int, ...]) -> tuple[StarAssignment, NodeView, RuleInstance]:
+        """The assignment at an address, the source node there and its rule
+        instance."""
         if addr in self._states:
             return self._states[addr]
         if not addr:
@@ -297,8 +299,7 @@ class ProjectedLazy(LazyPreproof):
             validate_assignment(f, self.src.node_at(()).sequent)
         else:
             parent, step = addr[:-1], addr[-1]
-            fp = self._state(parent)
-            view = self.src.node_at(parent)
+            fp, view, ri = self._state(parent)
             case, k = self._case(view, fp)
             if case == "zero":
                 if step != 0:
@@ -310,22 +311,20 @@ class ProjectedLazy(LazyPreproof):
                 f = {p + (p > k): v for p, v in fp.items() if p != k}
                 f[k + 1] = fp[k] - 1
             else:
-                rule = self.rules.resolve(view.app.rule)
-                f = evolve_assignment(fp, rule, view.app.inst, step)
-        self._states[addr] = f
-        return f
+                f = evolve_assignment(fp, ri.rule, ri.inst, step, ri)
+        view = self.src.node_at(addr)
+        state = (f, view, RuleInstance(self.rules.resolve(view.app.rule), view.app.inst))
+        self._states[addr] = state
+        return state
 
     def node_at(self, addr):
-        addr = tuple(addr)
-        f = self._state(addr)
-        view = self.src.node_at(addr)
+        f, view, ri = self._state(tuple(addr))
         case, k = self._case(view, f)
         if case == "copy":
-            rule = self.rules.resolve(view.app.rule)
             if not f:
                 return view
-            projected, _, conclusion = check_rule_uniformity(rule, view.app.inst, f, self.rules)
-            app = RuleApp(rule.name, projected, principal_position(rule, projected))
+            projected, _, conclusion = check_rule_uniformity(ri.rule, ri.inst, f, self.rules, ri)
+            app = make_app(self.rules, ri.rule.name, projected)
             return NodeView(conclusion, app, view.child_indices)
         sequent = project_sequent(view.sequent, f)
         alpha = view.app.inst.fmap["a"]
@@ -400,10 +399,7 @@ class OmLazy(LazyPreproof):
             i += 1
         view = self.src.node_at(cur)
         if view.app.rule == "starL":
-            rule = self.rules.resolve("starLomegaM")
-            app = RuleApp("starLomegaM", view.app.inst,
-                          principal_position(rule, view.app.inst))
-            return NodeView(view.sequent, app, None)
+            return NodeView(view.sequent, make_app(self.rules, "starLomegaM", view.app.inst), None)
         return view
 
 
@@ -605,23 +601,12 @@ def check_lazy_prefix(lazy: LazyPreproof, depth: int, rules: RuleSet | None = No
     checked = 0
     for addr in iter_addresses(lazy, depth, omega_fuel):
         view = lazy.node_at(addr)
-        rule = rules.resolve(view.app.rule)
-        if view.child_indices is None:
-            want = instantiate_conclusion(rule, view.app.inst)
-            if want != view.sequent:
-                return checked, (addr, "conclusion mismatch at infinitary node")
-            for n in range(omega_fuel + 1):
-                child = lazy.node_at(addr + (n,))
-                expect = instantiate_premise(rule, view.app.inst, n)
-                if child.sequent != expect:
-                    return checked, (addr, f"premise {n} mismatch")
-        else:
-            child_sequents = tuple(
-                lazy.node_at(addr + (i,)).sequent for i in view.child_indices
-            )
-            violation = check_local(view.sequent, view.app, child_sequents, rules)
-            if violation is not None:
-                return checked, (addr, str(violation))
+        family = view.child_indices is None
+        indices = range(omega_fuel + 1) if family else view.child_indices
+        child_sequents = tuple(lazy.node_at(addr + (i,)).sequent for i in indices)
+        violation = check_local(view.sequent, view.app, child_sequents, rules, family)
+        if violation is not None:
+            return checked, (addr, str(violation))
         checked += 1
     return checked, None
 
@@ -642,7 +627,7 @@ def project_cyclic(p: CyclicProof, f: StarAssignment, rules: RuleSet | None = No
 
     def visit(addr: tuple[int, ...]) -> str:
         nid = lazy._node_id(addr)
-        g = proj._state(addr)
+        g, _, _ = proj._state(addr)
         key = state_key(nid, g)
         if key in ids:
             return ids[key]

@@ -56,6 +56,23 @@ def test_check_rejects_corrupted_with_cycle(corrupted_file, capsys):
     assert "counterexample cycle" in out
 
 
+def test_translate_rejects_corrupted_proof(corrupted_file, tmp_path, capsys):
+    out = tmp_path / "out.womega"
+    assert main(["translate", "--to", "wf", corrupted_file, str(out)]) == 1
+    assert "branch condition" in capsys.readouterr().err
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    import actlat.cli as cli
+
+    def crash(*args, **kwargs):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(cli, "prove", crash)
+    assert main(["prove", "a |- a"]) == 4
+    assert "internal error: IndexError: list index out of range" in capsys.readouterr().err
+
+
 def test_check_json_output(star_id_file, capsys):
     assert main(["--json", "check", star_id_file]) == 0
     payload = json.loads(capsys.readouterr().out)

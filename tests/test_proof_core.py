@@ -71,6 +71,41 @@ def test_check_local_oneL():
     assert bad is not None and bad.premise_index == 0
 
 
+def test_check_local_rejects_principal_mark_off_by_one():
+    inst = Instantiation(fmap={"b": b}, smap={"Gamma": (a,), "Delta": (c,)})
+    app = make_app(RS, "oneL", inst)
+    assert app.principal == 1
+    shifted = RuleApp("oneL", inst, app.principal + 1)
+    v = check_local(seq("a, 1, c |- b"), shifted, (seq("a, c |- b"),))
+    assert v is not None and "principal mark" in v.message
+
+
+def _defective_star_id(defect):
+    """``a* |- a*`` by the infinitary rule, broken in one place."""
+    good = id_expand(Star(a), RS)
+    if defect == "premise":
+        # premise 2 proves a, a, a |- a* instead of a, a |- a*
+        fam = OmegaFamily(lambda n: tau_n(a, n + (n == 2), RS))
+        return WfProof(good.sequent, good.app, fam)
+    if defect == "conclusion":
+        return WfProof(seq("b, a* |- a*"), good.app, good.children)
+    return WfProof(good.sequent, RuleApp("starLomega", good.app.inst, 1), good.children)
+
+
+@pytest.mark.parametrize("defect", ["premise", "conclusion", "principal"])
+def test_checkers_reject_defective_infinitary_node(defect):
+    from actlat.translate import as_lazy, check_lazy_prefix
+
+    p = _defective_star_id(defect)
+    report = check_wf(p, 3, RS)
+    assert not report.ok and report.violation.address == ()
+    if defect == "premise":
+        assert report.violation.premise_index == 2
+    _, violation = check_lazy_prefix(as_lazy(p, RS), 2, RS, omega_fuel=3)
+    assert violation is not None and violation[0] == ()
+    assert check_wf(id_expand(Star(a), RS), 3, RS).ok
+
+
 def test_ordinal_order():
     zero = Ordinal()
     three = Ordinal.nat(3)
@@ -205,6 +240,15 @@ def test_zeroR_through_omega_node():
     assert out.sequent == seq("a, c*, 0, b |- d")
     report = check_wf(out, 4, RS)
     assert report.ok and report.bounded
+
+
+@pytest.mark.parametrize("seed", [1, 19, 22, 24, 35, 44])
+def test_random_zero_proofs_keep_a_zero(seed):
+    # these seeds once drew a left-residual step that consumed the only zero
+    from actlat.corpus import random_zero_proofs
+
+    for p in random_zero_proofs(seed, 20):
+        assert check_wf(p, 4, RS).ok
 
 
 def test_zeroR_rejects_right_rule():
