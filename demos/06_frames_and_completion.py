@@ -1,5 +1,7 @@
 # Residuated frames, dual algebras, quasiequation transfer, and completion.
 
+import numpy as np
+
 from actlat import (
     check_nuclear,
     check_star_gentzen,
@@ -24,8 +26,11 @@ gf = frame_of_algebra(a)
 print("nuclear:", check_nuclear(gf.frame).ok)
 
 # The polarities form a Galois connection; their composite is a closure
-# operator, here computed on a small subset.
-print("closure of {bottom}:", gamma(gf.frame, [a.zero]))
+# operator, here computed on a small subset.  A subset is a bool row over the
+# sort it lives in.
+bottom = np.zeros(a.size, dtype=bool)
+bottom[a.zero] = True
+print("closure of {bottom}:", np.flatnonzero(gamma(gf.frame, bottom)).tolist())
 
 # The closed sets carry induced operations and form a star-continuous action
 # lattice again.

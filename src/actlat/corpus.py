@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .proof_core import CyclicNode, CyclicProof, RuleApp, WfProof, make_app
 from .rules import Instantiation, MetaSequent, RuleSet, SchematicRule, SVar, FVar
 from .syntax import (
@@ -606,13 +608,14 @@ def _crit_soundness() -> CriterionResult:
 
 def _crit_frames(seed: int) -> CriterionResult:
     from .frames import (
-        FrameSets,
         check_nuclear,
         check_star_gentzen,
         dual_algebra,
         embedding_check,
         frame_of_algebra,
+        gamma,
         quasimorphism_check,
+        set_product,
     )
     from .models import library, validate_algebra
 
@@ -621,18 +624,18 @@ def _crit_frames(seed: int) -> CriterionResult:
     failures = []
     for name, a in library().items():
         gf = frame_of_algebra(a)
-        if not check_nuclear(gf.frame).ok:
+        f = gf.frame
+        if not check_nuclear(f).ok:
             failures.append(f"{name}: not nuclear")
             continue
-        sets = FrameSets(gf.frame)
         for _ in range(10):
-            x = sum(1 << i for i in range(gf.frame.w_size) if rng.random() < 0.3)
-            y = sum(1 << i for i in range(gf.frame.w_size) if rng.random() < 0.3)
-            gx = sets.gamma(x)
-            if x & ~gx or sets.gamma(gx) != gx:
+            x = np.array([rng.random() < 0.3 for _ in range(f.w_size)])
+            y = np.array([rng.random() < 0.3 for _ in range(f.w_size)])
+            gx = gamma(f, x)
+            if (x & ~gx).any() or (gamma(f, gx) != gx).any():
                 failures.append(f"{name}: closure laws fail")
                 break
-            if sets.set_product(sets.gamma(x), sets.gamma(y)) & ~sets.gamma(sets.set_product(x, y)):
+            if (set_product(f, gx, gamma(f, y)) & ~gamma(f, set_product(f, x, y))).any():
                 failures.append(f"{name}: nucleus law fails")
                 break
         report = check_star_gentzen(gf, with_cut=True)

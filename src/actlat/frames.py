@@ -7,10 +7,12 @@ closed sets, with the induced operations, are the dual algebra, which is a
 complete residuated lattice and (for star frames) a star-continuous action
 lattice.
 
-Subsets of the monoid sort are represented as int bitmasks; closed sets are
-enumerated as intersections of the basic closed sets (one per element of the
-second sort), which is exhaustive because every closure is such an
-intersection.
+A subset of a sort is a numpy bool row over that sort, and a family of
+subsets is a 2-D array of such rows, so polars and closures are boolean
+matrix products against the relation.  The basic closed sets are the columns
+of the relation (one per element of the second sort); every closed set is an
+intersection of basic ones, so the closed sets are enumerated by intersecting
+rows with the basics until no new row appears.
 """
 
 from __future__ import annotations
@@ -79,70 +81,41 @@ def check_nuclear(f: ResiduatedFrame) -> FrameReport:
     return report
 
 
-def _mask_of(indices, size: int) -> int:
-    out = 0
-    for i in indices:
-        out |= 1 << int(i)
+def polar_right(f: ResiduatedFrame, xs: np.ndarray) -> np.ndarray:
+    """For each row of xs (a subset of W), the elements of W' related to all
+    of it."""
+    return ~(xs @ ~f.n_rel)
+
+
+def polar_left(f: ResiduatedFrame, zs: np.ndarray) -> np.ndarray:
+    """For each row of zs (a subset of W'), the elements of W related to all
+    of it."""
+    return ~(zs @ ~f.n_rel.T)
+
+
+def gamma(f: ResiduatedFrame, xs: np.ndarray) -> np.ndarray:
+    """The closure of each row of xs: the left polar of its right polar."""
+    return polar_left(f, polar_right(f, xs))
+
+
+def set_product(f: ResiduatedFrame, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The complex product {x.y : x in X, y in Y} of two subsets of W."""
+    out = np.zeros(f.w_size, dtype=bool)
+    out[f.op[np.ix_(xs, ys)]] = True
     return out
 
 
-def _indices(mask: int):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
+def _distinct(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows in the order of the binary numbers whose bit x is
+    column x, so a subset comes before its supersets."""
+    rows = rows[np.lexsort(rows.T)]
+    return rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
 
 
-class FrameSets:
-    """Bitmask views of the polarities and the basic closed sets."""
-
-    def __init__(self, f: ResiduatedFrame):
-        self.frame = f
-        self.rows = [_mask_of(np.flatnonzero(f.n_rel[x]), f.wp_size) for x in range(f.w_size)]
-        self.cols = [_mask_of(np.flatnonzero(f.n_rel[:, z]), f.w_size) for z in range(f.wp_size)]
-        self.full_w = (1 << f.w_size) - 1
-        self.full_wp = (1 << f.wp_size) - 1
-
-    def polar_right(self, x_mask: int) -> int:
-        """All second-sort elements related to everything in the set."""
-        out = self.full_wp
-        for x in _indices(x_mask):
-            out &= self.rows[x]
-        return out
-
-    def polar_left(self, z_mask: int) -> int:
-        out = self.full_w
-        for z in _indices(z_mask):
-            out &= self.cols[z]
-        return out
-
-    def gamma(self, x_mask: int) -> int:
-        return self.polar_left(self.polar_right(x_mask))
-
-    def set_product(self, x_mask: int, y_mask: int) -> int:
-        op = self.frame.op
-        out = 0
-        for x in _indices(x_mask):
-            for y in _indices(y_mask):
-                out |= 1 << int(op[x, y])
-        return out
-
-
-def triangles(f: ResiduatedFrame, x_indices) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(right polar of the set, its closure) as index tuples."""
-    sets = FrameSets(f)
-    mask = _mask_of(x_indices, f.w_size)
-    right = sets.polar_right(mask)
-    return tuple(_indices(right)), tuple(_indices(sets.polar_left(right)))
-
-
-def gamma(f: ResiduatedFrame, x_indices) -> tuple[int, ...]:
-    sets = FrameSets(f)
-    return tuple(_indices(sets.gamma(_mask_of(x_indices, f.w_size))))
+def _locate(closed: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Index of the closure of each row of sets: the least closed set above
+    it, which comes first among them because it is a subset of all of them."""
+    return (~(sets @ ~closed.T)).argmax(axis=-1)
 
 
 @dataclass
@@ -150,118 +123,70 @@ class DualAlgebra:
     """Closed sets with the induced operations, indexed for table lookups."""
 
     frame: ResiduatedFrame
-    closed: list[int]                 # bitmasks, sorted
-    index: dict[int, int]
+    closed: np.ndarray                # (k, |W|) bool, in the order of the tables
     algebra: FiniteActionLattice      # explicit-table view of the same data
 
 
 def dual_algebra(f: ResiduatedFrame, name: str | None = None) -> DualAlgebra:
     """Enumerate the closed sets and build the full operation tables.
 
-    Star is the closure of the generated submonoid; the least element is the
-    closure of the empty join, which for star frames must coincide with the
-    polar of the zero constant (checked by the caller via validation).
+    Closed sets are ordered as by :func:`_distinct`, so the least one is
+    first.  Products are read off the right residuals (X.Y <= Z iff
+    X <= Z/Y), and star is the closure of the generated submonoid, grown in
+    the algebra itself: by the nucleus law the closure of S u S.X is the join
+    of the closure of S and its product with X.
     """
     nuclear = check_nuclear(f)
     if not nuclear.ok:
         raise FrameError(f"frame is not nuclear: {nuclear.violations[0]}")
-    sets = FrameSets(f)
-    basics = sorted({sets.cols[z] for z in range(f.wp_size)})
-    closed = {sets.full_w}
-    frontier = [sets.full_w]
-    while frontier:
-        cur = frontier.pop()
-        for b in basics:
-            nxt = cur & b
-            if nxt not in closed:
-                closed.add(nxt)
-                frontier.append(nxt)
-                if len(closed) > CLOSED_SET_CAP:
-                    raise FrameError(f"more than {CLOSED_SET_CAP} closed sets")
-    order = sorted(closed)
-    index = {m: i for i, m in enumerate(order)}
-    k = len(order)
+    n = f.w_size
+    basics = f.n_rel.T
+    closed = np.ones((1, n), dtype=bool)
+    while True:
+        meets = (closed[:, None, :] & basics[None, :, :]).reshape(-1, n)
+        grown = _distinct(np.concatenate([closed, meets]))
+        if len(grown) > CLOSED_SET_CAP:
+            raise FrameError(f"more than {CLOSED_SET_CAP} closed sets")
+        if len(grown) == len(closed):
+            break
+        closed = grown
+    k = len(closed)
+    xs, ys = closed[:, None, :], closed[None, :, :]
 
-    prodset: list[dict[int, int]] = [dict() for _ in range(f.w_size)]
+    le = ~(closed @ ~closed.T)
+    meet = _locate(closed, xs & ys)
+    join = _locate(closed, xs | ys)
 
-    def set_product(x_mask: int, y_idx: int) -> int:
-        out = 0
-        for x in _indices(x_mask):
-            table = prodset[x]
-            if y_idx not in table:
-                acc = 0
-                for y in _indices(order[y_idx]):
-                    acc |= 1 << int(f.op[x, y])
-                table[y_idx] = acc
-            out |= table[y_idx]
-        return out
+    def residual(op: np.ndarray) -> np.ndarray:
+        # under[j, i, w]: every x in X_i has op[x, w] in X_j
+        under = ~(closed @ ~closed[:, op])
+        found = _locate(closed, under)
+        if (closed[found] != under).any():
+            raise FrameError("a residual landed outside the closed sets; frame is not nuclear")
+        return found
 
-    le = np.zeros((k, k), dtype=bool)
-    meet = np.zeros((k, k), dtype=int)
-    join = np.zeros((k, k), dtype=int)
-    prod = np.zeros((k, k), dtype=int)
-    lres = np.zeros((k, k), dtype=int)
-    rres = np.zeros((k, k), dtype=int)
-    for i, x in enumerate(order):
-        for j, y in enumerate(order):
-            le[i, j] = x & ~y == 0
-            meet[i, j] = index[x & y]
-            join[i, j] = index[sets.gamma(x | y)]
-            prod[i, j] = index[sets.gamma(set_product(x, j))]
-    # residuals: X \ Y = {w : X . {w} <= Y}, Y / X = {w : {w} . X <= Y}
-    left_products = np.zeros((f.w_size, k), dtype=object)
-    right_products = np.zeros((f.w_size, k), dtype=object)
-    for w in range(f.w_size):
-        for i, x in enumerate(order):
-            acc_l = 0
-            acc_r = 0
-            for xx in _indices(x):
-                acc_l |= 1 << int(f.op[xx, w])
-                acc_r |= 1 << int(f.op[w, xx])
-            left_products[w, i] = acc_l   # X . {w}
-            right_products[w, i] = acc_r  # {w} . X
-    for i in range(k):
-        for j, y in enumerate(order):
-            acc = 0
-            for w in range(f.w_size):
-                if left_products[w, i] & ~y == 0:
-                    acc |= 1 << w
-            lres[i, j] = index.get(acc, -1)
-            acc = 0
-            for w in range(f.w_size):
-                if right_products[w, i] & ~y == 0:
-                    acc |= 1 << w
-            rres[j, i] = index.get(acc, -1)
-    if (lres < 0).any() or (rres < 0).any():
-        raise FrameError("a residual landed outside the closed sets; frame is not nuclear")
+    # X \ Y = {w : X . {w} <= Y}, Y / X = {w : {w} . X <= Y}
+    lres, rres = residual(f.op).T, residual(f.op.T)
+    # prod[i, j]: the first c with X_i <= X_c / X_j
+    prod = le[np.arange(k)[:, None, None], rres.T[None, :, :]].argmax(axis=-1)
 
-    # star: closure of the generated submonoid (the empty product included)
-    star = np.zeros(k, dtype=int)
-    for i, x in enumerate(order):
-        sub = 1 << f.eps
-        while True:
-            nxt = sub
-            for w in _indices(sub):
-                for y in _indices(x):
-                    nxt |= 1 << int(f.op[w, y])
-            if nxt == sub:
-                break
-            sub = nxt
-        star[i] = index[sets.gamma(sub)]
-
-    one = index[sets.gamma(1 << f.eps)]
-    # the least closed set is the intersection of all of them
-    inter = sets.full_w
-    for m in order:
-        inter &= m
-    zero = index[inter]
+    eps = np.zeros(n, dtype=bool)
+    eps[f.eps] = True
+    one = int(_locate(closed, eps))
+    star = np.full(k, one)
+    while True:
+        grown = join[star, prod[star, np.arange(k)]]
+        if (grown == star).all():
+            break
+        star = grown
     algebra = FiniteActionLattice(
         name=name or f"{f.name}+",
-        elements=tuple("{" + ",".join(f.w_names[i] for i in _indices(m)) + "}" for m in order),
+        elements=tuple("{" + ",".join(f.w_names[i] for i in np.flatnonzero(m)) + "}"
+                       for m in closed),
         le=le, meet=meet, join=join, prod=prod, lres=lres, rres=rres,
-        star=star, zero=zero, one=one,
+        star=star, zero=0, one=one,
     )
-    return DualAlgebra(f, order, index, algebra)
+    return DualAlgebra(f, closed, algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +255,15 @@ def check_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
     cond = N[f.op[w_of[:, None], w_of[None, :]], :]
     conseq = N[w_of[a.prod], :]
     _quantify_pairs(cond, conseq, report, "(.L)")
-    # (.R): x N a and y N b -> x o y N a.b; chunked over a to bound memory
+    # (.R): x N a and y N b -> x o y N a.b; one a at a time, over the x
+    # with x N a, to bound memory
     B = N[:, wp_of]
     for ai in range(n):
-        cond = B[:, ai][:, None, None] & B[None, :, :]
-        got = N[f.op[:, :, None], wp_of[a.prod[ai]][None, None, :]]
-        bad = cond & ~got
+        xs = np.flatnonzero(B[:, ai])
+        bad = B[None, :, :] & ~N[:, wp_of[a.prod[ai]]][f.op[xs]]
         if bad.any():
-            x, y, bi = (int(v) for v in np.argwhere(bad)[0])
-            report.add("(.R)", (x, y, ai, bi))
+            xi, y, bi = (int(v) for v in np.argwhere(bad)[0])
+            report.add("(.R)", (int(xs[xi]), y, ai, bi))
             break
     # (^L0)/(^L1): a_i N z -> a0 ^ a1 N z
     for side, law in ((0, "(^L0)"), (1, "(^L1)")):
@@ -367,57 +292,21 @@ def check_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
         conseq = N[:, wp_of[a.join]]
         _quantify_pairs(np.broadcast_to(cond, conseq.shape), conseq, report, law)
     # (\L): x N a and b N z -> a\b N x lres z   (a, b algebra; x in W, z in W')
-    lres_alg = w_of[a.lres]
-    for ai in range(n):
-        for bi in range(n):
-            cond = N[:, wp_of[ai]][:, None] & N[w_of[bi], :][None, :]
-            conseq = N[lres_alg[ai, bi], f.lres_w]
-            bad = cond & ~conseq
-            if bad.any():
-                x, z = (int(v) for v in np.argwhere(bad)[0])
-                report.add("(\\L)", (ai, bi, x, z))
-                break
-        else:
-            continue
-        break
     # (\R): x N a \ b (witness) -> x N a\b
-    for ai in range(n):
-        for bi in range(n):
-            cond = N[:, f.lres_w[w_of[ai], wp_of[bi]]]
-            conseq = N[:, wp_of[a.lres[ai, bi]]]
-            bad = cond & ~conseq
+    # (/L): x N a and b N z -> b/a N z rres x, and (/R): x N b / a (witness)
+    # -> x N b/a, are the same laws read through the transposed right
+    # residual tables.
+    for side, alg_res, wit in (("\\", a.lres, f.lres_w), ("/", a.rres.T, f.rres_w.T)):
+        for ai in range(n):
+            xs = np.flatnonzero(N[:, wp_of[ai]])
+            bad = N[w_of, :].T[None, :, :] & ~N[w_of[alg_res[ai]]].T[wit[xs]]
             if bad.any():
-                report.add("(\\R)", (ai, bi, int(np.flatnonzero(bad)[0])))
+                bi, xi, z = (int(v) for v in np.argwhere(bad.transpose(2, 0, 1))[0])
+                report.add(f"({side}L)", (ai, bi, int(xs[xi]), z))
                 break
-        else:
-            continue
-        break
-    # (/L): x N a and b N z -> b/a N z rres x
-    rres_alg = w_of[a.rres]
-    for ai in range(n):
-        for bi in range(n):
-            cond = N[:, wp_of[ai]][:, None] & N[w_of[bi], :][None, :]
-            conseq = N[rres_alg[bi, ai], f.rres_w].T
-            bad = cond & ~conseq
-            if bad.any():
-                x, z = (int(v) for v in np.argwhere(bad)[0])
-                report.add("(/L)", (ai, bi, x, z))
-                break
-        else:
-            continue
-        break
-    # (/R): x N b / a (witness) -> x N b/a
-    for ai in range(n):
-        for bi in range(n):
-            cond = N[:, f.rres_w[wp_of[bi], w_of[ai]]]
-            conseq = N[:, wp_of[a.rres[bi, ai]]]
-            bad = cond & ~conseq
-            if bad.any():
-                report.add("(/R)", (ai, bi, int(np.flatnonzero(bad)[0])))
-                break
-        else:
-            continue
-        break
+        cond = N.T[wit[w_of[:, None], wp_of[None, :]]]
+        conseq = N.T[wp_of[alg_res]]
+        _quantify_pairs(cond, conseq, report, f"({side}R)")
     return report
 
 
@@ -442,14 +331,9 @@ def check_star_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
     if not N[f.eps, star_wp].all():
         report.add("(*R0)", (int(np.flatnonzero(~N[f.eps, star_wp])[0]),))
     # (*R1): x N a and y N a* -> x o y N a*
-    for ai in range(a.size):
-        cond = N[:, wp_of[ai]][:, None] & N[:, star_wp[ai]][None, :]
-        conseq = N[f.op, star_wp[ai]]
-        bad = cond & ~conseq
-        if bad.any():
-            x, y = (int(v) for v in np.argwhere(bad)[0])
-            report.add("(*R1)", (ai, x, y))
-            break
+    cond = N[:, wp_of].T[:, :, None] & N[:, star_wp].T[:, None, :]
+    conseq = N[f.op[None, :, :], star_wp[:, None, None]]
+    _quantify_pairs(cond, conseq, report, "(*R1)")
     # (*L): (a^(n) N z for all n) -> a* N z, powers over one cycle
     for ai in range(a.size):
         power = f.eps
@@ -473,25 +357,16 @@ def quasimorphism_check(gf: GentzenFrame, dual: DualAlgebra | None = None) -> Fr
     f, a = gf.frame, gf.algebra
     dual = dual or dual_algebra(f)
     alg = dual.algebra
-    sets = FrameSets(f)
     n = a.size
-
-    members: list[list[int]] = []
-    for ai in range(n):
-        polar = sets.cols[int(gf.to_wp[ai])]
-        mine = [
-            i for i, m in enumerate(dual.closed)
-            if (m >> int(gf.to_w[ai])) & 1 and m & ~polar == 0
-        ]
-        members.append(mine)
-
-    one_idx = alg.one
-    if one_idx not in members[a.one]:
-        report.add("unit membership", (int(one_idx),))
+    # members[ai, i]: closed set i belongs to the image of ai
+    inside = ~(dual.closed @ ~f.n_rel[:, gf.to_wp])
+    members = dual.closed[:, gf.to_w].T & inside.T
+    if not members[a.one, alg.one]:
+        report.add("unit membership", (int(alg.one),))
     if f.zero_wp is not None:
-        zero_set = sets.cols[f.zero_wp]
-        if dual.index[zero_set] not in members[a.zero]:
-            report.add("zero membership", (dual.index[zero_set],))
+        zero_set = int(_locate(dual.closed, f.n_rel[:, f.zero_wp]))
+        if not members[a.zero, zero_set]:
+            report.add("zero membership", (zero_set,))
     ops = {
         "meet": (a.meet, alg.meet),
         "join": (a.join, alg.join),
@@ -499,22 +374,27 @@ def quasimorphism_check(gf: GentzenFrame, dual: DualAlgebra | None = None) -> Fr
         "lres": (a.lres, alg.lres),
         "rres": (a.rres, alg.rres),
     }
+    # all member pairs (bi, y); a witness is the least (ai, bi, x, y)
+    pb, py = np.nonzero(members)
     for law, (alg_op, dual_op) in ops.items():
         for ai in range(n):
-            for bi in range(n):
-                target = members[alg_op[ai, bi]]
-                for x in members[ai]:
-                    for y in members[bi]:
-                        if int(dual_op[x, y]) not in target:
-                            report.add(law, (ai, bi, x, y))
-                            return report
-    for ai in range(n):
-        target = members[a.star[ai]]
-        for x in members[ai]:
-            if int(alg.star[x]) not in target:
-                report.add("star", (ai, x))
+            xs = np.flatnonzero(members[ai])
+            bad = ~members[alg_op[ai, pb][None, :], dual_op[xs[:, None], py[None, :]]]
+            if bad.any():
+                xi, q = np.nonzero(bad)
+                first = np.lexsort((py[q], xs[xi], pb[q]))[0]
+                report.add(law, (ai, int(pb[q[first]]), int(xs[xi[first]]), int(py[q[first]])))
                 return report
+    bad = members & ~members[a.star][:, alg.star]
+    if bad.any():
+        report.add("star", tuple(int(v) for v in np.argwhere(bad)[0]))
     return report
+
+
+def _image(gf: GentzenFrame, dual: DualAlgebra) -> np.ndarray:
+    """Index in the dual of the basic closed set of each algebra element (for
+    an algebra frame, its down-set)."""
+    return _locate(dual.closed, gf.frame.n_rel[:, gf.to_wp].T)
 
 
 def embedding_check(gf: GentzenFrame, dual: DualAlgebra | None = None) -> FrameReport:
@@ -524,13 +404,8 @@ def embedding_check(gf: GentzenFrame, dual: DualAlgebra | None = None) -> FrameR
     f, a = gf.frame, gf.algebra
     dual = dual or dual_algebra(f)
     alg = dual.algebra
-    sets = FrameSets(f)
     n = a.size
-    image = np.array([dual.index[sets.cols[int(gf.to_wp[ai])]] for ai in range(n)])
-
-    def expect(table, ai, bi):
-        return image[table[ai, bi]]
-
+    image = _image(gf, dual)
     for law, (alg_op, dual_op) in {
         "meet": (a.meet, alg.meet),
         "join": (a.join, alg.join),
@@ -658,8 +533,7 @@ def macneille(a: FiniteActionLattice) -> CompletionResult:
     gf = frame_of_algebra(a)
     star_report = check_star_gentzen(gf, with_cut=True)
     dual = dual_algebra(gf.frame, name=f"{a.name}^+")
-    sets = FrameSets(gf.frame)
-    embedding = np.array([dual.index[sets.cols[int(gf.to_wp[ai])]] for ai in range(a.size)])
+    embedding = _image(gf, dual)
     emb_report = embedding_check(gf, dual)
     iso = emb_report.ok and len(set(embedding.tolist())) == a.size == len(dual.closed)
     return CompletionResult(gf, dual, embedding, iso, star_report)

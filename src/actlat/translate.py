@@ -268,6 +268,9 @@ def as_lazy(proof, rules: RuleSet | None = None) -> LazyPreproof:
 # Projection.
 
 
+_ProjState = tuple[StarAssignment, NodeView, RuleInstance, NodeView | None]
+
+
 class ProjectedLazy(LazyPreproof):
     """The f-projection of a preproof.
 
@@ -280,7 +283,8 @@ class ProjectedLazy(LazyPreproof):
         self.src = src
         self.rules = rules or src.rules
         self.f0 = dict(f)
-        self._states: dict[tuple[int, ...], tuple[StarAssignment, NodeView, RuleInstance]] = {}
+        # the projected node is None until node_at first asks for it
+        self._states: dict[tuple[int, ...], _ProjState] = {}
 
     def _case(self, view: NodeView, f: StarAssignment) -> tuple[str, int | None]:
         if view.app.rule == "starL":
@@ -289,9 +293,9 @@ class ProjectedLazy(LazyPreproof):
                 return ("zero", k) if f[k] == 0 else ("succ", k)
         return ("copy", None)
 
-    def _state(self, addr: tuple[int, ...]) -> tuple[StarAssignment, NodeView, RuleInstance]:
-        """The assignment at an address, the source node there and its rule
-        instance."""
+    def _state(self, addr: tuple[int, ...]) -> _ProjState:
+        """The assignment at an address, the source node there, its rule
+        instance and the projected node, if already computed."""
         if addr in self._states:
             return self._states[addr]
         if not addr:
@@ -299,7 +303,7 @@ class ProjectedLazy(LazyPreproof):
             validate_assignment(f, self.src.node_at(()).sequent)
         else:
             parent, step = addr[:-1], addr[-1]
-            fp, view, ri = self._state(parent)
+            fp, view, ri, _ = self._state(parent)
             case, k = self._case(view, fp)
             if case == "zero":
                 if step != 0:
@@ -313,12 +317,19 @@ class ProjectedLazy(LazyPreproof):
             else:
                 f = evolve_assignment(fp, ri.rule, ri.inst, step, ri)
         view = self.src.node_at(addr)
-        state = (f, view, RuleInstance(self.rules.resolve(view.app.rule), view.app.inst))
+        state = (f, view, RuleInstance(self.rules.resolve(view.app.rule), view.app.inst), None)
         self._states[addr] = state
         return state
 
     def node_at(self, addr):
-        f, view, ri = self._state(tuple(addr))
+        addr = tuple(addr)
+        f, view, ri, projected = self._state(addr)
+        if projected is None:
+            projected = self._project(f, view, ri)
+            self._states[addr] = (f, view, ri, projected)
+        return projected
+
+    def _project(self, f: StarAssignment, view: NodeView, ri: RuleInstance) -> NodeView:
         case, k = self._case(view, f)
         if case == "copy":
             if not f:
@@ -627,7 +638,7 @@ def project_cyclic(p: CyclicProof, f: StarAssignment, rules: RuleSet | None = No
 
     def visit(addr: tuple[int, ...]) -> str:
         nid = lazy._node_id(addr)
-        g, _, _ = proj._state(addr)
+        g = proj._state(addr)[0]
         key = state_key(nid, g)
         if key in ids:
             return ids[key]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from actlat.frames import (
     FrameError,
-    FrameSets,
     ResiduatedFrame,
     check_gentzen,
     check_nuclear,
@@ -16,9 +16,10 @@ from actlat.frames import (
     frame_satisfies_q,
     gamma,
     macneille,
+    polar_right,
     quasimorphism_check,
+    set_product,
     syntactic_n,
-    triangles,
     verify_transfer,
 )
 from actlat.models import (
@@ -46,51 +47,49 @@ def test_algebra_frames_are_nuclear():
 
 def test_triangles_empty_set():
     f = frame_of_algebra(two_chain()).frame
-    right, closure = triangles(f, [])
-    assert right == (0, 1)  # everything is related to the whole second sort
+    empty = np.zeros(2, dtype=bool)
+    assert polar_right(f, empty).tolist() == [True, True]  # related to the whole second sort
     # closure of the empty set: elements below everything = {0}
-    assert closure == (0,)
+    assert np.flatnonzero(gamma(f, empty)).tolist() == [0]
 
 
 def test_triangles_full_set():
     f = frame_of_algebra(three_chain()).frame
-    right, _ = triangles(f, [0, 1, 2])
-    assert right == (2,)  # only the top bounds everything
+    right = polar_right(f, np.ones(3, dtype=bool))
+    assert np.flatnonzero(right).tolist() == [2]  # only the top bounds everything
 
 
 def test_gamma_idempotent_extensive():
     rng = random.Random(5)
     for a in SMALL:
         f = frame_of_algebra(a).frame
-        sets = FrameSets(f)
         for _ in range(20):
-            subset = [i for i in range(f.w_size) if rng.random() < 0.4]
+            subset = np.array([rng.random() < 0.4 for _ in range(f.w_size)])
             closed = gamma(f, subset)
-            assert set(subset) <= set(closed)
-            assert gamma(f, closed) == closed
+            assert not (subset & ~closed).any()
+            assert (gamma(f, closed) == closed).all()
 
 
 def test_galois_antitone():
     rng = random.Random(6)
     f = frame_of_algebra(rel_algebra(2)).frame
-    sets = FrameSets(f)
     for _ in range(20):
-        x = sum(1 << i for i in range(16) if rng.random() < 0.5)
-        y = x | (1 << rng.randrange(16))
-        assert sets.polar_right(y) & ~sets.polar_right(x) == 0  # X <= Y gives Y^> <= X^>
+        x = np.array([rng.random() < 0.5 for _ in range(16)])
+        y = x.copy()
+        y[rng.randrange(16)] = True
+        assert not (polar_right(f, y) & ~polar_right(f, x)).any()  # X <= Y gives Y^> <= X^>
 
 
 def test_nucleus_law():
     rng = random.Random(7)
     for a in SMALL:
         f = frame_of_algebra(a).frame
-        sets = FrameSets(f)
         for _ in range(15):
-            x = sum(1 << i for i in range(f.w_size) if rng.random() < 0.4)
-            y = sum(1 << i for i in range(f.w_size) if rng.random() < 0.4)
-            lhs = sets.set_product(sets.gamma(x), sets.gamma(y))
-            rhs = sets.gamma(sets.set_product(x, y))
-            assert lhs & ~rhs == 0  # gamma(X) o gamma(Y) inside gamma(X o Y)
+            x = np.array([rng.random() < 0.4 for _ in range(f.w_size)])
+            y = np.array([rng.random() < 0.4 for _ in range(f.w_size)])
+            lhs = set_product(f, gamma(f, x), gamma(f, y))
+            rhs = gamma(f, set_product(f, x, y))
+            assert not (lhs & ~rhs).any()  # gamma(X) o gamma(Y) inside gamma(X o Y)
 
 
 def test_dual_algebra_two_chain_isomorphic():
@@ -115,6 +114,32 @@ def test_dual_algebra_degenerate_frame():
     assert check_nuclear(f).ok
     dual = dual_algebra(f)
     assert len(dual.closed) == 1
+
+
+def test_dual_algebra_of_frame_with_unequal_sorts():
+    # W = {1, a, b} with x.y = y on {a, b}; W' = {p, q}, where p relates only
+    # to 1 and q to nothing, so the closure of {a} is all of W
+    f = ResiduatedFrame(
+        name="right-zero",
+        w_names=("1", "a", "b"),
+        wp_names=("p", "q"),
+        n_rel=np.array([[True, False], [False, False], [False, False]]),
+        op=np.array([[0, 1, 2], [1, 1, 2], [2, 1, 2]]),
+        eps=0,
+        lres_w=np.array([[0, 1], [1, 1], [1, 1]]),
+        rres_w=np.array([[0, 1, 1], [1, 1, 1]]),
+    )
+    assert check_nuclear(f).ok
+    assert gamma(f, np.array([False, True, False])).tolist() == [True, True, True]
+    dual = dual_algebra(f)
+    assert dual.closed.tolist() == [[False, False, False], [True, False, False], [True, True, True]]
+    alg = dual.algebra
+    assert alg.elements == ("{}", "{1}", "{1,a,b}")
+    assert alg.prod.tolist() == [[0, 0, 0], [0, 1, 2], [0, 2, 2]]
+    assert alg.lres.tolist() == [[2, 2, 2], [0, 1, 2], [0, 0, 2]]
+    assert alg.rres.tolist() == [[2, 0, 0], [2, 1, 0], [2, 2, 2]]
+    assert alg.star.tolist() == [1, 1, 2]
+    assert (alg.zero, alg.one) == (0, 1)
 
 
 def test_dual_algebra_of_rel2_is_rel2():
@@ -152,6 +177,42 @@ def test_gentzen_detects_broken_relation():
     gf.frame.n_rel[0, 1] = False  # drop 0 <= 1
     report = check_star_gentzen(gf)
     assert not report.ok
+
+
+# One entry of the frame or of the algebra of rel_algebra(2) changed, and the
+# one violation check_star_gentzen reports for it.
+BROKEN_ENTRIES = [
+    ("(.R)", "algebra", "prod", (14, 9), 4, (2, 8, 14, 9)),
+    ("(\\L)", "frame", "lres_w", (7, 6), 0, (7, 2, 7, 6)),
+    ("(\\R)", "algebra", "lres", (3, 7), 11, (3, 7, 4)),
+    ("(/L)", "algebra", "rres", (2, 14), 9, (14, 2, 4, 2)),
+    ("(/R)", "algebra", "rres", (6, 2), 3, (2, 6, 8)),
+    ("(*R1)", "algebra", "star", (10,), 9, (10, 2, 8)),
+    ("(*L)", "algebra", "star", (3,), 15, (3, 11)),
+]
+
+
+@pytest.mark.parametrize("law,part,table,entry,value,witness", BROKEN_ENTRIES,
+                         ids=[case[0] for case in BROKEN_ENTRIES])
+def test_star_gentzen_reports_broken_entry(law, part, table, entry, value, witness):
+    gf = frame_of_algebra(rel_algebra(2))
+    broken = getattr(getattr(gf, part), table).copy()
+    broken[entry] = value
+    setattr(gf, part, dataclasses.replace(getattr(gf, part), **{table: broken}))
+    assert check_star_gentzen(gf).violations == [(law, witness)]
+
+
+def test_star_gentzen_reports_first_witnesses():
+    # relating {00,01,10} to {00} in the frame of rel_algebra(2) breaks nine
+    # laws, most of them at several tuples; each is reported at its first
+    gf = frame_of_algebra(rel_algebra(2))
+    gf.frame.n_rel = gf.frame.n_rel.copy()
+    gf.frame.n_rel[7, 1] = True
+    assert check_star_gentzen(gf).violations == [
+        ("(Cut)", (2, 7, 1)), ("(.R)", (1, 7, 1, 1)), ("(^L0)", (7, 2, 1)),
+        ("(^L1)", (2, 7, 1)), ("(vR0)", (7, 1, 2)), ("(vR1)", (7, 2, 1)),
+        ("(\\L)", (1, 0, 7, 0)), ("(/L)", (1, 0, 7, 0)), ("(*R1)", (1, 7, 1)),
+    ]
 
 
 def test_quasimorphism_on_algebra_frames():

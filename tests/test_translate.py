@@ -341,6 +341,30 @@ def test_nwf_to_wf_two_star():
     assert report.ok, report.violation
 
 
+def test_projection_checks_each_address_once(monkeypatch):
+    import actlat.translate as translate
+
+    checks = []
+    addresses = set()
+    check = translate.check_rule_uniformity
+    node_at = translate.ProjectedLazy.node_at
+
+    def counting_check(*args, **kwargs):
+        checks.append(args[0].name)
+        return check(*args, **kwargs)
+
+    def recording_node_at(self, addr):
+        addresses.add((id(self), tuple(addr)))
+        return node_at(self, addr)
+
+    monkeypatch.setattr(translate, "check_rule_uniformity", counting_check)
+    monkeypatch.setattr(translate.ProjectedLazy, "node_at", recording_node_at)
+    wf = nwf_to_wf(canonical_two_star(RS), rules=RS)
+    assert check_wf(wf, 5, RS).ok
+    assert checks
+    assert len(checks) <= len(addresses)
+
+
 def test_nwf_to_wf_rejects_non_progressing():
     from actlat.corpus import corrupted_variants
 
