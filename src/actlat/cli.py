@@ -3,7 +3,11 @@
 Exit codes: 0 success/accepted, 1 rejected/refuted/violation, 2 resource
 limit or unknown, 3 usage or parse error, 4 internal error.  ``--json``, given
 before the command (``actlat --json check f``), switches every command to a
-machine-readable report on stdout.  Setting ``ACTLAT_COLOR=0`` disables the
+machine-readable report on stdout.  For a wellfounded proof ``nodes_checked``
+counts distinct node objects: a subproof that the translation or the identity
+expansion shares is checked once, so the count can be far below the size of
+the tree at the given fuel; for a cyclic-system reading it counts the
+addresses of the checked prefix.  Setting ``ACTLAT_COLOR=0`` disables the
 pass/fail coloring.
 """
 

@@ -699,25 +699,62 @@ def _crit_macneille(seed: int) -> CriterionResult:
                    failures[0] if failures else f"{len(library())} models")
 
 
+def _root_cut_proof(goal: Sequent, user, rules: RuleSet, models) -> CyclicProof | None:
+    """A proof of the goal whose last step is a cut on a subformula of the
+    goal, with both premises found by cut-free search; None if there is
+    none.  Cuts with a premise equal to the goal, or with a premise refuted
+    in one of the models that satisfies the active rules, are not tried."""
+    from .models import holds_quasieq
+    from .rules import q_a_of
+    from .search import SearchConfig, _expansions, prove, refute
+
+    models = [m for m in models if all(holds_quasieq(m, q_a_of(r)) for r in user)]
+    for ri in _expansions(goal, rules, (), with_cut=True):
+        if ri.rule.name != "Cut" or goal in ri.premises or \
+                any(refute(p, models).refuted for p in ri.premises):
+            continue
+        subs = [prove(p, user_rules=user, rules=rules, cfg=SearchConfig(depth=10)).proof
+                for p in ri.premises]
+        if None in subs:
+            continue
+        nodes = {f"{i}.{nid}": CyclicNode(n.sequent, n.app, tuple(f"{i}.{c}" for c in n.children))
+                 for i, sub in enumerate(subs) for nid, n in sub.nodes.items()}
+        nodes["cut"] = CyclicNode(goal, RuleApp("Cut", ri.inst, ri.principal),
+                                  tuple(f"{i}.{sub.root}" for i, sub in enumerate(subs)))
+        return CyclicProof(nodes, "cut")
+    return None
+
+
 def _crit_cut_elimination() -> CriterionResult:
+    """Every goal of the corpus that has a proof ending in a cut also has a
+    cut-free proof.  Only goals whose proof really contains a cut count."""
+    from .models import rel_algebra, three_chain, two_chain
+    from .progress import check_cyclic_progress
+    from .proof_core import check_cyclic_local
     from .rules import example_structural_rules
     from .search import SearchConfig, prove
 
     t0 = _time.time()
     ex = example_structural_rules()
+    models = [two_chain(), three_chain(), rel_algebra(1), rel_algebra(2)]
     failures = []
+    with_cut = 0
     for name, goal, extras in goal_corpus():
         user = [ex[e] for e in extras]
         rules = RuleSet(user)
-        with_cut = prove(goal, user_rules=user, rules=rules,
-                         cfg=SearchConfig(depth=10, with_cut=True))
-        if not with_cut.found:
+        proof = _root_cut_proof(goal, user, rules, models)
+        if proof is None:
             continue
-        cut_free = prove(goal, user_rules=user, rules=rules, cfg=SearchConfig(depth=40))
-        if not cut_free.found:
+        with_cut += 1
+        if not (check_cyclic_local(proof, rules).ok and check_cyclic_progress(proof, rules).accepted):
+            failures.append(f"{name}: the proof with a cut is rejected")
+        elif not prove(goal, user_rules=user, rules=rules, cfg=SearchConfig(depth=40)).found:
             failures.append(f"{name}: provable with cut only")
+    if not with_cut:
+        failures.append("no goal has a proof with a cut")
     return _result(10, "empirical cut elimination", t0, not failures,
-                   failures[0] if failures else "every cut proof has a cut-free proof")
+                   failures[0] if failures else
+                   f"{with_cut} of {len(GOALS)} goals proved with a root cut; each has a cut-free proof")
 
 
 def run_acceptance(seed: int = 20240810) -> list[CriterionResult]:

@@ -538,24 +538,3 @@ def macneille(a: FiniteActionLattice) -> CompletionResult:
     iso = emb_report.ok and len(set(embedding.tolist())) == a.size == len(dual.closed)
     return CompletionResult(gf, dual, embedding, iso, star_report)
 
-
-# ---------------------------------------------------------------------------
-# The syntactic relation: membership is delegated to bounded proof search.
-
-
-def syntactic_n(
-    gamma_seq,
-    ctx,
-    user_rules=(),
-    depth: int = 40,
-    rules=None,
-):
-    """Does the calculus prove ``sigma_l, gamma, sigma_r |- alpha``?  Returns
-    "proved" or "unknown"; never refutes."""
-    from .search import SearchConfig, prove
-    from .syntax import Sequent
-
-    sigma_l, sigma_r, alpha = ctx
-    goal = Sequent(tuple(sigma_l) + tuple(gamma_seq) + tuple(sigma_r), alpha)
-    result = prove(goal, user_rules=user_rules, cfg=SearchConfig(depth=depth), rules=rules)
-    return "proved" if result.found else "unknown"

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import total_ordering
 from typing import Callable, Iterable, Mapping
 
 from .rules import (
@@ -216,15 +217,22 @@ class WfReport:
 
 def check_wf(p: WfProof, omega_fuel: int = 5, rules: RuleSet | None = None) -> WfReport:
     """Audit a wellfounded proof: every finite node exhaustively, every
-    infinitary node for premises 0..omega_fuel."""
+    infinitary node for premises 0..omega_fuel.  A node object is checked
+    once, at its first address in depth-first preorder, so shared subproofs
+    leave the verdict and the first violation as in the unfolded tree;
+    ``nodes_checked`` counts distinct node objects."""
     if omega_fuel < 1:
         raise ValueError("omega_fuel must be >= 1")
     rules = rules or RuleSet()
     stack: list[tuple[tuple, WfProof]] = [((), p)]
+    seen: set[int] = set()  # ids stay valid: p keeps every node alive
     checked = 0
     bounded = False
     while stack:
         address, node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         checked += 1
         bounded = bounded or node.is_omega
         children = (tuple(node.children(n) for n in range(omega_fuel + 1))
@@ -246,6 +254,7 @@ def check_wf(p: WfProof, omega_fuel: int = 5, rules: RuleSet | None = None) -> W
 # ordinal: terms (exponent, coefficient) with exponents descending).
 
 
+@total_ordering
 @dataclass(frozen=True, order=False)
 class Ordinal:
     terms: tuple[tuple[int, int], ...] = ()
@@ -271,9 +280,6 @@ class Ordinal:
             return self.terms[0][1]
         raise ValueError("not a finite ordinal")
 
-    def _key(self):
-        return tuple((-e, c) for e, c in self.terms)
-
     def __lt__(self, other: "Ordinal") -> bool:
         # lexicographic on (exponent desc, coefficient) with shorter-is-less
         # when one is a prefix of the other
@@ -282,15 +288,6 @@ class Ordinal:
             if (e1, c1) != (e2, c2):
                 return (e1, c1) < (e2, c2)
         return len(a) < len(b)
-
-    def __le__(self, other: "Ordinal") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "Ordinal") -> bool:
-        return other < self
-
-    def __ge__(self, other: "Ordinal") -> bool:
-        return other <= self
 
     def __str__(self) -> str:
         if not self.terms:
@@ -318,24 +315,14 @@ def height(p: WfProof, omega_fuel: int = 5) -> HeightResult:
     Exact for finitely branching proofs; for infinitary nodes only premises
     up to the fuel are sampled and the result carries an APPROX flag.
     """
-    if p.is_omega:
-        best = Ordinal()
-        approx = True
-        for n in range(omega_fuel + 1):
-            sub = height(p.children(n), omega_fuel)
-            if best < sub.value:
-                best = sub.value
-        return HeightResult(best.succ(), approx)
-    if not p.children:
-        return HeightResult(Ordinal(), False)
-    best = Ordinal()
-    approx = False
-    for c in p.children:
+    children = [p.children(n) for n in range(omega_fuel + 1)] if p.is_omega else p.children
+    best, approx = Ordinal(), p.is_omega
+    for c in children:
         sub = height(c, omega_fuel)
         approx = approx or sub.approx
         if best < sub.value:
             best = sub.value
-    return HeightResult(best.succ(), approx)
+    return HeightResult(best.succ() if children else best, approx)
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +333,29 @@ def _leaf(rules: RuleSet, name: str, inst: Instantiation, sequent: Sequent) -> W
     return WfProof(sequent, make_app(rules, name, inst))
 
 
+def _shared(memo: dict, key, build: Callable[[], WfProof], keep=None) -> WfProof:
+    """``build()`` once per key of one top-level call.  A key made of
+    ``id(node)`` passes the node as ``keep``, so the id is never reused."""
+    if key not in memo:
+        memo[key] = (keep, build())
+    return memo[key][1]
+
+
 def id_expand(alpha: Formula, rules: RuleSet | None = None) -> WfProof:
     """A cut-free proof of ``alpha |- alpha`` by recursion on the formula.
 
     The star case is an infinitary node whose n-th premise stacks n
     right-star steps over the seed ``|- alpha*`` (schema tag ``tau_n``).
+    Equal subformulas get one shared subproof.
     """
-    rules = rules or RuleSet()
-    return _id_expand(alpha, rules)
+    return _id_expand(alpha, rules or RuleSet(), {})
 
 
-def _id_expand(alpha: Formula, rules: RuleSet) -> WfProof:
+def _id_expand(alpha: Formula, rules: RuleSet, memo: dict) -> WfProof:
+    return _shared(memo, alpha, lambda: _expand(alpha, rules, memo))
+
+
+def _expand(alpha: Formula, rules: RuleSet, memo: dict) -> WfProof:
     e: tuple[Formula, ...] = ()
     if isinstance(alpha, Var):
         return _leaf(rules, "id", Instantiation(fmap={"a": alpha}), Sequent((alpha,), alpha))
@@ -372,12 +371,12 @@ def _id_expand(alpha: Formula, rules: RuleSet) -> WfProof:
         left = WfProof(
             Sequent((alpha,), l),
             make_app(rules, "meetL0", Instantiation(fmap={"a0": l, "a1": r, "b": l}, smap={"Gamma": e, "Delta": e})),
-            (_id_expand(l, rules),),
+            (_id_expand(l, rules, memo),),
         )
         right = WfProof(
             Sequent((alpha,), r),
             make_app(rules, "meetL1", Instantiation(fmap={"a0": l, "a1": r, "b": r}, smap={"Gamma": e, "Delta": e})),
-            (_id_expand(r, rules),),
+            (_id_expand(r, rules, memo),),
         )
         inst = Instantiation(fmap={"b0": l, "b1": r}, smap={"Gamma": (alpha,)})
         return WfProof(Sequent((alpha,), alpha), make_app(rules, "meetR", inst), (left, right))
@@ -386,12 +385,12 @@ def _id_expand(alpha: Formula, rules: RuleSet) -> WfProof:
         left = WfProof(
             Sequent((l,), alpha),
             make_app(rules, "joinR0", Instantiation(fmap={"b0": l, "b1": r}, smap={"Gamma": (l,)})),
-            (_id_expand(l, rules),),
+            (_id_expand(l, rules, memo),),
         )
         right = WfProof(
             Sequent((r,), alpha),
             make_app(rules, "joinR1", Instantiation(fmap={"b0": l, "b1": r}, smap={"Gamma": (r,)})),
-            (_id_expand(r, rules),),
+            (_id_expand(r, rules, memo),),
         )
         inst = Instantiation(fmap={"a0": l, "a1": r, "b": alpha}, smap={"Gamma": e, "Delta": e})
         return WfProof(Sequent((alpha,), alpha), make_app(rules, "joinL", inst), (left, right))
@@ -400,7 +399,7 @@ def _id_expand(alpha: Formula, rules: RuleSet) -> WfProof:
         pair = WfProof(
             Sequent((l, r), alpha),
             make_app(rules, "prodR", Instantiation(fmap={"b0": l, "b1": r}, smap={"Gamma": (l,), "Delta": (r,)})),
-            (_id_expand(l, rules), _id_expand(r, rules)),
+            (_id_expand(l, rules, memo), _id_expand(r, rules, memo)),
         )
         inst = Instantiation(fmap={"a0": l, "a1": r, "b": alpha}, smap={"Gamma": e, "Delta": e})
         return WfProof(Sequent((alpha,), alpha), make_app(rules, "prodL", inst), (pair,))
@@ -412,7 +411,7 @@ def _id_expand(alpha: Formula, rules: RuleSet) -> WfProof:
                 fmap={"a0": l, "a1": r, "b": r},
                 smap={"Gamma": e, "Delta": (l,), "Sigma": e},
             )),
-            (_id_expand(l, rules), _id_expand(r, rules)),
+            (_id_expand(l, rules, memo), _id_expand(r, rules, memo)),
         )
         inst = Instantiation(fmap={"b0": l, "b1": r}, smap={"Gamma": (alpha,)})
         return WfProof(Sequent((alpha,), alpha), make_app(rules, "lresR", inst), (use,))
@@ -424,7 +423,7 @@ def _id_expand(alpha: Formula, rules: RuleSet) -> WfProof:
                 fmap={"a0": r, "a1": l, "b": l},
                 smap={"Gamma": e, "Delta": (r,), "Sigma": e},
             )),
-            (_id_expand(r, rules), _id_expand(l, rules)),
+            (_id_expand(r, rules, memo), _id_expand(l, rules, memo)),
         )
         inst = Instantiation(fmap={"b0": r, "b1": l}, smap={"Gamma": (alpha,)})
         return WfProof(Sequent((alpha,), alpha), make_app(rules, "rresR", inst), (use,))
@@ -432,7 +431,7 @@ def _id_expand(alpha: Formula, rules: RuleSet) -> WfProof:
         gamma = alpha.body
         inst = Instantiation(fmap={"a": gamma, "b": alpha}, smap={"Gamma": e, "Delta": e})
         family = OmegaFamily(
-            lambda n: tau_n(gamma, n, rules),
+            lambda n: _tau(gamma, n, rules, memo),
             schema="tau_n",
             params={"body": print_formula(gamma)},
         )
@@ -442,16 +441,18 @@ def _id_expand(alpha: Formula, rules: RuleSet) -> WfProof:
 
 def tau_n(gamma: Formula, n: int, rules: RuleSet | None = None) -> WfProof:
     """Proof of ``gamma^(n) |- gamma*``: n right-star steps over the seed."""
-    rules = rules or RuleSet()
-    star = Star(gamma)
-    if n == 0:
-        return _leaf(rules, "starR0", Instantiation(fmap={"b": gamma}), Sequent((), star))
-    inst = Instantiation(fmap={"b": gamma}, smap={"Gamma": (gamma,), "Delta": (gamma,) * (n - 1)})
-    return WfProof(
-        Sequent((gamma,) * n, star),
-        make_app(rules, "starR1", inst),
-        (_id_expand(gamma, rules), tau_n(gamma, n - 1, rules)),
-    )
+    return _tau(gamma, n, rules or RuleSet(), {})
+
+
+def _tau(gamma: Formula, n: int, rules: RuleSet, memo: dict) -> WfProof:
+    def build() -> WfProof:
+        if n == 0:
+            return _leaf(rules, "starR0", Instantiation(fmap={"b": gamma}), Sequent((), Star(gamma)))
+        inst = Instantiation(fmap={"b": gamma}, smap={"Gamma": (gamma,), "Delta": (gamma,) * (n - 1)})
+        return WfProof(Sequent((gamma,) * n, Star(gamma)), make_app(rules, "starR1", inst),
+                       (_id_expand(gamma, rules, memo), _tau(gamma, n - 1, rules, memo)))
+
+    return _shared(memo, (gamma, n), build)
 
 
 # ---------------------------------------------------------------------------
@@ -539,19 +540,29 @@ def _splice_svar(inst: Instantiation, name: str, offset: int,
     return out
 
 
-def _invert_at(p: WfProof, pos: int, rules: RuleSet,
-               peel: tuple[str, ...], replacement_of) -> WfProof:
+_PEEL = {Prod: ("prodL", "prodL1"), One: ("oneL",)}
+
+
+def _invert_at(p: WfProof, pos: int, rules: RuleSet, kind: type, memo: dict) -> WfProof:
     """Shared engine for product and unit left-inversion.
 
-    ``peel`` names the rules whose principal introduction at ``pos`` is
-    removed by returning the premise; ``replacement_of(f)`` gives the formula
-    sequence that replaces the occurrence when pushing into the context.
+    A principal introduction of ``kind`` at ``pos`` is removed by returning
+    its premise; elsewhere the occurrence is pushed into the context, a
+    product as its two factors and the unit as nothing.  One result per
+    (node, position, kind) within one top-level call.
     """
+    return _shared(memo, (id(p), pos, kind), lambda: _invert_node(p, pos, rules, kind, memo), p)
+
+
+def _invert_node(p: WfProof, pos: int, rules: RuleSet, kind: type, memo: dict) -> WfProof:
+    f = p.sequent.formula_at(pos)
+    if not isinstance(f, kind):
+        name = "a product" if kind is Prod else "the unit"
+        raise ProofError(f"occurrence {pos} holds {print_formula(f)}, not {name}")
     rule = rules.resolve(p.app.rule)
-    if rule.name in peel and p.app.principal == pos:
-        child = p.children[0]
-        return child
-    replacement = replacement_of(p.sequent.formula_at(pos))
+    if rule.name in _PEEL[kind] and p.app.principal == pos:
+        return p.children[0]
+    replacement = (f.left, f.right) if kind is Prod else ()
     ri = RuleInstance(rule, p.app.inst)
     origin = ri.layout[0][pos]
     if origin.kind != "svar":
@@ -572,7 +583,7 @@ def _invert_at(p: WfProof, pos: int, rules: RuleSet,
         out = child
         ancestors = [q for (_, q), c in ri.ancestry(child_index) if c == pos]
         for q in sorted(ancestors, reverse=True):
-            out = _invert_at(out, q, rules, peel, replacement_of)
+            out = _invert_at(out, q, rules, kind, memo)
         return out
 
     if p.is_omega:
@@ -587,22 +598,13 @@ def _invert_at(p: WfProof, pos: int, rules: RuleSet,
 def dotL_invert(p: WfProof, pos: int, rules: RuleSet | None = None) -> WfProof:
     """Invert a left product introduction: from a proof whose antecedent has
     ``a . b`` at ``pos``, a proof with ``a, b`` there instead, never taller."""
-    rules = rules or RuleSet()
-    f = p.sequent.formula_at(pos)
-    if not isinstance(f, Prod):
-        raise ProofError(f"occurrence {pos} holds {print_formula(f)}, not a product")
-    return _invert_at(p, pos, rules, ("prodL", "prodL1"),
-                      lambda g: (g.left, g.right))
+    return _invert_at(p, pos, rules or RuleSet(), Prod, {})
 
 
 def oneL_invert(p: WfProof, pos: int, rules: RuleSet | None = None) -> WfProof:
     """Remove a unit occurrence from the antecedent (inverse of the left
     unit rule)."""
-    rules = rules or RuleSet()
-    f = p.sequent.formula_at(pos)
-    if not isinstance(f, One):
-        raise ProofError(f"occurrence {pos} holds {print_formula(f)}, not the unit")
-    return _invert_at(p, pos, rules, ("oneL",), lambda g: ())
+    return _invert_at(p, pos, rules or RuleSet(), One, {})
 
 
 def to_standard_omega(p: WfProof, rules: RuleSet | None = None) -> WfProof:
@@ -611,33 +613,40 @@ def to_standard_omega(p: WfProof, rules: RuleSet | None = None) -> WfProof:
 
     Right-child product nodes are relabelled; each modified infinitary node
     becomes a standard one whose n-th premise flattens the packed power by
-    n-1 product inversions and one unit inversion.
+    n-1 product inversions and one unit inversion.  A node object shared in
+    the input is rewritten once, and so is each of its inversions.
     """
-    rules = rules or RuleSet()
+    return _standardize(p, rules or RuleSet(), {})
+
+
+def _standardize(p: WfProof, rules: RuleSet, memo: dict) -> WfProof:
+    return _shared(memo, (id(p),), lambda: _standard_node(p, rules, memo), p)
+
+
+def _standard_node(p: WfProof, rules: RuleSet, memo: dict) -> WfProof:
     rule = rules.resolve(p.app.rule)
     if rule.name == "starLomegaM":
         inst = p.app.inst
-        alpha = inst.fmap["a"]
         gamma_len = len(inst.smap["Gamma"])
         app = make_app(rules, "starLomega", inst)
 
         def premise(n: int) -> WfProof:
             if n == 0:
-                return to_standard_omega(p.children(0), rules)
-            q = to_standard_omega(p.children(n), rules)
+                return _standardize(p.children(0), rules, memo)
+            q = _standardize(p.children(n), rules, memo)
             pos = gamma_len + 1
             for _ in range(n - 1):
-                q = dotL_invert(q, pos, rules)
+                q = _invert_at(q, pos, rules, Prod, memo)
                 pos += 1
-            return oneL_invert(q, pos, rules)
+            return _invert_at(q, pos, rules, One, memo)
 
         return WfProof(p.sequent, app, OmegaFamily(premise, schema=p.children.schema,
                                                    params=dict(p.children.params)))
     if p.is_omega:
-        family = OmegaFamily(lambda n: to_standard_omega(p.children(n), rules),
+        family = OmegaFamily(lambda n: _standardize(p.children(n), rules, memo),
                              schema=p.children.schema, params=dict(p.children.params))
         return WfProof(p.sequent, p.app, family)
-    new_children = tuple(to_standard_omega(c, rules) for c in p.children)
+    new_children = tuple(_standardize(c, rules, memo) for c in p.children)
     if rule.name == "prodL1":
         return WfProof(p.sequent, make_app(rules, "prodL", p.app.inst), new_children)
     return WfProof(p.sequent, p.app, new_children)
@@ -759,8 +768,8 @@ def wf_to_json(p: WfProof, user_rule_names: Iterable[str] = (),
 def _family_from_schema(schema: str, params: dict, rules: RuleSet,
                         source: dict | None) -> OmegaFamily:
     if schema == "tau_n":
-        gamma = parse_formula(params["body"])
-        return OmegaFamily(lambda n: tau_n(gamma, n, rules), schema="tau_n", params=params)
+        gamma, memo = parse_formula(params["body"]), {}
+        return OmegaFamily(lambda n: _tau(gamma, n, rules, memo), schema="tau_n", params=params)
     if schema == "projected":
         if source is None:
             raise ProofError("projected families need the source cyclic proof embedded in the file")

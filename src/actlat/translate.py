@@ -176,15 +176,13 @@ class NodeView:
 
 
 class LazyPreproof:
-    """Expand-on-demand preproof; re-expansion of an address is stable."""
+    """Expand-on-demand preproof; re-expansion of an address is stable.  The
+    views nwf_to_wf reads give ``key(addr)``: equal keys, equal subtrees."""
 
     rules: RuleSet
 
     def node_at(self, addr: tuple[int, ...]) -> NodeView:
         raise NotImplementedError
-
-    def child_view(self, view: NodeView) -> tuple[int, ...] | None:
-        return view.child_indices
 
 
 def _indices_for(rules: RuleSet, app: RuleApp) -> tuple[int, ...] | None:
@@ -243,6 +241,9 @@ class CyclicLazy(LazyPreproof):
         node = self.proof.node(self._node_id(tuple(addr)))
         return NodeView(node.sequent, node.app, _indices_for(self.rules, node.app))
 
+    def key(self, addr):
+        return self._node_id(tuple(addr))
+
 
 class SubtreeLazy(LazyPreproof):
     def __init__(self, src: LazyPreproof, base: tuple[int, ...]):
@@ -252,6 +253,9 @@ class SubtreeLazy(LazyPreproof):
 
     def node_at(self, addr):
         return self.src.node_at(self.base + tuple(addr))
+
+    def key(self, addr):
+        return self.src.key(self.base + tuple(addr))
 
 
 def as_lazy(proof, rules: RuleSet | None = None) -> LazyPreproof:
@@ -329,6 +333,10 @@ class ProjectedLazy(LazyPreproof):
             self._states[addr] = (f, view, ri, projected)
         return projected
 
+    def key(self, addr):
+        f = self._state(tuple(addr))[0]  # an empty assignment copies the source
+        return (tuple(sorted(f.items())), self.src.key(addr)) if f else self.src.key(addr)
+
     def _project(self, f: StarAssignment, view: NodeView, ri: RuleInstance) -> NodeView:
         case, k = self._case(view, f)
         if case == "copy":
@@ -379,39 +387,42 @@ class OmLazy(LazyPreproof):
         self.src = src
         self.rules = rules or src.rules
         self._subs: dict[tuple[tuple[int, ...], int], OmLazy] = {}
+        self._cursors: dict[tuple[int, ...], tuple[OmLazy, tuple[int, ...], NodeView]] = {}
 
-    def _omega_child(self, src_addr: tuple[int, ...], step: int) -> "OmLazy":
+    def _omega_child(self, src_addr: tuple[int, ...], k: int, step: int) -> "OmLazy":
         key = (src_addr, step)
         if key not in self._subs:
-            view = self.src.node_at(src_addr)
-            k = view.app.principal
             sub = SubtreeLazy(self.src, src_addr + (1,))
             projected = ProjectedLazy(sub, {k + 1: step - 1}, self.rules)
             self._subs[key] = OmLazy(projected, self.rules)
         return self._subs[key]
 
-    def node_at(self, addr):
-        addr = tuple(addr)
-        cur: tuple[int, ...] = ()
-        i = 0
-        while i < len(addr):
-            view = self.src.node_at(cur)
-            step = addr[i]
-            if view.app.rule == "starL":
-                if step == 0:
-                    cur += (0,)
+    def _cursor(self, addr: tuple[int, ...]):
+        """The OmLazy that owns an address, the source address it reads
+        there and the source node, one step on from the parent's cursor."""
+        if addr not in self._cursors:
+            owner, cur = self, ()
+            if addr:
+                owner, cur, view = self._cursor(addr[:-1])
+                step = addr[-1]
+                if view.app.rule == "starL" and step:
+                    owner, cur = owner._omega_child(cur, view.app.principal, step), ()
+                elif view.child_indices is not None and step not in view.child_indices:
+                    raise AddressError(f"no child {step} at {addr[:-1]}")
                 else:
-                    return self._omega_child(cur, step).node_at(addr[i + 1:])
-            else:
-                indices = view.child_indices
-                if indices is not None and step not in indices:
-                    raise AddressError(f"no child {step} at {addr[:i]}")
-                cur += (step,)
-            i += 1
-        view = self.src.node_at(cur)
+                    cur += (step,)
+            self._cursors[addr] = (owner, cur, owner.src.node_at(cur))
+        return self._cursors[addr]
+
+    def node_at(self, addr):
+        _, _, view = self._cursor(tuple(addr))
         if view.app.rule == "starL":
             return NodeView(view.sequent, make_app(self.rules, "starLomegaM", view.app.inst), None)
         return view
+
+    def key(self, addr):
+        owner, cur, _ = self._cursor(tuple(addr))
+        return owner.src.key(cur)
 
 
 def om(proof, rules: RuleSet | None = None) -> OmLazy:
@@ -453,23 +464,26 @@ class _Budget:
 
 
 def _materialize(lazy: LazyPreproof, addr: tuple[int, ...], plain: tuple[int, ...],
-                 budget: _Budget, fuel: int) -> WfProof:
+                 budget: _Budget, fuel: int, memo: dict) -> WfProof:
     """plain tracks positions in the built tree (tuple slots and family
-    indices), which is what serialized family addresses refer to."""
-    budget.spend(addr)
-    view = lazy.node_at(addr)
-    if view.child_indices is None:
-        family = OmegaFamily(
-            lambda n: _materialize(lazy, addr + (n,), plain + (n,), _Budget(fuel), fuel),
-            schema="projected",
-            params={"address": list(plain)},
-        )
-        return WfProof(view.sequent, view.app, family)
-    children = tuple(
-        _materialize(lazy, addr + (i,), plain + (slot,), budget, fuel)
-        for slot, i in enumerate(view.child_indices)
-    )
-    return WfProof(view.sequent, view.app, children)
+    indices), which is what serialized family addresses refer to.  memo maps
+    state keys to built nodes, so equal subtrees are built once; a shared
+    family keeps the address where it was built first."""
+    key = lazy.key(addr)
+    if key not in memo:
+        budget.spend(addr)
+        view = lazy.node_at(addr)
+        if view.child_indices is None:
+            children = OmegaFamily(
+                lambda n: _materialize(lazy, addr + (n,), plain + (n,), _Budget(fuel), fuel, memo),
+                schema="projected",
+                params={"address": list(plain)},
+            )
+        else:
+            children = tuple(_materialize(lazy, addr + (i,), plain + (slot,), budget, fuel, memo)
+                             for slot, i in enumerate(view.child_indices))
+        memo[key] = WfProof(view.sequent, view.app, children)
+    return memo[key]
 
 
 def _used_rules_linear(p: CyclicProof, rules: RuleSet) -> None:
@@ -489,8 +503,8 @@ def nwf_to_wf(p: CyclicProof, fuel: int = 100_000, rules: RuleSet | None = None)
     Everything outside premise families is materialized eagerly (the
     translation only terminates because accepted inputs have no infinite
     branch after the rewrite); families stay lazy and each materialization is
-    bounded by the fuel, with exhaustion reported as a resource limit rather
-    than a validity verdict.
+    bounded by the fuel (in nodes built, a shared subtree once), with
+    exhaustion reported as a resource limit rather than a validity verdict.
     """
     rules = rules or RuleSet()
     _used_rules_linear(p, rules)
@@ -505,7 +519,7 @@ def nwf_to_wf(p: CyclicProof, fuel: int = 100_000, rules: RuleSet | None = None)
             f"input fails the branch condition; counterexample cycle {list(result.counterexample or ())}"
         )
     lazy = om(CyclicLazy(p, rules), rules)
-    materialized = _materialize(lazy, (), (), _Budget(fuel), fuel)
+    materialized = _materialize(lazy, (), (), _Budget(fuel), fuel, {})
     return to_standard_omega(materialized, rules)
 
 
@@ -629,17 +643,12 @@ def project_cyclic(p: CyclicProof, f: StarAssignment, rules: RuleSet | None = No
     lazy = CyclicLazy(p, rules)
     proj = ProjectedLazy(lazy, f, rules)
 
-    def state_key(nid: str, g: StarAssignment):
-        return (nid, tuple(sorted(g.items())))
-
     ids: dict = {}
     nodes: dict[str, CyclicNode] = {}
     order: list = []
 
     def visit(addr: tuple[int, ...]) -> str:
-        nid = lazy._node_id(addr)
-        g = proj._state(addr)[0]
-        key = state_key(nid, g)
+        key = proj.key(addr)
         if key in ids:
             return ids[key]
         new_id = f"p{len(ids)}"

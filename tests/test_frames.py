@@ -19,7 +19,6 @@ from actlat.frames import (
     polar_right,
     quasimorphism_check,
     set_product,
-    syntactic_n,
     verify_transfer,
 )
 from actlat.models import (
@@ -32,7 +31,6 @@ from actlat.models import (
     holds_quasieq,
 )
 from actlat.rules import example_structural_rules, q_a_of
-from actlat.syntax import Var, parse_formula
 
 EX = example_structural_rules()
 
@@ -263,12 +261,3 @@ def test_macneille_preserves_quasiequations():
         for rule_name in ("C", "Wk"):
             q = q_a_of(EX[rule_name])
             assert holds_quasieq(a, q) == holds_quasieq(result.dual.algebra, q)
-
-
-def test_syntactic_membership():
-    a, b = Var("a"), Var("b")
-    assert syntactic_n((a,), ((), (), a)) == "proved"
-    from actlat.syntax import Prod
-
-    assert syntactic_n((a, b), ((), (), Prod(a, b))) == "proved"
-    assert syntactic_n((a,), ((), (), b)) == "unknown"

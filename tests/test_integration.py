@@ -184,3 +184,21 @@ def test_match_repeated_svar_conclusion():
     hits = match_conclusion(rule, parse_sequent("a, a |- b"))
     assert len(hits) == 1 and hits[0].smap == {"G": (a,)}
     assert match_conclusion(rule, parse_sequent("a, b |- b")) == []
+
+
+def test_root_cut_proofs_contain_a_cut():
+    from actlat.corpus import _root_cut_proof
+    from actlat.models import rel_algebra, three_chain, two_chain
+    from actlat.progress import check_cyclic_progress
+    from actlat.proof_core import check_cyclic_local
+
+    models = [two_chain(), three_chain(), rel_algebra(1), rel_algebra(2)]
+    p = _root_cut_proof(parse_sequent("a & b |- b | a"), [], RS, models)
+    root = p.node(p.root)
+    assert root.app.rule == "Cut" and root.sequent == parse_sequent("a & b |- b | a")
+    # the cut formula a: a & b |- a, then a |- b | a
+    assert [p.node(c).sequent for c in root.children] == [
+        parse_sequent("a & b |- a"), parse_sequent("a |- b | a")]
+    assert check_cyclic_local(p, RS).ok and check_cyclic_progress(p, RS).accepted
+    # a cut on a |- a needs a premise equal to the goal or a refuted one
+    assert _root_cut_proof(parse_sequent("a |- a"), [], RS, models) is None

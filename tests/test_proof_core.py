@@ -412,3 +412,129 @@ def test_cyclic_local_check():
     p = CyclicProof({"n0": n0, "n1": n1, "n2": n2, "n3": n3}, "n0")
     report = check_cyclic_local(p, RS)
     assert report.ok and report.nodes_checked == 4
+
+
+# ---------------------------------------------------------------------------
+# Shared subproofs: identity expansion and translation return one object per
+# distinct subproof, and check_wf checks each object once.
+
+
+def _nodes(p, fuel):
+    """Every node of the tree unfolded at the fuel, premises 0..fuel of each
+    infinitary node, as (tree size, number of distinct node objects)."""
+    size, distinct, stack = 0, set(), [p]
+    while stack:
+        node = stack.pop()
+        size += 1
+        distinct.add(id(node))
+        stack.extend([node.children(n) for n in range(fuel + 1)] if node.is_omega
+                     else node.children)
+    return size, len(distinct)
+
+
+def _tree_fold(p, fuel):
+    kids = [p.children(n) for n in range(fuel + 1)] if p.is_omega else p.children
+    return (p.sequent, p.app.rule, p.app.principal, p.app.inst.fmap, p.app.inst.smap,
+            p.is_omega, [_tree_fold(k, fuel) for k in kids])
+
+
+def test_id_expand_shares_equal_subproofs():
+    p = id_expand(parse_formula("(a . b) & (a . b)"), RS)
+    assert p.app.rule == "meetR"
+    left, right = p.children
+    assert left.children[0] is right.children[0]
+    star = id_expand(parse_formula("(a & a)*"), RS)
+    # tau_3 stacks three right-star steps over tau_2, which is premise 2
+    assert star.children(3).children[1] is star.children(2)
+    assert star.children(2).children[0] is star.children(1).children[0]
+
+
+def _meet_of_pairs():
+    good = id_expand(parse_formula("(a . b) & (a . b)"), RS)
+    left, right = good.children
+    inner = left.children[0]              # a . b |- a . b: prodL over prodR
+    return good, left, right, inner, inner.children[0]
+
+
+def test_check_wf_reports_a_defect_in_a_shared_subproof_once():
+    good, left, right, inner, pair = _meet_of_pairs()
+    # both branches share one proof of a . b |- a . b whose prodR premises
+    # are swapped; the messages and addresses are those of the unshared walk
+    bad = WfProof(inner.sequent, inner.app,
+                  (WfProof(pair.sequent, pair.app, pair.children[::-1]),))
+    p = WfProof(good.sequent, good.app, (WfProof(left.sequent, left.app, (bad,)),
+                                          WfProof(right.sequent, right.app, (bad,))))
+    report = check_wf(p, 3, RS)
+    assert not report.ok
+    assert report.violation.address == (1, 0, 0)
+    assert report.violation.message == "premise 0 of prodR must be a |- a, child proves b |- b"
+    # a defect met after a skipped shared node: the right branch is walked
+    # first, so its leaf b |- b is skipped under the left branch
+    id_a, id_b = pair.children
+    wrong = WfProof(id_a.sequent, RuleApp("id", Instantiation(fmap={"a": b})))
+    bad = WfProof(inner.sequent, inner.app, (WfProof(pair.sequent, pair.app, (wrong, id_b)),))
+    p = WfProof(good.sequent, good.app, (WfProof(left.sequent, left.app, (bad,)), right))
+    report = check_wf(p, 3, RS)
+    assert report.violation.address == (0, 0, 0, 0)
+    assert report.violation.message == "conclusion of id is b |- b, node has a |- a"
+
+
+@pytest.mark.parametrize("text", ["(a . b) & (a . b)", "((a | b) . (a | b))*", "(a* \\ a*)*"])
+def test_nodes_checked_counts_distinct_node_objects(text):
+    p = id_expand(parse_formula(text), RS)
+    size, distinct = _nodes(p, 4)
+    report = check_wf(p, 4, RS)
+    assert report.ok
+    assert report.nodes_checked == distinct < size
+
+
+@pytest.mark.parametrize("name,tree_nodes", [("star_id", 37), ("two_star", 253),
+                                              ("join_star", 463)])
+def test_translated_tree_is_unchanged_by_sharing(name, tree_nodes):
+    # tree_nodes is check_wf's count at fuel 5 from before the translation
+    # shared subproofs, when it walked the unfolded tree
+    from actlat.corpus import canonical_proofs
+    from actlat.translate import nwf_to_wf
+
+    wf = nwf_to_wf(canonical_proofs(RS)[name], rules=RS)
+    size, distinct = _nodes(wf, 5)
+    assert size == tree_nodes
+    assert check_wf(wf, 5, RS).nodes_checked == distinct < size
+
+
+def test_wf_json_round_trip_shared_projected_family():
+    from actlat.corpus import canonical_two_star
+    from actlat.proof_core import cyclic_to_json
+    from actlat.translate import nwf_to_wf
+
+    cyclic = canonical_two_star(RS)
+    wf = nwf_to_wf(cyclic, rules=RS)
+    seen, shared, stack = set(), False, [wf]
+    while stack:
+        node = stack.pop()
+        if node.is_omega:
+            shared = shared or id(node.children) in seen
+            seen.add(id(node.children))
+        stack.extend([node.children(n) for n in range(4)] if node.is_omega else node.children)
+    assert shared
+    back, _ = wf_from_json(wf_to_json(wf, source=cyclic_to_json(cyclic)))
+    assert _tree_fold(back, 4) == _tree_fold(wf, 4)
+    assert check_wf(back, 4, RS).ok
+
+
+def test_admissibility_audit_checks_few_nodes(monkeypatch):
+    # a count, not a time: the audit checked 141,859 nodes when every
+    # subproof was its own copy
+    import actlat.proof_core as proof_core
+    from actlat import corpus
+
+    calls = [0]
+    check = proof_core.check_local
+
+    def counting_check_local(*args, **kwargs):
+        calls[0] += 1
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(proof_core, "check_local", counting_check_local)
+    assert corpus._crit_admissibility(20240810).passed
+    assert 0 < calls[0] <= 10_000

@@ -365,6 +365,32 @@ def test_projection_checks_each_address_once(monkeypatch):
     assert len(checks) <= len(addresses)
 
 
+def test_projected_nodes_are_read_once_per_address(monkeypatch):
+    # the two-star proof has 455 distinct projected addresses; reading the
+    # infinitary view from the root on every lookup made 3,700 calls
+    import actlat.translate as translate
+
+    calls = [0]
+    node_at = translate.ProjectedLazy.node_at
+
+    def counting_node_at(self, addr):
+        calls[0] += 1
+        return node_at(self, addr)
+
+    monkeypatch.setattr(translate.ProjectedLazy, "node_at", counting_node_at)
+    wf = nwf_to_wf(canonical_two_star(RS), rules=RS)
+    assert check_wf(wf, 5, RS).ok
+    assert 0 < calls[0] <= 455
+
+
+def test_om_rejects_a_missing_child():
+    lazy = om(canonical_two_star(RS), RS)
+    root = lazy.node_at(())
+    assert root.child_indices is None
+    with pytest.raises(AddressError):
+        lazy.node_at((2, 5))
+
+
 def test_nwf_to_wf_rejects_non_progressing():
     from actlat.corpus import corrupted_variants
 
