@@ -622,7 +622,8 @@ def _crit_frames(seed: int) -> CriterionResult:
     t0 = _time.time()
     rng = random.Random(seed)
     failures = []
-    for name, a in library().items():
+    models = library()
+    for name, a in models.items():
         gf = frame_of_algebra(a)
         f = gf.frame
         if not check_nuclear(f).ok:
@@ -652,7 +653,7 @@ def _crit_frames(seed: int) -> CriterionResult:
         if not embedding_check(gf, dual).ok:
             failures.append(f"{name}: embedding")
     return _result(7, "frame suite", t0, not failures,
-                   failures[0] if failures else f"{len(library())} frames")
+                   failures[0] if failures else f"{len(models)} frames")
 
 
 def _transfer_quasiequations(seed: int):
@@ -669,7 +670,8 @@ def _crit_transfer(seed: int) -> CriterionResult:
     t0 = _time.time()
     failures = []
     qes = _transfer_quasiequations(seed)
-    for name, a in library().items():
+    models = library()
+    for name, a in models.items():
         frame = frame_of_algebra(a).frame
         dual = dual_algebra(frame)
         for q in qes:
@@ -677,7 +679,7 @@ def _crit_transfer(seed: int) -> CriterionResult:
             if not report.ok:
                 failures.append(f"{name}: {q} disagrees")
     return _result(8, "quasiequation transfer", t0, not failures,
-                   failures[0] if failures else f"{len(qes)} quasiequations x {len(library())} frames")
+                   failures[0] if failures else f"{len(qes)} quasiequations x {len(models)} frames")
 
 
 def _crit_macneille(seed: int) -> CriterionResult:
@@ -687,7 +689,8 @@ def _crit_macneille(seed: int) -> CriterionResult:
     t0 = _time.time()
     failures = []
     qes = _transfer_quasiequations(seed)
-    for name, a in library().items():
+    models = library()
+    for name, a in models.items():
         result = macneille(a)
         if not result.is_isomorphism:
             failures.append(f"{name}: completion is not an isomorphism")
@@ -696,7 +699,7 @@ def _crit_macneille(seed: int) -> CriterionResult:
             if holds_quasieq(a, q) != holds_quasieq(result.dual.algebra, q):
                 failures.append(f"{name}: {q} not preserved")
     return _result(9, "completion closure", t0, not failures,
-                   failures[0] if failures else f"{len(library())} models")
+                   failures[0] if failures else f"{len(models)} models")
 
 
 def _root_cut_proof(goal: Sequent, user, rules: RuleSet, models) -> CyclicProof | None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import FiniteActionLattice, holds_quasieq, validate_algebra
+from .models import FiniteActionLattice, _var_grids, holds_quasieq, star_table, validate_algebra
 from .rules import Quasiequation, is_analytic_quasiequation
 from .syntax import Formula, One, Prod, Var
 
@@ -173,18 +173,12 @@ def dual_algebra(f: ResiduatedFrame, name: str | None = None) -> DualAlgebra:
     eps = np.zeros(n, dtype=bool)
     eps[f.eps] = True
     one = int(_locate(closed, eps))
-    star = np.full(k, one)
-    while True:
-        grown = join[star, prod[star, np.arange(k)]]
-        if (grown == star).all():
-            break
-        star = grown
     algebra = FiniteActionLattice(
         name=name or f"{f.name}+",
         elements=tuple("{" + ",".join(f.w_names[i] for i in np.flatnonzero(m)) + "}"
                        for m in closed),
         le=le, meet=meet, join=join, prod=prod, lres=lres, rres=rres,
-        star=star, zero=0, one=one,
+        star=star_table(join, prod, one), zero=0, one=one,
     )
     return DualAlgebra(f, closed, algebra)
 
@@ -474,11 +468,7 @@ def frame_q_counterexample(f: ResiduatedFrame, q: Quasiequation):
         return out
 
     k = len(names)
-    grids = {}
-    for axis, name in enumerate(names):
-        shape = [1] * k
-        shape[axis] = n
-        grids[name] = np.arange(n).reshape(shape)
+    grids = _var_grids(n, names)
     # premise/conclusion values; broadcast against the bound variable axis
     concl_val = eval_word(concl, grids)
     ok = f.n_rel[concl_val][..., :]

@@ -5,12 +5,18 @@ operations, monoid product, both residuals, and star.  Validation checks
 every defining law exhaustively, including star-continuity: the star of each
 element must equal the join of its finitely many distinct powers.
 
+Library models are built by one constructor from their order, lattice
+tables and product: residuals are the greatest solutions of x.y <= z, star
+the least solution of x* = 1 | x*.x.  Relations and word sets are subsets
+of atoms under a partial product, numbered by bitmask.
+
 Validity queries evaluate formulas over all valuations at once with numpy
 fancy indexing; large carriers are chunked over the first variable.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -172,73 +178,87 @@ def validate_algebra(a: FiniteActionLattice) -> AlgebraReport:
 # Library models.
 
 
-def _tables_from_ops(name, elems, leq, mul, unit, zero_el, star_fn=None) -> FiniteActionLattice:
-    """Build explicit tables from callables over a finite carrier.
+def star_table(join: np.ndarray, prod: np.ndarray, one: int) -> np.ndarray:
+    """Star of every element at once: starting from 1, join x*.x into x*
+    until no entry changes.  With a monotone product this is the least
+    solution of x* = 1 | x*.x, the join of the powers of x."""
+    xs = np.arange(len(join))
+    star = np.full(len(join), one)
+    while True:
+        grown = join[star, prod[star, xs]]
+        if (grown == star).all():
+            return star
+        star = grown
 
-    meet/join are derived from the order (must exist), residuals from the
-    product via the adjunction, star from the join of powers unless given.
+
+def _algebra(name, elements, le, meet, join, prod, one, zero) -> FiniteActionLattice:
+    """A model from its order, lattice operations, product and constants.
+
+    x \\ z and z / y are the greatest solutions of x.y <= z, found one row at
+    a time: for a fixed left (or right) factor, row z of the candidate matrix
+    holds the solutions for z, and the residual is the candidate whose
+    down-set holds the whole row.  Star comes from :func:`star_table`.
     """
-    n = len(elems)
-    le = np.array([[leq(x, y) for y in elems] for x in elems], dtype=bool)
+    n = len(elements)
+    rows = np.arange(n)
+    # candidates are tried largest down-set first: a greatest one comes first
+    order = np.argsort(-le.sum(axis=0), kind="stable")
+    above = np.ascontiguousarray(le.T)  # above[z, y]: y <= z
+    below_order = above[:, order]
 
-    def glb(i, j):
-        candidates = [k for k in range(n) if le[k, i] and le[k, j]]
-        best = [k for k in candidates if all(le[c, k] for c in candidates)]
-        if len(best) != 1:
-            raise ModelError(f"{name}: no meet for {elems[i]}, {elems[j]}")
-        return best[0]
+    def greatest(products: np.ndarray, side: str, fixed: int) -> np.ndarray:
+        cand = above[:, products[order]]  # cand[z, k]: products[order[k]] <= z
+        first = cand.argmax(axis=1)
+        best = order[first]
+        ok = cand[rows, first] & (cand <= below_order[best]).all(axis=1)
+        if not ok.all():
+            z = elements[int(np.flatnonzero(~ok)[0])]
+            pair = f"{elements[fixed]} \\ {z}" if side == "left" else f"{z} / {elements[fixed]}"
+            raise ModelError(f"{name}: missing {side} residual {pair}")
+        return best
 
-    def lub(i, j):
-        candidates = [k for k in range(n) if le[i, k] and le[j, k]]
-        best = [k for k in candidates if all(le[k, c] for c in candidates)]
-        if len(best) != 1:
-            raise ModelError(f"{name}: no join for {elems[i]}, {elems[j]}")
-        return best[0]
-
-    meet = np.array([[glb(i, j) for j in range(n)] for i in range(n)])
-    join = np.array([[lub(i, j) for j in range(n)] for i in range(n)])
-    index = {e: i for i, e in enumerate(elems)}
-    prod = np.array([[index[mul(x, y)] for y in elems] for x in elems])
-
-    def residual_l(i, k):
-        candidates = [y for y in range(n) if le[prod[i, y], k]]
-        best = [y for y in candidates if all(le[c, y] for c in candidates)]
-        if len(best) != 1:
-            raise ModelError(f"{name}: missing left residual")
-        return best[0]
-
-    def residual_r(k, j):
-        candidates = [x for x in range(n) if le[prod[x, j], k]]
-        best = [x for x in candidates if all(le[c, x] for c in candidates)]
-        if len(best) != 1:
-            raise ModelError(f"{name}: missing right residual")
-        return best[0]
-
-    lres = np.array([[residual_l(i, k) for k in range(n)] for i in range(n)])
-    rres = np.array([[residual_r(k, j) for j in range(n)] for k in range(n)])
-    out = FiniteActionLattice(
-        name=name,
-        elements=tuple(str(e) for e in elems),
-        le=le, meet=meet, join=join, prod=prod, lres=lres, rres=rres,
-        star=np.zeros(n, dtype=int), zero=index[zero_el], one=index[unit],
+    lres = np.array([greatest(prod[x], "left", x) for x in rows])
+    rres = np.column_stack([greatest(prod[:, y], "right", y) for y in rows])
+    return FiniteActionLattice(
+        name=name, elements=tuple(elements), le=le, meet=meet, join=join, prod=prod,
+        lres=lres, rres=rres, star=star_table(join, prod, one), zero=zero, one=one,
     )
-    if star_fn is None:
-        out.star = np.array([star_by_powers(out, x) for x in range(n)])
-    else:
-        out.star = np.array([index[star_fn(x)] for x in elems])
-    return out
+
+
+def _chain(name: str, n: int) -> FiniteActionLattice:
+    """The n-element chain 0 < ... < n-1 with product = meet, unit the top."""
+    i = np.arange(n)
+    low = np.minimum.outer(i, i)
+    return _algebra(name, tuple(str(v) for v in i), i[:, None] <= i[None, :],
+                    low, np.maximum.outer(i, i), low, one=n - 1, zero=0)
 
 
 def two_chain() -> FiniteActionLattice:
     """The two-element chain with product = meet."""
-    return _tables_from_ops("two_chain", (0, 1), lambda x, y: x <= y,
-                            lambda x, y: min(x, y), 1, 0)
+    return _chain("two_chain", 2)
 
 
 def three_chain() -> FiniteActionLattice:
     """The three-element chain with product = min and unit the top."""
-    return _tables_from_ops("three_chain", (0, 1, 2), lambda x, y: x <= y,
-                            lambda x, y: min(x, y), 2, 0)
+    return _chain("three_chain", 3)
+
+
+def _powerset(name: str, atoms, atom_prod: np.ndarray, unit: int) -> FiniteActionLattice:
+    """The complex algebra of a partial product on atoms: all subsets, with
+    X.Y = {a.b : a in X, b in Y, a.b defined}.  Subset x holds atom i when
+    bit i of x is set; atom_prod[i, j] is the atom i.j, or -1 where it is
+    undefined; unit is the subset that is the unit of the product."""
+    m = len(atoms)
+    n = 1 << m
+    xs = np.arange(n)
+    has = (xs[:, None] >> np.arange(m) & 1).astype(bool)  # has[x, i]
+    prod = np.zeros((n, n), dtype=int)
+    for i, j in zip(*np.nonzero(atom_prod >= 0)):
+        prod[np.ix_(has[:, i], has[:, j])] |= 1 << int(atom_prod[i, j])
+    elements = tuple("{" + ",".join(atoms[i] for i in np.flatnonzero(row)) + "}" for row in has)
+    return _algebra(name, elements, (xs[:, None] & ~xs[None, :]) == 0,
+                    xs[:, None] & xs[None, :], xs[:, None] | xs[None, :], prod,
+                    one=unit, zero=0)
 
 
 def rel_algebra(k: int) -> FiniteActionLattice:
@@ -246,127 +266,22 @@ def rel_algebra(k: int) -> FiniteActionLattice:
     relational residuals, reflexive-transitive closure."""
     if not 1 <= k <= 3:
         raise ModelError("relation algebras are supported for 1 <= k <= 3")
-    n = 1 << (k * k)
-    rels = np.array([[[bool(r >> (i * k + j) & 1) for j in range(k)] for i in range(k)]
-                     for r in range(n)])
-
-    def pack(mat: np.ndarray) -> int:
-        out = 0
-        for i in range(k):
-            for j in range(k):
-                if mat[i, j]:
-                    out |= 1 << (i * k + j)
-        return out
-
-    identity = pack(np.eye(k, dtype=bool))
-    le = np.array([[r & ~s == 0 for s in range(n)] for r in range(n)])
-    meet = np.array([[r & s for s in range(n)] for r in range(n)])
-    join = np.array([[r | s for s in range(n)] for r in range(n)])
-    prod = np.zeros((n, n), dtype=int)
-    lres = np.zeros((n, n), dtype=int)
-    rres = np.zeros((n, n), dtype=int)
-    for r in range(n):
-        R = rels[r]
-        for s in range(n):
-            S = rels[s]
-            prod[r, s] = pack((R.astype(int) @ S.astype(int)) > 0)
-            # r \ s: pairs (y, z) with R x y -> S x z for all x
-            lres[r, s] = pack(~((R.astype(int).T @ (~S).astype(int)) > 0))
-            # r / s: pairs (x, y) with S y z -> R x z for all z
-            rres[r, s] = pack(~(((~R).astype(int) @ S.astype(int).T) > 0))
-
-    def closure(r: int) -> int:
-        cur = identity | r
-        while True:
-            nxt = cur | prod[cur, r]
-            if nxt == cur:
-                return cur
-            cur = nxt
-
-    star = np.array([closure(r) for r in range(n)])
-
-    def rel_name(r: int) -> str:
-        pairs = [f"{i}{j}" for i in range(k) for j in range(k) if r >> (i * k + j) & 1]
-        return "{" + ",".join(pairs) + "}"
-
-    return FiniteActionLattice(
-        name=f"rel{k}",
-        elements=tuple(rel_name(r) for r in range(n)),
-        le=le, meet=meet, join=join, prod=prod, lres=lres, rres=rres,
-        star=star, zero=0, one=identity,
-    )
+    pairs = [(i, j) for i in range(k) for j in range(k)]
+    compose = np.array([[i * k + l if j == j2 else -1 for j2, l in pairs] for i, j in pairs])
+    identity = sum(1 << (i * k + i) for i in range(k))
+    return _powerset(f"rel{k}", [f"{i}{j}" for i, j in pairs], compose, identity)
 
 
 def truncated_words(max_len: int = 3, alphabet: str = "ab") -> FiniteActionLattice:
     """Sets of words shorter than max_len; concatenations that reach the
     bound are dropped, star is the join of the truncated powers."""
-    words = [""]
-    frontier = [""]
-    for _ in range(max_len - 1):
-        frontier = [w + ch for w in frontier for ch in alphabet]
-        words.extend(frontier)
+    if max_len < 1:
+        raise ModelError("truncated word models need max_len >= 1")
+    words = ["".join(w) for size in range(max_len)
+             for w in itertools.product(alphabet, repeat=size)]
     index = {w: i for i, w in enumerate(words)}
-    m = len(words)
-    n = 1 << m
-
-    def concat(x: int, y: int) -> int:
-        out = 0
-        for i in range(m):
-            if not x >> i & 1:
-                continue
-            for j in range(m):
-                if y >> j & 1:
-                    w = words[i] + words[j]
-                    if len(w) < max_len:
-                        out |= 1 << index[w]
-        return out
-
-    le = np.array([[x & ~y == 0 for y in range(n)] for x in range(n)])
-    meet = np.array([[x & y for y in range(n)] for x in range(n)])
-    join = np.array([[x | y for y in range(n)] for x in range(n)])
-    prod = np.array([[concat(x, y) for y in range(n)] for x in range(n)])
-    # residuals: x \ z = union of singletons y with x . {y} <= z
-    single_l = np.zeros((n, m), dtype=int)
-    single_r = np.zeros((n, m), dtype=int)
-    for x in range(n):
-        for j in range(m):
-            single_l[x, j] = concat(x, 1 << j)
-            single_r[x, j] = concat(1 << j, x)
-    lres = np.zeros((n, n), dtype=int)
-    rres = np.zeros((n, n), dtype=int)
-    for x in range(n):
-        for z in range(n):
-            acc = 0
-            for j in range(m):
-                if single_l[x, j] & ~z == 0:
-                    acc |= 1 << j
-            lres[x, z] = acc
-            acc = 0
-            for j in range(m):
-                if single_r[x, j] & ~z == 0:
-                    acc |= 1 << j
-            rres[z, x] = acc
-
-    def closure(x: int) -> int:
-        cur = 1 << index[""]
-        while True:
-            nxt = cur | concat(cur, x)
-            if nxt == cur:
-                return cur
-            cur = nxt
-
-    star = np.array([closure(x) for x in range(n)])
-
-    def set_name(x: int) -> str:
-        inside = [words[i] if words[i] else "eps" for i in range(m) if x >> i & 1]
-        return "{" + ",".join(inside) + "}"
-
-    return FiniteActionLattice(
-        name="trunc_words",
-        elements=tuple(set_name(x) for x in range(n)),
-        le=le, meet=meet, join=join, prod=prod, lres=lres, rres=rres,
-        star=star, zero=0, one=1 << index[""],
-    )
+    concat = np.array([[index.get(u + v, -1) for v in words] for u in words])
+    return _powerset("trunc_words", [w or "eps" for w in words], concat, 1 << index[""])
 
 
 def library() -> dict[str, FiniteActionLattice]:
@@ -576,8 +491,10 @@ def model_to_json(a: FiniteActionLattice) -> dict:
 
 
 def model_from_json(data: dict) -> FiniteActionLattice:
+    """Read a model file's tables, rejecting any table whose shape does not
+    fit the carrier or whose entries, like zero and one, name no element."""
     try:
-        return FiniteActionLattice(
+        a = FiniteActionLattice(
             name=data.get("name", "model"),
             elements=tuple(data["elements"]),
             le=np.array(data["le"], dtype=bool),
@@ -592,6 +509,16 @@ def model_from_json(data: dict) -> FiniteActionLattice:
         )
     except KeyError as e:
         raise ModelError(f"model file misses field {e}")
+    n = a.size
+    for key in ("le", "meet", "join", "prod", "lres", "rres", "star", "zero", "one"):
+        table = np.asarray(getattr(a, key))
+        shape = {"star": (n,), "zero": (), "one": ()}.get(key, (n, n))
+        if table.shape != shape:
+            raise ModelError(f"model file: {key} has shape {table.shape}, expected {shape}")
+        if key != "le" and not (np.issubdtype(table.dtype, np.integer)
+                                and ((table >= 0) & (table < n)).all()):
+            raise ModelError(f"model file: {key} names no element index 0..{n - 1}")
+    return a
 
 
 def load_model(path: str) -> FiniteActionLattice:

@@ -177,6 +177,36 @@ def test_frames_commands(capsys):
     assert "isomorphic" in capsys.readouterr().out
 
 
+
+def _break_prod(m):
+    m["prod"][0][1] = 5
+
+
+def _break_one(m):
+    m["one"] = 7
+
+
+def _break_elements(m):
+    m["elements"].append("extra")
+
+
+def _break_star(m):
+    m["star"] = m["star"][:1]
+
+
+@pytest.mark.parametrize("command", [["models", "validate"], ["frames", "dual"]])
+@pytest.mark.parametrize("defect", [_break_prod, _break_one, _break_elements, _break_star])
+def test_malformed_model_file_is_usage_error(tmp_path, capsys, command, defect):
+    from actlat.models import model_to_json, two_chain
+
+    data = model_to_json(two_chain())
+    defect(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(command + [str(path)]) == 3
+    assert "model file" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(capsys):
     assert main(["prove", "a |-"]) == 3
 

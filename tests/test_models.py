@@ -6,6 +6,7 @@ import pytest
 from actlat.models import (
     FiniteActionLattice,
     ModelError,
+    _algebra,
     eval_formula,
     find_sequent_counterexample,
     holds_quasieq,
@@ -97,9 +98,37 @@ def test_truncated_words_valid():
 
 
 def test_star_by_powers_matches_tables():
-    for a in (two_chain(), three_chain(), rel_algebra(2)):
+    for a in (two_chain(), three_chain(), rel_algebra(1), rel_algebra(2),
+              truncated_words(3, "a"), truncated_words(2, "ab")):
         for x in range(a.size):
             assert star_by_powers(a, x) == a.star[x]
+
+
+def test_algebra_without_residuals_rejected():
+    # on the chain 0 < 1 < 2, x . y = max(x, y) has unit 0, but no y gives
+    # 1 . y <= 0, so 1 \ 0 does not exist
+    i = np.arange(3)
+    high = np.maximum.outer(i, i)
+    with pytest.raises(ModelError, match=r"missing left residual 1 \\ 0"):
+        _algebra("max_chain", ("0", "1", "2"), i[:, None] <= i[None, :],
+                 np.minimum.outer(i, i), high, high, one=0, zero=0)
+
+
+def test_truncated_words_tables_pinned():
+    a = truncated_words(3, "a")
+    assert a.elements == ("{}", "{eps}", "{a}", "{eps,a}", "{aa}", "{eps,aa}",
+                          "{a,aa}", "{eps,a,aa}")
+    assert a.prod.tolist() == [
+        [0, 0, 0, 0, 0, 0, 0, 0],
+        [0, 1, 2, 3, 4, 5, 6, 7],
+        [0, 2, 4, 6, 0, 2, 4, 6],
+        [0, 3, 6, 7, 4, 7, 6, 7],
+        [0, 4, 0, 4, 0, 4, 0, 4],
+        [0, 5, 2, 7, 4, 5, 6, 7],
+        [0, 6, 4, 6, 0, 6, 4, 6],
+        [0, 7, 6, 7, 4, 7, 6, 7],
+    ]
+    assert a.star.tolist() == [1, 1, 7, 7, 5, 5, 7, 7]
 
 
 def test_eval_formula_oracle():
