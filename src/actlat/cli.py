@@ -14,6 +14,7 @@ pass/fail coloring.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -218,15 +219,17 @@ def cmd_prove(args) -> int:
     goal = parse_sequent(args.sequent)
     cfg = SearchConfig(depth=args.depth, with_cut=args.with_cut)
     result = prove(goal, user_rules=user, cfg=cfg, rules=rules)
+    stats = dataclasses.asdict(result.stats)
     if result.found:
         if args.out:
             save_proof(args.out, cyclic_to_json(result.proof, [r.name for r in user]))
         _emit(args, {"found": True, "nodes": len(result.proof.nodes),
-                     "out": args.out},
+                     "out": args.out, "stats": stats},
               f"found ({len(result.proof.nodes)} nodes)"
               + (f"; wrote {args.out}" if args.out else ""))
         return OK
-    _emit(args, {"found": False, "reason": result.reason}, f"unknown ({result.reason})")
+    _emit(args, {"found": False, "reason": result.reason, "stats": stats},
+          f"unknown ({result.reason})")
     return RESOURCE
 
 

@@ -8,6 +8,11 @@ path segment in between applies the left star rule at least once (a cycle
 without it can never progress).  Each complete candidate graph runs through
 the global progress check; the first accepted one is returned.
 
+Each call keeps a table with one entry per distinct sequent: its visit count,
+its rule instances with premises mapped to table entries (so the back-edge and
+self-premise tests compare by identity), which instances are usable, and
+whether it is viable; each is computed once per search, in the same order.
+
 The search is a semi-decision procedure: exhausted budgets yield an unknown
 result, never a refutation.  Refutation is a separate counter-valuation
 search in finite models.
@@ -16,11 +21,12 @@ search in finite models.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Iterator, Sequence
 
 from .progress import check_cyclic_progress
-from .proof_core import CyclicNode, CyclicProof, RuleApp
+from .proof_core import CyclicNode, CyclicProof, RuleApp, check_cyclic_local
 from .rules import (
     Instantiation,
     RuleInstance,
@@ -29,8 +35,9 @@ from .rules import (
     classify,
     instantiate,
     match_conclusion,
+    q_of,
 )
-from .models import FiniteActionLattice, find_sequent_counterexample
+from .models import FiniteActionLattice, find_sequent_counterexample, holds_quasieq, two_chain
 from .syntax import (
     Formula,
     Join,
@@ -47,7 +54,7 @@ from .syntax import (
 
 
 LOOP_WINDOW = 20         # back-edges may reach this many ancestors up
-VISIT_CAP = 2000         # expansions of one sequent before it is dropped
+VISIT_CAP = 2000         # visits to one sequent; later visits yield nothing
 MAX_CANDIDATES = 64      # complete candidate graphs checked before giving up
 WIDTH_SLACK = 4          # premises may exceed the goal width by this much
 STEP_CAP = 200_000       # total expansions before giving up
@@ -64,10 +71,21 @@ class SearchConfig:
 
 
 @dataclass
+class SearchStats:
+    expansions: int = 0      # rule instances enumerated, usable or not
+    sequents: int = 0        # distinct sequents in the table
+    model_queries: int = 0   # counter-model searches in the pruning models
+    candidates: int = 0      # complete candidate graphs checked
+    visit_capped: int = 0    # sequents visited more than VISIT_CAP times
+    seconds: float = 0.0
+
+
+@dataclass
 class SearchResult:
     found: bool
     proof: CyclicProof | None = None
     reason: str = ""
+    stats: SearchStats = field(default_factory=SearchStats)
 
 
 @dataclass(frozen=True)
@@ -223,9 +241,6 @@ def _pruning_models(user_rules) -> list[FiniteActionLattice]:
     """Finite models whose failures soundly rule subgoals out.  A model only
     qualifies when it satisfies the quasiequations of every active
     structural rule (built-in rules and cut are sound in any model)."""
-    from .models import holds_quasieq, two_chain
-    from .rules import q_of
-
     model = two_chain()
     for rule in user_rules:
         if not classify(rule).structural:
@@ -235,6 +250,15 @@ def _pruning_models(user_rules) -> list[FiniteActionLattice]:
     return [model]
 
 
+@dataclass(slots=True, eq=False)
+class _Entry:
+    """The table entry of one distinct sequent within one search."""
+    sequent: Sequent
+    visits: int = 0
+    expansions: list[list] | None = None   # [ri, premise entries, usable] each
+    viable: bool | None = None
+
+
 def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
           cfg: SearchConfig | None = None, rules: RuleSet | None = None) -> SearchResult:
     """Search for a cyclic proof of the goal.
@@ -242,69 +266,85 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
     Returns the first candidate accepted by the progress check; budget
     exhaustion gives an unknown result, never a refutation.
     """
+    start = perf_counter()
     cfg = cfg or SearchConfig()
     rules = rules or RuleSet(list(user_rules))
-    visits: dict[Sequent, int] = {}
-    steps = [0]
+    table: dict[Sequent, _Entry] = {}
+    stats = SearchStats()
     max_width = goal.width + WIDTH_SLACK
     pruning = _pruning_models(user_rules)
 
-    def viable(s: Sequent) -> bool:
-        if s.width > max_width:
-            return False
-        return all(find_sequent_counterexample(m, s) is None for m in pruning)
+    def entry(s: Sequent) -> _Entry:
+        return table.get(s) or table.setdefault(s, _Entry(s))
 
-    def candidates(s: Sequent, depth: int, path: tuple[tuple[Sequent, str], ...]):
+    def viable(e: _Entry) -> bool:
+        if e.viable is None:
+            e.viable = e.sequent.width <= max_width
+            for m in pruning:
+                if e.viable:
+                    stats.model_queries += 1
+                    e.viable = find_sequent_counterexample(m, e.sequent) is None
+        return e.viable
+
+    def candidates(e: _Entry, depth: int, path: tuple[tuple[Sequent, str], ...]):
         # path holds exactly one (sequent, rule) entry per ancestor of s, root
         # first, so back-edge indices line up with the stack the graph builder
         # keeps.  Each frame passes its children a path of its own: generators
         # suspended in a sibling's subtree never leave entries behind.
-        visits[s] = visits.get(s, 0) + 1
-        if visits[s] > VISIT_CAP:
+        s = e.sequent
+        e.visits += 1
+        if e.visits > VISIT_CAP:
             return
         lo = max(0, len(path) - LOOP_WINDOW)
         for i in range(lo, len(path)):
             anc, _ = path[i]
-            if anc == s and any(r == "starL" for _, r in path[i:]):
+            if anc is s and any(r == "starL" for _, r in path[i:]):
                 yield _Back(i)
         if depth <= 0:
             return
-        for ri in _expansions(s, rules, user_rules, cfg.with_cut):
-            steps[0] += 1
-            if steps[0] > STEP_CAP:
+        if e.expansions is None:
+            e.expansions = [[ri, tuple(entry(p) for p in ri.premises), None]
+                            for ri in _expansions(s, rules, user_rules, cfg.with_cut)]
+        for exp in e.expansions:
+            stats.expansions += 1
+            if stats.expansions > STEP_CAP:
                 raise _StepsExhausted
-            if any(p == s for p in ri.premises):
-                continue  # a premise equal to its conclusion can never progress
-            if not all(viable(p) for p in ri.premises):
-                continue
-            yield from _combine(s, ri, 0, (), depth, path + ((s, ri.rule.name),))
+            ri, premises, usable = exp
+            if usable is None:
+                # a premise equal to its conclusion can never progress
+                usable = exp[2] = all(p is not e for p in premises) and \
+                    all(viable(p) for p in premises)
+            if usable:
+                yield from _combine(s, ri, premises, (), depth, path + ((s, ri.rule.name),))
 
-    def _combine(s, ri, idx, done, depth, path):
-        if idx == len(ri.premises):
+    def _combine(s, ri, premises, done, depth, path):
+        if not premises:
             yield _Cand(s, ri, done)
             return
-        for sub in candidates(ri.premises[idx], depth - 1, path):
-            yield from _combine(s, ri, idx + 1, done + (sub,), depth, path)
+        for sub in candidates(premises[0], depth - 1, path):
+            yield from _combine(s, ri, premises[1:], done + (sub,), depth, path)
 
-    if not viable(goal):
-        return SearchResult(False, None, "goal fails in a sound finite counter-model")
-    from .proof_core import check_cyclic_local
-
-    produced = 0
+    root = entry(goal)
     try:
-        for cand in candidates(goal, cfg.depth, ()):
+        if not viable(root):
+            return SearchResult(False, None, "goal fails in a sound finite counter-model", stats)
+        for cand in candidates(root, cfg.depth, ()):
             if isinstance(cand, _Back):
                 continue
-            produced += 1
+            stats.candidates += 1
             proof = _to_cyclic(cand)
             if check_cyclic_local(proof, rules).ok and \
                     check_cyclic_progress(proof, rules).accepted:
-                return SearchResult(True, proof)
-            if produced >= MAX_CANDIDATES:
-                return SearchResult(False, None, "candidate budget exhausted")
+                return SearchResult(True, proof, stats=stats)
+            if stats.candidates >= MAX_CANDIDATES:
+                return SearchResult(False, None, "candidate budget exhausted", stats)
     except _StepsExhausted:
-        return SearchResult(False, None, "step budget exhausted")
-    return SearchResult(False, None, "search space exhausted within bounds")
+        return SearchResult(False, None, "step budget exhausted", stats)
+    finally:
+        stats.sequents = len(table)
+        stats.visit_capped = sum(e.visits > VISIT_CAP for e in table.values())
+        stats.seconds = perf_counter() - start
+    return SearchResult(False, None, "search space exhausted within bounds", stats)
 
 
 @dataclass

@@ -112,10 +112,18 @@ def test_translate_nested_families_round_trip(tmp_path, capsys):
     assert main(["check", str(wf), "--omega-fuel", "3"]) == 0
 
 
+STATS_KEYS = {"expansions", "sequents", "model_queries", "candidates", "visit_capped", "seconds"}
+
+
 def test_prove_json_schema(capsys):
     assert main(["--json", "prove", "a |- a"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["found"] is True and payload["nodes"] == 1
+    assert set(payload["stats"]) == STATS_KEYS
+    assert payload["stats"]["candidates"] == 1
+    assert main(["--json", "prove", "a |- b", "--depth", "6"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["reason"] and set(payload["stats"]) == STATS_KEYS
 
 
 def test_corpus_run_json(capsys):

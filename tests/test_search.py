@@ -2,6 +2,7 @@ import functools
 
 import pytest
 
+from actlat import search
 from actlat.models import library, rel_algebra, soundness_audit, two_chain
 from actlat.progress import check_cyclic_progress
 from actlat.proof_core import check_cyclic_local
@@ -187,3 +188,54 @@ def test_back_edges_target_ancestors(text):
 
     walk(proof.root)
     assert seen == set(proof.nodes)
+
+
+# The two valid identities of the battery that search misses: each ends with
+# the space exhausted, inside the step and candidate budgets.
+MISSED = ["a . a* |- a* . a", "(a | b)* |- (a* . b)* . a*"]
+
+
+@pytest.mark.parametrize("text", MISSED)
+def test_missed_identity_stats(text):
+    result = prove_star_identity(text)
+    assert result.reason == "search space exhausted within bounds"
+    stats = result.stats
+    assert 0 < stats.expansions < search.STEP_CAP
+    assert stats.candidates < search.MAX_CANDIDATES
+    assert stats.model_queries <= stats.sequents
+    assert stats.seconds > 0
+
+
+def test_viability_queried_once_per_sequent(monkeypatch):
+    queried = []
+    real = search.find_sequent_counterexample
+
+    def counting(model, s):
+        queried.append(s)
+        return real(model, s)
+
+    monkeypatch.setattr(search, "find_sequent_counterexample", counting)
+    result = prove(seq("(a | b)* |- (a* . b)* . a*"))
+    assert len(queried) == len(set(queried)) == result.stats.model_queries
+    assert len(queried) <= 200
+
+
+@pytest.mark.parametrize("cap, value, text, cfg, reason", [
+    ("STEP_CAP", 500, "(a | b)* |- (a* . b)* . a*", None, "step budget exhausted"),
+    ("MAX_CANDIDATES", 2, "a* . a |- a . a*", SearchConfig(depth=12, with_cut=True),
+     "candidate budget exhausted"),
+])
+def test_budget_exhaustion_reasons(monkeypatch, cap, value, text, cfg, reason):
+    monkeypatch.setattr(search, cap, value)
+    result = prove(seq(text), cfg=cfg)
+    assert not result.found and result.reason == reason
+    if cap == "MAX_CANDIDATES":
+        assert result.stats.candidates == value
+    else:
+        assert result.stats.expansions == value + 1
+
+
+def test_default_budgets_on_budget_goals():
+    assert prove_star_identity("(a | b)* |- (a* . b)* . a*").reason == \
+        "search space exhausted within bounds"
+    assert_found(prove_star_identity("a* . a |- a . a*"))
