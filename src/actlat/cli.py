@@ -332,7 +332,8 @@ def cmd_frames(args) -> int:
     if args.action == "dual":
         dual = dual_algebra(gf.frame)
         report = validate_algebra(dual.algebra)
-        payload = {"model": a.name, "closed_sets": len(dual.closed), "valid": report.ok}
+        payload = {"model": a.name, "closed_sets": len(dual.closed), "valid": report.ok,
+                   "stats": dataclasses.asdict(dual.stats)}
         if args.out:
             save_model(args.out, dual.algebra)
             payload["out"] = args.out
@@ -368,7 +369,8 @@ def cmd_frames(args) -> int:
     ok = result.is_isomorphism and result.star_gentzen.ok
     payload = {"model": a.name, "isomorphism": result.is_isomorphism,
                "closed_sets": len(result.dual.closed),
-               "star_gentzen_ok": result.star_gentzen.ok}
+               "star_gentzen_ok": result.star_gentzen.ok,
+               "stats": dataclasses.asdict(result.dual.stats)}
     _emit(args, payload,
           f"completion of {a.name}: {len(result.dual.closed)} elements; "
           + ("isomorphic to the original" if ok else "NOT an isomorphism"))

@@ -137,15 +137,15 @@ def validate_algebra(a: FiniteActionLattice) -> AlgebraReport:
         report.add("join is least", _first_bad(least))
     # monoid
     p = a.prod
-    assoc = p[p[:, :, None], np.arange(n)[None, None, :]] == p[np.arange(n)[:, None, None], p[None, :, :]]
+    assoc = p[p] == p[:, p]
     if not assoc.all():
         report.add("product associativity", _first_bad(assoc))
     if not (p[a.one, :] == np.arange(n)).all() or not (p[:, a.one] == np.arange(n)).all():
         report.add("product unit", (a.one,))
     # residuation: x . y <= z iff y <= x \ z iff x <= z / y
-    xyz = le[p[:, :, None], np.arange(n)[None, None, :]]
-    via_l = le[np.arange(n)[None, :, None], a.lres[np.arange(n)[:, None, None], np.arange(n)[None, None, :]]]
-    via_r = le[np.arange(n)[:, None, None], a.rres[np.arange(n)[None, None, :], np.arange(n)[None, :, None]]]
+    xyz = le[p]
+    via_l = le[:, a.lres].transpose(1, 0, 2)
+    via_r = le[:, a.rres.T]
     if not (xyz == via_l).all():
         report.add("left residuation", _first_bad(xyz == via_l))
     if not (xyz == via_r).all():

@@ -185,6 +185,15 @@ def test_frames_commands(capsys):
     assert "isomorphic" in capsys.readouterr().out
 
 
+def test_frames_json_stats(capsys):
+    keys = {"closed_sets", "rounds", "enumerate_seconds", "tables_seconds"}
+    assert main(["--json", "frames", "dual", "rel2"]) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert set(stats) == keys and stats["closed_sets"] == 16 and stats["rounds"] >= 1
+    assert main(["--json", "frames", "macneille", "rel2"]) == 0
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert set(stats) == keys and stats["closed_sets"] == 16
+
 
 def _break_prod(m):
     m["prod"][0][1] = 5

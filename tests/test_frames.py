@@ -3,10 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from actlat import frames
 from actlat.frames import (
     FrameError,
     ResiduatedFrame,
+    _distinct,
+    _locate,
     check_gentzen,
     check_nuclear,
     check_star_gentzen,
@@ -16,6 +20,7 @@ from actlat.frames import (
     frame_satisfies_q,
     gamma,
     macneille,
+    polar_left,
     polar_right,
     quasimorphism_check,
     set_product,
@@ -76,6 +81,58 @@ def test_galois_antitone():
         y = x.copy()
         y[rng.randrange(16)] = True
         assert not (polar_right(f, y) & ~polar_right(f, x)).any()  # X <= Y gives Y^> <= X^>
+
+
+def _rows(draw, count: int, width: int) -> np.ndarray:
+    """count subsets of range(width), each empty, full or random."""
+    return np.array([draw(st.one_of(st.just([False] * width), st.just([True] * width),
+                                     st.lists(st.booleans(), min_size=width, max_size=width)))
+                     for _ in range(count)], dtype=bool)
+
+
+@st.composite
+def relations_and_rows(draw):
+    # a frame whose sorts differ in size, with subsets of each sort; only the
+    # relation matters to polars and closures
+    w, wp = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)).filter(lambda s: s[0] != s[1]))
+    f = ResiduatedFrame(
+        name="random", w_names=tuple(map(str, range(w))), wp_names=tuple(map(str, range(wp))),
+        n_rel=_rows(draw, w, wp), op=np.zeros((w, w), dtype=int), eps=0,
+        lres_w=np.zeros((w, wp), dtype=int), rres_w=np.zeros((wp, w), dtype=int),
+    )
+    count = draw(st.integers(1, 5))
+    return f, _rows(draw, count, w), _rows(draw, count, wp)
+
+
+@given(relations_and_rows())
+def test_subset_kernel_matches_set_comprehension(case):
+    f, xs, zs = case
+    rel = {(x, z) for x, z in zip(*np.nonzero(f.n_rel))}
+    w, wp = range(f.w_size), range(f.wp_size)
+
+    def right(row):
+        return [all((x, z) in rel for x in w if row[x]) for z in wp]
+
+    def left(row):
+        return [all((x, z) in rel for z in wp if row[z]) for x in w]
+
+    want = [right(x) for x in xs], [left(z) for z in zs], [left(right(x)) for x in xs]
+    assert (polar_right(f, xs).tolist(), polar_left(f, zs).tolist(), gamma(f, xs).tolist()) == want
+    for i in range(len(xs)):
+        got = polar_right(f, xs[i]).tolist(), polar_left(f, zs[i]).tolist(), gamma(f, xs[i]).tolist()
+        assert got == (want[0][i], want[1][i], want[2][i])
+
+
+@given(relations_and_rows())
+def test_locate_finds_least_closed_superset(case):
+    f, xs, _ = case
+    every = np.array([[(i >> x) & 1 for x in range(f.w_size)] for i in range(2 ** f.w_size)], dtype=bool)
+    closed = _distinct(gamma(f, every))
+    found = _locate(closed, xs)
+    for row, i in zip(xs, found):
+        supersets = [c for c in closed if not (row & ~c).any()]
+        assert not (row & ~closed[i]).any()
+        assert all(not (closed[i] & ~c).any() for c in supersets)
 
 
 def test_nucleus_law():
@@ -140,6 +197,21 @@ def test_dual_algebra_of_frame_with_unequal_sorts():
     assert (alg.zero, alg.one) == (0, 1)
 
 
+def test_dual_algebra_rejects_non_nuclear_frame():
+    f = frame_of_algebra(rel_algebra(2)).frame
+    f.lres_w = f.lres_w.copy()
+    f.lres_w[7, 6] = 0
+    with pytest.raises(FrameError) as err:
+        dual_algebra(f)
+    assert str(err.value) == "frame is not nuclear: ('x.y N z iff y N x\\\\z', (7, 8, 6))"
+
+
+def test_dual_algebra_closed_set_cap(monkeypatch):
+    monkeypatch.setattr(frames, "CLOSED_SET_CAP", 8)
+    with pytest.raises(FrameError, match="^more than 8 closed sets$"):
+        dual_algebra(frame_of_algebra(rel_algebra(2)).frame)
+
+
 def test_dual_algebra_of_rel2_is_rel2():
     a = rel_algebra(2)
     dual = dual_algebra(frame_of_algebra(a).frame)
@@ -152,6 +224,25 @@ def test_dual_algebras_validate_with_star_continuity():
         dual = dual_algebra(frame_of_algebra(a).frame)
         report = validate_algebra(dual.algebra)
         assert report.ok, (a.name, report.violations)
+
+
+# One entry of the frame of rel_algebra(2) changed, and the first witness of
+# each nuclear law check_nuclear reports for it.
+NUCLEAR_BROKEN = [
+    ("lres_w", (7, 6), 0, [("x.y N z iff y N x\\z", (7, 8, 6))]),
+    ("rres_w", (6, 2), 3, [("x.y N z iff x N z/y", (8, 2, 6))]),
+    ("op", (14, 9), 4, [("x.y N z iff y N x\\z", (14, 9, 4)), ("x.y N z iff x N z/y", (14, 9, 4))]),
+    ("n_rel", (7, 1), True, [("x.y N z iff y N x\\z", (6, 7, 4)), ("x.y N z iff x N z/y", (6, 13, 1))]),
+]
+
+
+@pytest.mark.parametrize("table,entry,value,violations", NUCLEAR_BROKEN,
+                         ids=[case[0] for case in NUCLEAR_BROKEN])
+def test_check_nuclear_reports_first_witness(table, entry, value, violations):
+    f = frame_of_algebra(rel_algebra(2)).frame
+    broken = getattr(f, table).copy()
+    broken[entry] = value
+    assert check_nuclear(dataclasses.replace(f, **{table: broken})).violations == violations
 
 
 def test_gentzen_frames_pass():

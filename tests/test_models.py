@@ -57,6 +57,26 @@ def test_rel_algebra_sizes_and_validity():
     assert validate_algebra(r2).ok
 
 
+# One table entry of rel_algebra(2) changed, and every violation
+# validate_algebra reports for it, each at its first witness.
+ALGEBRA_BROKEN = [
+    ("prod", (3, 5), 0, [("product associativity", (1, 7, 5)), ("left residuation", (3, 5, 0)),
+                         ("right residuation", (3, 5, 0))]),
+    ("lres", (3, 7), 11, [("left residuation", (3, 4, 7))]),
+    ("rres", (2, 14), 9, [("right residuation", (8, 14, 2))]),
+]
+
+
+@pytest.mark.parametrize("table,entry,value,violations", ALGEBRA_BROKEN,
+                         ids=[case[0] for case in ALGEBRA_BROKEN])
+def test_validate_reports_first_witness(table, entry, value, violations):
+    a = rel_algebra(2)
+    broken = getattr(a, table).copy()
+    broken[entry] = value
+    setattr(a, table, broken)
+    assert [(v.law, v.witness) for v in validate_algebra(a).violations] == violations
+
+
 def test_rel_algebra_star_is_transitive_closure():
     r2 = rel_algebra(2)
 
