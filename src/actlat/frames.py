@@ -15,6 +15,10 @@ float32 counts these exactly, as no count exceeds a row's length.  The basic
 closed sets are the columns of the relation (one per element of the second
 sort); every closed set is an intersection of basic ones, so the closed sets
 are enumerated by intersecting rows with the basics until no new row appears.
+
+The Gentzen-frame laws are likewise checked over whole tables, not element by
+element; a law that quantifies over two related pairs, such as (.R), counts
+its breaks per algebra element with one float32 product (:func:`_broken_rows`).
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from .rules import Quasiequation, is_analytic_quasiequation
 from .syntax import Formula, One, Prod, Var
 
 CLOSED_SET_CAP = 4096
+# bytes per temporary of _broken_rows: the frame of a 128-element algebra is one block
+GENTZEN_BLOCK_BYTES = 1 << 23
 
 
 class FrameError(ValueError):
@@ -244,17 +250,47 @@ def _quantify_pairs(cond, conseq, report, law):
         report.add(law, tuple(int(v) for v in np.argwhere(bad)[0]))
 
 
+def _broken_rows(P, Q, f, g, R) -> np.ndarray:
+    """Entry a is true when some x with P[a, x] and some (b, y) with Q[b, y]
+    have R[f[a, b], g[x, y]] false.  Per block of rows a, one float32 product
+    over b gives some[y, a, v] > 0 when some b has Q[b, y] and not R[f[a, b], v]
+    (a sum of non-negative terms is 0 only when every term is, so rounding
+    cannot hide a break), and one gather of rows (y, v) reads it at v = g[x, y]."""
+    (nb, ny), (nx, _), nv = Q.shape, g.shape, R.shape[1]
+    step = max(1, GENTZEN_BLOCK_BYTES // max(4 * max(nb, ny) * nv, nx * ny))
+    qt, misses = Q.T.astype(np.float32), (~R).astype(np.float32)
+    at = np.arange(ny) * nv + g
+    out = np.zeros(len(P), dtype=bool)
+    for lo in range(0, len(P), step):
+        block = f[lo:lo + step]
+        some = (qt @ misses[block.T].reshape(nb, -1)).reshape(ny, len(block), nv) > 0
+        rows = np.ascontiguousarray(some.transpose(0, 2, 1)).reshape(ny * nv, -1)
+        out[lo:lo + step] = (P[lo:lo + step].T & rows[at].any(axis=1)).any(axis=0)
+    return out
+
+
+def _first_break(P, Q, f, g, R):
+    """None, or the first a that :func:`_broken_rows` finds broken, the x with
+    P[a, x], and bad[i, y, b]: Q[b, y] and not R[f[a, b], g[xs[i], y]]."""
+    broken = _broken_rows(P, Q, f, g, R)
+    if not broken.any():
+        return None
+    a = int(broken.argmax())
+    xs = np.flatnonzero(P[a])
+    return a, xs, Q.T[None, :, :] & ~R[f[a]].T[g[xs]]
+
+
 def check_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
     """The interaction laws between the relation and the algebra operations
     (identity, the two-sided rules for every connective, unit laws, and
-    optionally cut), over all element tuples."""
+    optionally cut), each checked over its whole table of element tuples.
+    (.R), (\\L) and (/L) find the broken algebra elements with
+    :func:`_broken_rows` and read the first witness off the first of them."""
     f, a = gf.frame, gf.algebra
     report = FrameReport()
     N = f.n_rel
     w_of = gf.to_w
     wp_of = gf.to_wp
-    n = a.size
-    wn = f.w_size
     # (Id)
     if not N[w_of, wp_of].all():
         report.add("(Id)", (int(np.flatnonzero(~N[w_of, wp_of])[0]),))
@@ -273,16 +309,12 @@ def check_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
     cond = N[f.op[w_of[:, None], w_of[None, :]], :]
     conseq = N[w_of[a.prod], :]
     _quantify_pairs(cond, conseq, report, "(.L)")
-    # (.R): x N a and y N b -> x o y N a.b; one a at a time, over the x
-    # with x N a, to bound memory
-    B = N[:, wp_of]
-    for ai in range(n):
-        xs = np.flatnonzero(B[:, ai])
-        bad = B[None, :, :] & ~N[:, wp_of[a.prod[ai]]][f.op[xs]]
-        if bad.any():
-            xi, y, bi = (int(v) for v in np.argwhere(bad)[0])
-            report.add("(.R)", (int(xs[xi]), y, ai, bi))
-            break
+    # (.R): x N a and y N b -> x o y N a.b
+    B = N[:, wp_of].T
+    if found := _first_break(B, B, a.prod, f.op, B):
+        ai, xs, bad = found
+        xi, y, bi = (int(v) for v in np.argwhere(bad)[0])
+        report.add("(.R)", (int(xs[xi]), y, ai, bi))
     # (^L0)/(^L1): a_i N z -> a0 ^ a1 N z
     for side, law in ((0, "(^L0)"), (1, "(^L1)")):
         base = N[w_of, :]
@@ -315,13 +347,10 @@ def check_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
     # -> x N b/a, are the same laws read through the transposed right
     # residual tables.
     for side, alg_res, wit in (("\\", a.lres, f.lres_w), ("/", a.rres.T, f.rres_w.T)):
-        for ai in range(n):
-            xs = np.flatnonzero(N[:, wp_of[ai]])
-            bad = N[w_of, :].T[None, :, :] & ~N[w_of[alg_res[ai]]].T[wit[xs]]
-            if bad.any():
-                bi, xi, z = (int(v) for v in np.argwhere(bad.transpose(2, 0, 1))[0])
-                report.add(f"({side}L)", (ai, bi, int(xs[xi]), z))
-                break
+        if found := _first_break(B, N[w_of], alg_res, wit, N[w_of]):
+            ai, xs, bad = found
+            bi, xi, z = (int(v) for v in np.argwhere(bad.transpose(2, 0, 1))[0])
+            report.add(f"({side}L)", (ai, bi, int(xs[xi]), z))
         cond = N.T[wit[w_of[:, None], wp_of[None, :]]]
         conseq = N.T[wp_of[alg_res]]
         _quantify_pairs(cond, conseq, report, f"({side}R)")
@@ -352,19 +381,16 @@ def check_star_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
     cond = N[:, wp_of].T[:, :, None] & N[:, star_wp].T[:, None, :]
     conseq = N[f.op[None, :, :], star_wp[:, None, None]]
     _quantify_pairs(cond, conseq, report, "(*R1)")
-    # (*L): (a^(n) N z for all n) -> a* N z, powers over one cycle
-    for ai in range(a.size):
-        power = f.eps
-        seen = set()
-        holds_all = N[f.eps, :].copy()
-        while power not in seen:
-            seen.add(power)
-            holds_all &= N[power, :]
-            power = int(f.op[power, w_of[ai]])
-        bad = holds_all & ~N[w_of[a.star[ai]], :]
-        if bad.any():
-            report.add("(*L)", (ai, int(np.flatnonzero(bad)[0])))
-            break
+    # (*L): (a^(n) N z for all n) -> a* N z, over the powers of all elements
+    # at once, until every element's next power is one it has had
+    rows, power = np.arange(a.size), np.full(a.size, f.eps)
+    seen = np.zeros((a.size, f.w_size), dtype=bool)
+    holds_all = np.ones((a.size, f.wp_size), dtype=bool)
+    while not seen[rows, power].all():
+        seen[rows, power] = True
+        holds_all &= N[power]
+        power = f.op[power, w_of]
+    _quantify_pairs(holds_all, N[w_of[a.star]], report, "(*L)")
     return report
 
 

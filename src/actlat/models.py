@@ -137,9 +137,11 @@ def validate_algebra(a: FiniteActionLattice) -> AlgebraReport:
         report.add("join is least", _first_bad(least))
     # monoid
     p = a.prod
-    assoc = p[p] == p[:, p]
-    if not assoc.all():
-        report.add("product associativity", _first_bad(assoc))
+    for x in range(n):  # (x.y).z == x.(y.z), one left factor x at a time
+        assoc = p[p[x]] == p[x][p]
+        if not assoc.all():
+            report.add("product associativity", (x,) + _first_bad(assoc))
+            break
     if not (p[a.one, :] == np.arange(n)).all() or not (p[:, a.one] == np.arange(n)).all():
         report.add("product unit", (a.one,))
     # residuation: x . y <= z iff y <= x \ z iff x <= z / y

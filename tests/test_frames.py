@@ -1,5 +1,7 @@
 import dataclasses
 import random
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from actlat.models import (
     holds_quasieq,
 )
 from actlat.rules import example_structural_rules, q_a_of
+from tests.helpers import loop_gentzen_laws
 
 EX = example_structural_rules()
 
@@ -302,6 +305,69 @@ def test_star_gentzen_reports_first_witnesses():
         ("(^L1)", (2, 7, 1)), ("(vR0)", (7, 1, 2)), ("(vR1)", (7, 2, 1)),
         ("(\\L)", (1, 0, 7, 0)), ("(/L)", (1, 0, 7, 0)), ("(*R1)", (1, 7, 1)),
     ]
+
+
+@st.composite
+def law_tables(draw):
+    # inputs to _broken_rows in which no two axes that could be swapped by
+    # mistake have the same size: |A| != |B|, |X| != |Y|, |V| differs from both
+    na, nb, nx, ny, nc, nv = draw(st.lists(st.integers(1, 6), min_size=6, max_size=6).filter(
+        lambda s: s[0] != s[1] and s[2] != s[3] and s[5] not in (s[2], s[3])))
+    f = draw(st.lists(st.integers(0, nc - 1), min_size=na * nb, max_size=na * nb))
+    g = draw(st.lists(st.integers(0, nv - 1), min_size=nx * ny, max_size=nx * ny))
+    return (_rows(draw, na, nx), _rows(draw, nb, ny), np.array(f).reshape(na, nb),
+            np.array(g).reshape(nx, ny), _rows(draw, nc, nv))
+
+
+@given(law_tables())
+def test_broken_rows_matches_definition(case):
+    P, Q, f, g, R = case
+    want = [any(P[a, x] and Q[b, y] and not R[f[a, b], g[x, y]]
+                for x in range(P.shape[1]) for b in range(len(Q)) for y in range(Q.shape[1]))
+            for a in range(len(P))]
+    assert frames._broken_rows(*case).tolist() == want
+    # one row per block, and a few rows per block, give the same rows
+    for budget in (1, 300):
+        with mock.patch.object(frames, "GENTZEN_BLOCK_BYTES", budget):
+            assert frames._broken_rows(*case).tolist() == want
+
+
+LOOP_LAWS = {"(.R)", "(\\L)", "(/L)", "(*L)"}
+LAW_ORDER = ["(Id)", "(Cut)", "(1L)", "(1R)", "(.L)", "(.R)", "(^L0)", "(^L1)", "(^R)", "(vL)",
+             "(vR0)", "(vR1)", "(\\L)", "(\\R)", "(/L)", "(/R)", "(0L)", "(*R0)", "(*R1)", "(*L)"]
+CORRUPTED_TABLES = [("frame", t) for t in ("n_rel", "op", "lres_w", "rres_w")] + \
+    [("algebra", t) for t in ("prod", "lres", "rres", "meet", "join", "star")]
+
+
+def _corrupted_frames(rng: random.Random, per_table: int):
+    """Gentzen frames of small models with one entry of one table changed."""
+    models = [two_chain(), three_chain(), rel_algebra(2), truncated_words(3, "a"), truncated_words(5, "a")]
+    for a in models:
+        gf = frame_of_algebra(a)
+        for part, table in CORRUPTED_TABLES:
+            for _ in range(per_table):
+                old = getattr(getattr(gf, part), table)
+                broken = old.copy()
+                entry = tuple(rng.randrange(size) for size in old.shape)
+                broken[entry] = (not old[entry] if old.dtype == bool else
+                                 rng.choice([v for v in range(a.size) if v != old[entry]]))
+                yield dataclasses.replace(
+                    gf, **{part: dataclasses.replace(getattr(gf, part), **{table: broken})})
+
+
+def test_whole_table_laws_match_element_loops():
+    # 5 models x 10 tables x 7 entries: the laws the element loops checked
+    # are reported at the loops' witnesses, in their place among the others
+    broken = Counter()
+    for gf in _corrupted_frames(random.Random(10), per_table=7):
+        for star in (True, False):
+            got = (check_star_gentzen(gf) if star else check_gentzen(gf, with_cut=False)).violations
+            loops = loop_gentzen_laws(gf, star)
+            want = sorted([v for v in got if v[0] not in LOOP_LAWS] + loops,
+                          key=lambda v: LAW_ORDER.index(v[0]))
+            assert got == want
+            broken.update(law for law, _ in loops if star)
+    assert all(broken[law] >= 5 for law in LOOP_LAWS), broken
 
 
 def test_quasimorphism_on_algebra_frames():
