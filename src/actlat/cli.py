@@ -378,14 +378,15 @@ def cmd_frames(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    print(f"seed: {args.seed}")
+    if not args.json:
+        print(f"seed: {args.seed}")
     results = corpus.run_acceptance(args.seed)
     all_ok = all(r.passed for r in results)
     if args.json:
-        print(json.dumps([{
+        print(json.dumps({"seed": args.seed, "criteria": [{
             "criterion": r.number, "name": r.name, "passed": r.passed,
             "detail": r.detail, "seconds": round(r.seconds, 2),
-        } for r in results], indent=2))
+        } for r in results]}, indent=2))
     else:
         for r in results:
             print(f"{_mark(r.passed)} criterion {r.number:>2} ({r.name}): "

@@ -10,8 +10,11 @@ tables and product: residuals are the greatest solutions of x.y <= z, star
 the least solution of x* = 1 | x*.x.  Relations and word sets are subsets
 of atoms under a partial product, numbered by bitmask.
 
-Validity queries evaluate formulas over all valuations at once with numpy
-fancy indexing; large carriers are chunked over the first variable.
+Validity queries evaluate formulas over all valuations at once.  Each model
+keeps its tables raveled in the narrowest unsigned dtype that holds n*n,
+once plain and once times n, so a binary connective (and the order) costs
+one add of the times-n left operand to the right one and one flat ``take``;
+large carriers are chunked over the first variable.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +67,13 @@ class FiniteActionLattice:
     @property
     def size(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def tables(self) -> _Tables:
+        """The tables in the form the validity queries read, built on first
+        use.  A model's tables are not changed after it is built; to change
+        one, build a new model (``dataclasses.replace`` does)."""
+        return _Tables(self)
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.le[x, y])
@@ -327,33 +338,63 @@ def eval_formula(a: FiniteActionLattice, valuation: dict[str, int], f: Formula) 
     raise ModelError(f"cannot evaluate {f!r}")
 
 
-def _eval_grid(a: FiniteActionLattice, grids: dict[str, np.ndarray], f: Formula) -> np.ndarray:
-    if isinstance(f, Var):
-        return grids[f.name]
-    if isinstance(f, Zero):
-        return np.full((), a.zero)
-    if isinstance(f, One):
-        return np.full((), a.one)
-    if isinstance(f, Star):
-        return a.star[_eval_grid(a, grids, f.body)]
-    table = {Meet: a.meet, Join: a.join, Prod: a.prod, LRes: a.lres, RRes: a.rres}[type(f)]
-    return table[_eval_grid(a, grids, f.left), _eval_grid(a, grids, f.right)]
+class _Tables:
+    """A model's tables as the query kernel reads them: raveled, in the
+    narrowest unsigned dtype that holds n*n, each both plain and times n.
+
+    For a binary connective, op[x, y] is ``flat.take(x*n + y)``, where x*n
+    is read from the times-n copy of whatever produced x: a variable grid,
+    a constant, star or another connective.  The order is read the same
+    way.  One add and one take per connective; no index exceeds n*n - 1.
+    """
+
+    def __init__(self, a: FiniteActionLattice):
+        n = a.size
+        dt = np.min_scalar_type(n * n - 1)
+
+        def pair(table: np.ndarray) -> tuple:
+            return table.astype(dt).ravel(), (table * n).astype(dt).ravel()
+
+        self.read = {Meet: pair(a.meet), Join: pair(a.join), Prod: pair(a.prod),
+                     LRes: pair(a.lres), RRes: pair(a.rres), Star: pair(a.star)}
+        # constants are scalars of the table dtype, so no add promotes it
+        for kind, value in ((Zero, a.zero), (One, a.one)):
+            self.read[kind] = (dt.type(value), dt.type(value * n))
+        self.le = a.le.astype(bool).ravel()
+        self.axis = pair(np.arange(n))
+        self._grids: dict[int, list[tuple]] = {}
+
+    def grids(self, k: int) -> list[tuple]:
+        """Open grids of k variables, each as its (plain, times-n) pair."""
+        if k not in self._grids:
+            shapes = [(1,) * i + (-1,) + (1,) * (k - 1 - i) for i in range(k)]
+            self._grids[k] = [tuple(v.reshape(shape) for v in self.axis) for shape in shapes]
+        return self._grids[k]
 
 
-def _var_grids(n: int, names: list[str]) -> dict[str, np.ndarray]:
-    k = len(names)
-    grids = {}
-    for axis, name in enumerate(names):
-        shape = [1] * k
-        shape[axis] = n
-        grids[name] = np.arange(n).reshape(shape)
-    return grids
+def _eval(t: _Tables, grids: dict, f: Formula, scaled: bool):
+    """The values of f over the grids, times n when scaled."""
+    kind = type(f)
+    if kind is Var:
+        return grids[f.name][scaled]
+    read = t.read[kind][scaled]
+    if kind is Star:
+        return read.take(_eval(t, grids, f.body, False))
+    if kind is Zero or kind is One:
+        return read
+    return read.take(_eval(t, grids, f.left, True) + _eval(t, grids, f.right, False))
+
+
+def _holds(t: _Tables, grids: dict, ineq: Inequation):
+    return t.le.take(_eval(t, grids, ineq.lhs, True) + _eval(t, grids, ineq.rhs, False))
 
 
 def _check_all_valuations(a: FiniteActionLattice, names: list[str], predicate) -> tuple | None:
-    """Run a vectorized predicate over all valuations; returns a witness
-    valuation or None.  Chunks over the first variable on big grids."""
+    """Run a vectorized predicate of the model's tables and the variable
+    grids over all valuations; returns a witness valuation or None.  Chunks
+    over the first variable on big grids."""
     n = a.size
+    t = a.tables
     if len(names) > VAR_CAP and n ** len(names) > _GRID_LIMIT:
         raise ModelError(
             f"validity query over {len(names)} variables on a carrier of size {n} "
@@ -361,18 +402,18 @@ def _check_all_valuations(a: FiniteActionLattice, names: list[str], predicate) -
         )
     if names and n ** len(names) > _GRID_LIMIT:
         first, rest = names[0], names[1:]
-        grids = _var_grids(n, rest)
+        grids = dict(zip(rest, t.grids(len(rest))))
+        plain, times_n = t.axis
         for v in range(n):
-            grids[first] = np.full((), v)
-            ok = predicate(grids)
+            grids[first] = (plain[v], times_n[v])
+            ok = predicate(t, grids)
             if not ok.all():
                 idx = np.argwhere(~np.broadcast_to(ok, (n,) * len(rest)))
                 witness = {first: v}
                 witness.update({name: int(i) for name, i in zip(rest, idx[0])})
                 return tuple(sorted(witness.items()))
         return None
-    grids = _var_grids(n, names)
-    ok = predicate(grids)
+    ok = predicate(t, dict(zip(names, t.grids(len(names)))))
     if ok.all():
         return None
     idx = np.argwhere(~np.broadcast_to(ok, (n,) * len(names))) if names else [()]
@@ -400,10 +441,7 @@ def find_sequent_counterexample(a: FiniteActionLattice, s: Sequent):
     ineq = sequent_inequation(s)
     names = sorted(variables(ineq.lhs) | variables(ineq.rhs))
 
-    def predicate(grids):
-        return a.le[_eval_grid(a, grids, ineq.lhs), _eval_grid(a, grids, ineq.rhs)]
-
-    return _check_all_valuations(a, names, predicate)
+    return _check_all_valuations(a, names, lambda t, grids: _holds(t, grids, ineq))
 
 
 def holds_quasieq(a: FiniteActionLattice, q: Quasiequation) -> bool:
@@ -416,11 +454,10 @@ def find_quasieq_counterexample(a: FiniteActionLattice, q: Quasiequation):
         names |= variables(iq.lhs) | variables(iq.rhs)
     names = sorted(names)
 
-    def predicate(grids):
-        ok = a.le[_eval_grid(a, grids, q.conclusion.lhs), _eval_grid(a, grids, q.conclusion.rhs)]
+    def predicate(t, grids):
+        ok = _holds(t, grids, q.conclusion)
         for p in q.premises:
-            holds = a.le[_eval_grid(a, grids, p.lhs), _eval_grid(a, grids, p.rhs)]
-            ok = ok | ~holds
+            ok = ok | ~_holds(t, grids, p)
         return ok
 
     return _check_all_valuations(a, names, predicate)

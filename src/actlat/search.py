@@ -75,6 +75,7 @@ class SearchStats:
     expansions: int = 0      # rule instances enumerated, usable or not
     sequents: int = 0        # distinct sequents in the table
     model_queries: int = 0   # counter-model searches in the pruning models
+    model_seconds: float = 0.0   # time spent in those searches
     candidates: int = 0      # complete candidate graphs checked
     visit_capped: int = 0    # sequents visited more than VISIT_CAP times
     seconds: float = 0.0
@@ -148,7 +149,7 @@ def _expansions(goal: Sequent, rules: RuleSet, user: Sequence[SchematicRule],
         yield emit("lresR", Instantiation(fmap={"b0": rhs.left, "b1": rhs.right},
                                           smap={"Gamma": lhs}))
     if isinstance(rhs, RRes):
-        yield emit("rresR", Instantiation(fmap={"b0": rhs.left, "b1": rhs.right},
+        yield emit("rresR", Instantiation(fmap={"b0": rhs.right, "b1": rhs.left},
                                           smap={"Gamma": lhs}))
     if isinstance(rhs, Star):
         if not lhs:
@@ -283,7 +284,9 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
             for m in pruning:
                 if e.viable:
                     stats.model_queries += 1
+                    t0 = perf_counter()
                     e.viable = find_sequent_counterexample(m, e.sequent) is None
+                    stats.model_seconds += perf_counter() - t0
         return e.viable
 
     def candidates(e: _Entry, depth: int, path: tuple[tuple[Sequent, str], ...]):

@@ -3,10 +3,21 @@
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
-from actlat.syntax import Formula, Join, LRes, Meet, One, Prod, RRes, Star, Var, Zero
+from actlat.syntax import Formula, Join, LRes, Meet, One, Prod, RRes, Star, Var, Zero, variables
 
 ATOMS = [Var("a"), Var("b"), Var("c"), Zero(), One()]
+
+
+def formulas(max_leaves: int = 5, atoms=ATOMS):
+    """Hypothesis strategy: formulas over the atoms with every connective."""
+    binary = (Meet, Join, Prod, LRes, RRes)
+    return st.recursive(
+        st.sampled_from(atoms),
+        lambda inner: st.one_of(st.builds(Star, inner),
+                                *(st.builds(node, inner, inner) for node in binary)),
+        max_leaves=max_leaves)
 
 
 def random_formula(rng: random.Random, max_size: int, max_star_depth: int) -> Formula:
@@ -68,3 +79,37 @@ def loop_gentzen_laws(gf, star: bool) -> list:
             found.append(("(*L)", (ai, int(np.flatnonzero(bad)[0]))))
             break
     return found
+
+
+def _reference_eval(a, grids: dict, f: Formula) -> np.ndarray:
+    if isinstance(f, Var):
+        return grids[f.name]
+    if isinstance(f, Zero):
+        return np.full((), a.zero)
+    if isinstance(f, One):
+        return np.full((), a.one)
+    if isinstance(f, Star):
+        return a.star[_reference_eval(a, grids, f.body)]
+    table = {Meet: a.meet, Join: a.join, Prod: a.prod, LRes: a.lres, RRes: a.rres}[type(f)]
+    return table[_reference_eval(a, grids, f.left), _reference_eval(a, grids, f.right)]
+
+
+def reference_counterexample(a, premises, conclusion):
+    """The first valuation, in sorted variable order, at which every premise
+    inequation holds and the conclusion fails, or None: the whole grid
+    evaluated with 2-D fancy indexing on the model's own tables, the
+    reference for the query kernel of ``actlat.models``."""
+    names = sorted(set().union(*(variables(i.lhs) | variables(i.rhs)
+                                 for i in (*premises, conclusion))))
+    n, k = a.size, len(names)
+    grids = {name: np.arange(n).reshape([n if i == axis else 1 for i in range(k)])
+             for axis, name in enumerate(names)}
+
+    def holds(ineq):
+        return a.le[_reference_eval(a, grids, ineq.lhs), _reference_eval(a, grids, ineq.rhs)]
+
+    ok = holds(conclusion)
+    for p in premises:
+        ok = ok | ~holds(p)
+    bad = np.argwhere(~np.broadcast_to(ok, (n,) * k))
+    return tuple(zip(names, (int(v) for v in bad[0]))) if len(bad) else None

@@ -112,7 +112,8 @@ def test_translate_nested_families_round_trip(tmp_path, capsys):
     assert main(["check", str(wf), "--omega-fuel", "3"]) == 0
 
 
-STATS_KEYS = {"expansions", "sequents", "model_queries", "candidates", "visit_capped", "seconds"}
+STATS_KEYS = {"expansions", "sequents", "model_queries", "model_seconds", "candidates",
+              "visit_capped", "seconds"}
 
 
 def test_prove_json_schema(capsys):
@@ -126,19 +127,63 @@ def test_prove_json_schema(capsys):
     assert payload["reason"] and set(payload["stats"]) == STATS_KEYS
 
 
-def test_corpus_run_json(capsys):
-    # smoke the runner shape only: seed line plus a JSON document
+def test_corpus_run_json(monkeypatch, capsys):
+    # smoke the runner shape only: the whole of stdout is one JSON document
     import actlat.corpus as corpus_mod
 
-    real = corpus_mod.run_acceptance
-    corpus_mod.run_acceptance = lambda seed: []
-    try:
-        assert main(["--json", "corpus", "run", "--seed", "7"]) == 0
-        out = capsys.readouterr().out
-        assert out.splitlines()[0] == "seed: 7"
-        assert json.loads("\n".join(out.splitlines()[1:])) == []
-    finally:
-        corpus_mod.run_acceptance = real
+    monkeypatch.setattr(corpus_mod, "run_acceptance", lambda seed: [])
+    assert main(["--json", "corpus", "run", "--seed", "7"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"seed": 7, "criteria": []}
+
+
+def _subcommands() -> set[tuple[str, ...]]:
+    """Every command of the parser, with each choice of its ``action``."""
+    import argparse
+
+    from actlat.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    out = set()
+    for name, parser in sub.choices.items():
+        actions = [a for a in parser._actions if a.dest == "action"]
+        out |= {(name, c) for c in actions[0].choices} if actions else {(name,)}
+    return out
+
+
+def test_every_json_subcommand_prints_one_document(star_id_file, tmp_path, monkeypatch, capsys):
+    import actlat.corpus as corpus_mod
+
+    # the criteria themselves run in test_acceptance.py
+    one = corpus_mod.CriterionResult(1, "rule engine", True, "3 rules", 0.01)
+    monkeypatch.setattr(corpus_mod, "run_acceptance", lambda seed: [one])
+    seqs = tmp_path / "seqs.txt"
+    seqs.write_text("a |- a\na, b |- a . b\n")
+    wf, nwf, proj = (str(tmp_path / n) for n in ("a.womega", "a.nwf", "p.cyclic"))
+    runs = [
+        ["fmt", str(seqs)],
+        ["translate", "--to", "wf", star_id_file, wf],
+        ["translate", "--to", "nwf", wf, nwf],
+        ["check", star_id_file], ["check", wf], ["check", nwf],
+        ["project", "--pos", "0", "--value", "2", star_id_file, proj],
+        ["prove", "a |- a"], ["prove", "a |- b", "--depth", "6"],
+        ["refute", "a |- b"], ["refute", "a |- a"],
+        ["rules", "classify", "C"], ["rules", "quasieq", "Cut"],
+        ["models", "validate", "rel2"], ["models", "eval", "two_chain", "a", "--env", "a=1"],
+        ["models", "check-seq", "two_chain", "a |- b"],
+        ["models", "check-qe", "rel2", "(x.x <= y) => x <= y"],
+        ["models", "audit", "--seqs", str(seqs)],
+        ["frames", "dual", "two_chain"], ["frames", "gentzen-check", "three_chain"],
+        ["frames", "transfer", "two_chain", "--qe", "(x.x <= y) => x <= y"],
+        ["frames", "macneille", "rel1"],
+        ["corpus", "run"],
+    ]
+    for argv in runs:
+        assert main(["--json"] + argv) in (0, 1, 2), argv
+        payload = json.loads(capsys.readouterr().out)
+        assert isinstance(payload, dict) and payload, argv
+    covered = {tuple(argv[:2]) if argv[0] in ("rules", "models", "frames", "corpus")
+               else (argv[0],) for argv in runs}
+    assert covered == _subcommands()
 
 
 def test_translate_round_trip(star_id_file, tmp_path, capsys):

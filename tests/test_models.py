@@ -1,13 +1,21 @@
+import dataclasses
+import functools
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from actlat import models
+from actlat.corpus import random_analytic_quasiequations
 from actlat.models import (
     FiniteActionLattice,
     ModelError,
     _algebra,
+    _chain,
     eval_formula,
+    find_quasieq_counterexample,
     find_sequent_counterexample,
     holds_quasieq,
     holds_sequent,
@@ -23,8 +31,10 @@ from actlat.models import (
     two_chain,
     validate_algebra,
 )
-from actlat.rules import RuleSet, example_structural_rules, q_a_of, q_of
-from actlat.syntax import Prod, Star, Var, parse_formula, parse_sequent
+from actlat.rules import Inequation, Quasiequation, RuleSet, example_structural_rules, q_a_of, q_of
+from actlat.syntax import Prod, Sequent, Star, Var, parse_formula, parse_sequent, variables
+
+from tests.helpers import ATOMS, formulas, reference_counterexample
 
 EX = example_structural_rules()
 
@@ -35,8 +45,7 @@ def test_two_chain_valid():
 
 
 def test_two_chain_bad_star_detected():
-    a = two_chain()
-    a.star = np.array([0, 1])  # 0* = 0 breaks 1 | x.x* <= x*
+    a = dataclasses.replace(two_chain(), star=np.array([0, 1]))  # 0* = 0 breaks 1 | x.x* <= x*
     report = validate_algebra(a)
     assert not report.ok
     assert any("x*" in v.law for v in report.violations)
@@ -204,6 +213,84 @@ def test_var_cap_on_large_carrier():
         holds_sequent(a, parse_sequent("v, w, x, y, z |- v"))
     # small carriers may exceed four variables when the grid stays tractable
     assert holds_sequent(two_chain(), parse_sequent("v, w, x, y, z |- v"))
+
+
+# The query kernel against the reference evaluator of tests/helpers.py, on
+# models on both sides of each dtype boundary of its tables (uint8 up to 16
+# elements, uint16 up to 256, uint32 beyond), also chunked over the first
+# variable.  Carriers of 128 elements and more get formulas over two variables.
+@functools.cache
+def kernel_models() -> dict:
+    chains = {f"chain{n}": _chain(f"chain{n}", n) for n in (16, 17, 256, 257)}
+    return {**library(), **chains}
+
+
+ANALYTIC_QES = [q_a_of(EX["C"]), q_a_of(EX["Wk"])] + random_analytic_quasiequations(11, 30)
+
+
+def _variables(q: Quasiequation) -> set:
+    return set().union(*(variables(i.lhs) | variables(i.rhs) for i in (*q.premises, q.conclusion)))
+
+
+def _query_strategies(atoms, analytic):
+    inequations = st.builds(Inequation, formulas(3, atoms), formulas(3, atoms))
+    sequents = st.builds(lambda ante, succ: Sequent(tuple(ante), succ),
+                         st.lists(formulas(4, atoms), max_size=3), formulas(4, atoms))
+    quasieqs = st.one_of(
+        st.sampled_from(analytic),
+        st.builds(lambda ps, c: Quasiequation(tuple(ps), c), st.lists(inequations, max_size=2),
+                  inequations))
+    return sequents, quasieqs
+
+
+# carrier size < 128 -> (sequents, quasiequations), built once
+QUERIES = {True: _query_strategies(ATOMS, ANALYTIC_QES),
+           False: _query_strategies(ATOMS[1:], [q for q in ANALYTIC_QES if len(_variables(q)) <= 2])}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.booleans())
+def test_sequent_queries_match_reference(data, chunked):
+    a = kernel_models()[data.draw(st.sampled_from(sorted(kernel_models())))]
+    s = data.draw(QUERIES[a.size < 128][0])
+    want = reference_counterexample(a, (), sequent_inequation(s))
+    with mock.patch.object(models, "_GRID_LIMIT", 1 if chunked else models._GRID_LIMIT):
+        assert find_sequent_counterexample(a, s) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.booleans())
+def test_quasieq_queries_match_reference(data, chunked):
+    a = kernel_models()[data.draw(st.sampled_from(sorted(kernel_models())))]
+    q = data.draw(QUERIES[a.size < 128][1])
+    want = reference_counterexample(a, q.premises, q.conclusion)
+    with mock.patch.object(models, "_GRID_LIMIT", 1 if chunked else models._GRID_LIMIT):
+        assert find_quasieq_counterexample(a, q) == want
+
+
+def test_variable_free_queries_match_reference():
+    texts = ["|- 1", "|- 0", "0 |- 1", "1 |- 0", "1* |- 0 \\ 0", "0*, 1 / 1 |- 0 & 1 | 0",
+             "1 . 1 |- 1*"]
+    for a in kernel_models().values():
+        for text in texts:
+            s = parse_sequent(text)
+            assert find_sequent_counterexample(a, s) == \
+                reference_counterexample(a, (), sequent_inequation(s)), (a.name, text)
+    # a failing variable-free query has the empty valuation as its witness
+    assert find_sequent_counterexample(two_chain(), parse_sequent("1 |- 0")) == ()
+
+
+def test_var_cap_applies_only_beyond_the_grid_limit():
+    five = parse_sequent("v . w, x |- (y | z) . v")
+    want = reference_counterexample(two_chain(), (), sequent_inequation(five))
+    assert find_sequent_counterexample(two_chain(), five) == want  # 32 cells
+    with mock.patch.object(models, "_GRID_LIMIT", 31):
+        with pytest.raises(ModelError, match="over 5 variables on a carrier of size 2"):
+            find_sequent_counterexample(two_chain(), five)
+    four = parse_sequent("v . w, x |- x . v")
+    with mock.patch.object(models, "_GRID_LIMIT", 1):  # chunked, never capped
+        assert find_sequent_counterexample(two_chain(), four) == \
+            reference_counterexample(two_chain(), (), sequent_inequation(four))
 
 
 def test_holds_quasieq_contraction():

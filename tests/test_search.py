@@ -1,6 +1,7 @@
 import functools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from actlat import search
 from actlat.models import library, rel_algebra, soundness_audit, two_chain
@@ -8,7 +9,9 @@ from actlat.progress import check_cyclic_progress
 from actlat.proof_core import check_cyclic_local
 from actlat.rules import RuleSet, example_structural_rules, q_a_of
 from actlat.search import SearchConfig, SearchResult, prove, refute
-from actlat.syntax import parse_sequent
+from actlat.syntax import Sequent, parse_sequent
+
+from tests.helpers import formulas
 
 EX = example_structural_rules()
 
@@ -57,6 +60,20 @@ def test_prove_simple_goals():
     for text in ["a, b |- a . b", "a & b |- a", "a |- a | b", "|- 1",
                  "a, a \\ b |- b", "b / a, a |- b", "0 |- b", "1 |- 1"]:
         assert_found(prove(seq(text)))
+
+
+def test_prove_rres_succedent():
+    for text in ["b / a |- b / a", "a |- (a . b) / b"]:
+        assert_found(prove(seq(text)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(formulas(), max_size=3), formulas())
+def test_expansions_conclude_their_goal(antecedent, succedent):
+    goal = Sequent(tuple(antecedent), succedent)
+    user = list(EX.values())
+    for ri in search._expansions(goal, RuleSet(user), user, with_cut=True):
+        assert ri.conclusion == goal, ri.rule.name
 
 
 def test_prove_unknown_for_invalid():

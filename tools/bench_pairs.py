@@ -1,0 +1,134 @@
+"""Benchmark two commits in interleaved pairs and write a BENCH file.
+
+    python3 tools/bench_pairs.py --base <ref> --change <ref> --seeds 50-59 \\
+        [--workloads prove,semantics,pipeline] [--trace-seed 50] --out BENCH_<n>.json
+
+Each ref is exported with ``git archive`` into a temporary directory, and
+every run is that tree's own ``actbench/run.py`` in a fresh process for the
+``run_seconds`` of ``BENCHMARK.json``.  Pair i runs both sides on seed i;
+the side that runs first alternates, the base going first on even seeds.
+After the pairs, each side gets one traced run per workload.  The file holds
+the environment, every run's end-to-end metrics, the median and quartiles of
+each side, the change's wins per metric (ties count for neither side) and
+the per-layer metrics of the traced runs.  Progress goes to stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from io import BytesIO
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("base", "change")
+
+
+def export(ref: str, into: Path) -> str:
+    """Unpack the tree of a git ref into a directory; returns its commit."""
+    commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", ref], check=True,
+                            capture_output=True, text=True).stdout.strip()
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", commit], check=True,
+                         capture_output=True).stdout
+    with tarfile.open(fileobj=BytesIO(tar)) as tf:
+        tf.extractall(into)
+    return commit
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, str(tree / "actbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=20 * seconds + 120)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if proc.returncode != 0 or not result["correct"]:
+        raise SystemExit(f"{tree.name} {workload} seed {seed}: exit {proc.returncode}, "
+                         f"{proc.stderr.strip()}")
+    out = {name: m["value"] for name, m in result["metrics"].items()}
+    out["failed_frac"] = result["failed"] / result["attempted"]
+    return out
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summary(pairs: list[dict], better: dict[str, str]) -> dict:
+    out = {}
+    for name, direction in better.items():
+        sides = {side: [p[side][name] for p in pairs] for side in SIDES}
+        sign = 1 if direction == "higher" else -1
+        wins = sum(sign * (c - b) > 0 for b, c in zip(sides["base"], sides["change"]))
+        out[name] = {**{side: quartiles(v) for side, v in sides.items()}, "change_wins": wins,
+                     "pairs": len(pairs)}
+    return out
+
+
+def seeds(text: str) -> list[int]:
+    out = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        out += range(int(lo), int(hi or lo) + 1)
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", required=True)
+    ap.add_argument("--change", required=True)
+    ap.add_argument("--seeds", type=seeds, required=True, help="e.g. 50-59,101")
+    ap.add_argument("--workloads", default="prove,semantics,pipeline")
+    ap.add_argument("--trace-seed", type=int, help="seed of the traced runs; none when omitted")
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args()
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    better["failed_frac"] = "lower"
+    import numpy
+
+    report = {
+        "environment": {
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "nproc": os.cpu_count(), "machine": platform.machine(),
+            "blas_threads": "1 (actbench/run.py sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, "
+                            "MKL_NUM_THREADS)",
+        },
+        "run_seconds": seconds,
+        "order": "pair i runs seed i; the base runs first on even seeds",
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: Path(tmp) / side for side in SIDES}
+        for side, ref in zip(SIDES, (args.base, args.change)):
+            report["environment"][f"{side}_commit"] = export(ref, trees[side])
+        for workload in args.workloads.split(","):
+            pairs = []
+            for seed in args.seeds:
+                order = SIDES if seed % 2 == 0 else SIDES[::-1]
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = run(trees[side], workload, seed, seconds, 0)
+                print(f"{workload} seed {seed}: " + ", ".join(
+                    f"{s} {pair[s]['ops_per_s']:.1f} ops/s" for s in SIDES), file=sys.stderr)
+                pairs.append(pair)
+            entry = {"pairs": pairs, "summary": summary(pairs, better)}
+            if args.trace_seed is not None:
+                entry["traced"] = {"seed": args.trace_seed, **{
+                    side: run(trees[side], workload, args.trace_seed, seconds, 1)
+                    for side in SIDES}}
+            report["workloads"][workload] = entry
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
