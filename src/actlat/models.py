@@ -52,6 +52,13 @@ class ModelError(ValueError):
 
 @dataclass
 class FiniteActionLattice:
+    """A finite action lattice given by its tables over elements 0..n-1.
+
+    A model's tables are not changed after it is built: validity queries
+    read a copy made on first use (:attr:`tables`).  To change a table,
+    build a new model, as ``dataclasses.replace`` does.
+    """
+
     name: str
     elements: tuple[str, ...]
     le: np.ndarray          # (n, n) bool
@@ -70,9 +77,7 @@ class FiniteActionLattice:
 
     @cached_property
     def tables(self) -> _Tables:
-        """The tables in the form the validity queries read, built on first
-        use.  A model's tables are not changed after it is built; to change
-        one, build a new model (``dataclasses.replace`` does)."""
+        """The tables in the form the validity queries read."""
         return _Tables(self)
 
     def leq(self, x: int, y: int) -> bool:
@@ -338,10 +343,11 @@ def eval_formula(a: FiniteActionLattice, valuation: dict[str, int], f: Formula) 
     raise ModelError(f"cannot evaluate {f!r}")
 
 
-class _Tables:
+class _Tables(dict):
     """A model's tables as the query kernel reads them: raveled, in the
     narrowest unsigned dtype that holds n*n, each both plain and times n.
 
+    Maps each connective to its (plain, times-n) pair, made on first use.
     For a binary connective, op[x, y] is ``flat.take(x*n + y)``, where x*n
     is read from the times-n copy of whatever produced x: a variable grid,
     a constant, star or another connective.  The order is read the same
@@ -350,19 +356,22 @@ class _Tables:
 
     def __init__(self, a: FiniteActionLattice):
         n = a.size
-        dt = np.min_scalar_type(n * n - 1)
-
-        def pair(table: np.ndarray) -> tuple:
-            return table.astype(dt).ravel(), (table * n).astype(dt).ravel()
-
-        self.read = {Meet: pair(a.meet), Join: pair(a.join), Prod: pair(a.prod),
-                     LRes: pair(a.lres), RRes: pair(a.rres), Star: pair(a.star)}
+        self.n, self.dtype = n, np.min_scalar_type(n * n - 1)
+        self.source = {Meet: a.meet, Join: a.join, Prod: a.prod, LRes: a.lres, RRes: a.rres,
+                       Star: a.star}
         # constants are scalars of the table dtype, so no add promotes it
-        for kind, value in ((Zero, a.zero), (One, a.one)):
-            self.read[kind] = (dt.type(value), dt.type(value * n))
+        super().__init__({kind: (self.dtype.type(v), self.dtype.type(v * n))
+                          for kind, v in ((Zero, a.zero), (One, a.one))})
         self.le = a.le.astype(bool).ravel()
-        self.axis = pair(np.arange(n))
+        self.axis = self._pair(np.arange(n))
         self._grids: dict[int, list[tuple]] = {}
+
+    def _pair(self, table: np.ndarray) -> tuple:
+        return table.astype(self.dtype).ravel(), (table * self.n).astype(self.dtype).ravel()
+
+    def __missing__(self, kind) -> tuple:
+        pair = self[kind] = self._pair(self.source[kind])
+        return pair
 
     def grids(self, k: int) -> list[tuple]:
         """Open grids of k variables, each as its (plain, times-n) pair."""
@@ -372,12 +381,22 @@ class _Tables:
         return self._grids[k]
 
 
+def _var_grids(n: int, names: list[str]) -> dict[str, np.ndarray]:
+    k = len(names)
+    grids = {}
+    for axis, name in enumerate(names):
+        shape = [1] * k
+        shape[axis] = n
+        grids[name] = np.arange(n).reshape(shape)
+    return grids
+
+
 def _eval(t: _Tables, grids: dict, f: Formula, scaled: bool):
     """The values of f over the grids, times n when scaled."""
     kind = type(f)
     if kind is Var:
         return grids[f.name][scaled]
-    read = t.read[kind][scaled]
+    read = t[kind][scaled]
     if kind is Star:
         return read.take(_eval(t, grids, f.body, False))
     if kind is Zero or kind is One:
