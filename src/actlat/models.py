@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -363,22 +363,25 @@ class _Tables(dict):
         super().__init__({kind: (self.dtype.type(v), self.dtype.type(v * n))
                           for kind, v in ((Zero, a.zero), (One, a.one))})
         self.le = a.le.astype(bool).ravel()
-        self.axis = self._pair(np.arange(n))
-        self._grids: dict[int, list[tuple]] = {}
-
-    def _pair(self, table: np.ndarray) -> tuple:
-        return table.astype(self.dtype).ravel(), (table * self.n).astype(self.dtype).ravel()
 
     def __missing__(self, kind) -> tuple:
-        pair = self[kind] = self._pair(self.source[kind])
+        pair = self[kind] = _pair(self.source[kind], self.n, self.dtype)
         return pair
 
-    def grids(self, k: int) -> list[tuple]:
-        """Open grids of k variables, each as its (plain, times-n) pair."""
-        if k not in self._grids:
-            shapes = [(1,) * i + (-1,) + (1,) * (k - 1 - i) for i in range(k)]
-            self._grids[k] = [tuple(v.reshape(shape) for v in self.axis) for shape in shapes]
-        return self._grids[k]
+
+def _pair(table: np.ndarray, n: int, dtype: np.dtype) -> tuple:
+    return table.astype(dtype).ravel(), (table * n).astype(dtype).ravel()
+
+
+@lru_cache(maxsize=64)
+def _open_grids(n: int, k: int) -> tuple:
+    """Open grids of k variables over n elements, each as its (plain,
+    times-n) pair in the dtype of an n-element model's tables.  Shared by
+    every such model, so they are read-only."""
+    plain, times_n = _pair(np.arange(n), n, np.min_scalar_type(n * n - 1))
+    plain.flags.writeable = times_n.flags.writeable = False
+    shapes = [(1,) * i + (-1,) + (1,) * (k - 1 - i) for i in range(k)]
+    return tuple((plain.reshape(shape), times_n.reshape(shape)) for shape in shapes)
 
 
 def _var_grids(n: int, names: list[str]) -> dict[str, np.ndarray]:
@@ -421,8 +424,8 @@ def _check_all_valuations(a: FiniteActionLattice, names: list[str], predicate) -
         )
     if names and n ** len(names) > _GRID_LIMIT:
         first, rest = names[0], names[1:]
-        grids = dict(zip(rest, t.grids(len(rest))))
-        plain, times_n = t.axis
+        grids = dict(zip(rest, _open_grids(n, len(rest))))
+        (plain, times_n), = _open_grids(n, 1)
         for v in range(n):
             grids[first] = (plain[v], times_n[v])
             ok = predicate(t, grids)
@@ -432,7 +435,7 @@ def _check_all_valuations(a: FiniteActionLattice, names: list[str], predicate) -
                 witness.update({name: int(i) for name, i in zip(rest, idx[0])})
                 return tuple(sorted(witness.items()))
         return None
-    ok = predicate(t, dict(zip(names, t.grids(len(names)))))
+    ok = predicate(t, dict(zip(names, _open_grids(n, len(names)))))
     if ok.all():
         return None
     idx = np.argwhere(~np.broadcast_to(ok, (n,) * len(names))) if names else [()]
