@@ -328,6 +328,17 @@ def cmd_models(args) -> int:
 
 def cmd_frames(args) -> int:
     a = _resolve_model(args.model)
+    if args.action == "macneille":
+        result = macneille(a)
+        ok = result.is_isomorphism and result.star_gentzen.ok
+        payload = {"model": a.name, "isomorphism": result.is_isomorphism,
+                   "closed_sets": len(result.dual.closed),
+                   "star_gentzen_ok": result.star_gentzen.ok,
+                   "stats": dataclasses.asdict(result.dual.stats)}
+        _emit(args, payload,
+              f"completion of {a.name}: {len(result.dual.closed)} elements; "
+              + ("isomorphic to the original" if ok else "NOT an isomorphism"))
+        return OK if ok else REJECTED
     gf = frame_of_algebra(a)
     if args.action == "dual":
         dual = dual_algebra(gf.frame)
@@ -351,30 +362,19 @@ def cmd_frames(args) -> int:
               f"W[{a.name}]: " + ("all interaction laws hold" if ok
                                   else f"violation: {report.violations[0]}"))
         return OK if ok else REJECTED
-    if args.action == "transfer":
-        if args.rule:
-            q = q_a_of(RuleSet(_load_user_rules(args.rules)).resolve(args.rule))
-        else:
-            q = parse_quasiequation(args.qe)
-        report = verify_transfer(gf.frame, q)
-        payload = {"model": a.name, "quasiequation": str(q),
-                   "frame": report.frame_holds, "dual": report.dual_holds,
-                   "agree": report.ok}
-        _emit(args, payload,
-              f"frame={report.frame_holds} dual={report.dual_holds} "
-              + ("(agree)" if report.ok else "(DISAGREE)"))
-        return OK if report.ok else REJECTED
-    # macneille
-    result = macneille(a)
-    ok = result.is_isomorphism and result.star_gentzen.ok
-    payload = {"model": a.name, "isomorphism": result.is_isomorphism,
-               "closed_sets": len(result.dual.closed),
-               "star_gentzen_ok": result.star_gentzen.ok,
-               "stats": dataclasses.asdict(result.dual.stats)}
+    # transfer
+    if args.rule:
+        q = q_a_of(RuleSet(_load_user_rules(args.rules)).resolve(args.rule))
+    else:
+        q = parse_quasiequation(args.qe)
+    report = verify_transfer(gf.frame, q, dual_algebra(gf.frame))
+    payload = {"model": a.name, "quasiequation": str(q),
+               "frame": report.frame_holds, "dual": report.dual_holds,
+               "agree": report.ok}
     _emit(args, payload,
-          f"completion of {a.name}: {len(result.dual.closed)} elements; "
-          + ("isomorphic to the original" if ok else "NOT an isomorphism"))
-    return OK if ok else REJECTED
+          f"frame={report.frame_holds} dual={report.dual_holds} "
+          + ("(agree)" if report.ok else "(DISAGREE)"))
+    return OK if report.ok else REJECTED
 
 
 def cmd_corpus(args) -> int:

@@ -394,12 +394,11 @@ def check_star_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
     return report
 
 
-def quasimorphism_check(gf: GentzenFrame, dual: DualAlgebra | None = None) -> FrameReport:
+def quasimorphism_check(gf: GentzenFrame, dual: DualAlgebra) -> FrameReport:
     """The set-valued map a -> {closed X : a in X, X below the polar of a}
     preserves the constants and every operation up to inclusion."""
     report = FrameReport()
     f, a = gf.frame, gf.algebra
-    dual = dual or dual_algebra(f)
     alg = dual.algebra
     n = a.size
     # members[ai, i]: closed set i belongs to the image of ai
@@ -435,21 +434,14 @@ def quasimorphism_check(gf: GentzenFrame, dual: DualAlgebra | None = None) -> Fr
     return report
 
 
-def _image(gf: GentzenFrame, dual: DualAlgebra) -> np.ndarray:
-    """Index in the dual of the basic closed set of each algebra element (for
-    an algebra frame, its down-set)."""
-    return _locate(dual.closed, gf.frame.n_rel[:, gf.to_wp].T)
-
-
-def embedding_check(gf: GentzenFrame, dual: DualAlgebra | None = None) -> FrameReport:
+def embedding_check(gf: GentzenFrame, dual: DualAlgebra) -> FrameReport:
     """a -> closure of a is a homomorphism; an embedding when the relation is
-    antisymmetric."""
+    antisymmetric.  The image of an element is the basic closed set of its
+    W' counterpart (for an algebra frame, its down-set)."""
     report = FrameReport()
     f, a = gf.frame, gf.algebra
-    dual = dual or dual_algebra(f)
     alg = dual.algebra
-    n = a.size
-    image = _image(gf, dual)
+    image = _locate(dual.closed, f.n_rel[:, gf.to_wp].T)
     for law, (alg_op, dual_op) in {
         "meet": (a.meet, alg.meet),
         "join": (a.join, alg.join),
@@ -469,7 +461,7 @@ def embedding_check(gf: GentzenFrame, dual: DualAlgebra | None = None) -> FrameR
         report.add("homomorphism (zero)", ())
     antisym = not (f.n_rel & f.n_rel.T & ~np.eye(f.w_size, dtype=bool)).any() \
         if f.w_size == f.wp_size else False
-    if antisym and len(set(image.tolist())) != n:
+    if antisym and len(set(image.tolist())) != a.size:
         report.add("injectivity", ())
     return report
 
@@ -544,10 +536,9 @@ class TransferReport:
         return self.frame_holds == self.dual_holds
 
 
-def verify_transfer(f: ResiduatedFrame, q: Quasiequation, dual: DualAlgebra | None = None) -> TransferReport:
+def verify_transfer(f: ResiduatedFrame, q: Quasiequation, dual: DualAlgebra) -> TransferReport:
     """The frame satisfies an analytic quasiequation exactly when its dual
     algebra does."""
-    dual = dual or dual_algebra(f)
     return TransferReport(q, frame_satisfies_q(f, q), holds_quasieq(dual.algebra, q))
 
 
@@ -559,22 +550,22 @@ def verify_transfer(f: ResiduatedFrame, q: Quasiequation, dual: DualAlgebra | No
 class CompletionResult:
     gentzen: GentzenFrame
     dual: DualAlgebra
-    embedding: np.ndarray
+    embedding: FrameReport
     is_isomorphism: bool
     star_gentzen: FrameReport
 
 
 def macneille(a: FiniteActionLattice) -> CompletionResult:
-    """Dual algebra of the algebra's own frame plus the down-set embedding;
-    on a finite algebra the embedding is onto."""
+    """The algebra's own frame, its star-Gentzen laws, its dual algebra and
+    the down-set embedding into it; on a finite algebra the embedding is
+    onto.  The embedding check tests injectivity, as the order of a valid
+    algebra is antisymmetric."""
     report = validate_algebra(a)
     if not report.ok:
         raise FrameError(f"not a valid algebra: {report.violations[0]}")
     gf = frame_of_algebra(a)
     star_report = check_star_gentzen(gf, with_cut=True)
     dual = dual_algebra(gf.frame, name=f"{a.name}^+")
-    embedding = _image(gf, dual)
-    emb_report = embedding_check(gf, dual)
-    iso = emb_report.ok and len(set(embedding.tolist())) == a.size == len(dual.closed)
-    return CompletionResult(gf, dual, embedding, iso, star_report)
-
+    embedding = embedding_check(gf, dual)
+    return CompletionResult(gf, dual, embedding, embedding.ok and a.size == len(dual.closed),
+                            star_report)

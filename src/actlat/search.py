@@ -20,6 +20,7 @@ search in finite models.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -238,11 +239,16 @@ class _StepsExhausted(Exception):
     pass
 
 
+# the pruning model, built once per process so that its query tables last
+# across searches
+_two_chain = functools.cache(two_chain)
+
+
 def _pruning_models(user_rules) -> list[FiniteActionLattice]:
     """Finite models whose failures soundly rule subgoals out.  A model only
     qualifies when it satisfies the quasiequations of every active
     structural rule (built-in rules and cut are sound in any model)."""
-    model = two_chain()
+    model = _two_chain()
     for rule in user_rules:
         if not classify(rule).structural:
             return []

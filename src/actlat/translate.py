@@ -645,7 +645,6 @@ def project_cyclic(p: CyclicProof, f: StarAssignment, rules: RuleSet | None = No
 
     ids: dict = {}
     nodes: dict[str, CyclicNode] = {}
-    order: list = []
 
     def visit(addr: tuple[int, ...]) -> str:
         key = proj.key(addr)
@@ -656,7 +655,6 @@ def project_cyclic(p: CyclicProof, f: StarAssignment, rules: RuleSet | None = No
         view = proj.node_at(addr)
         children = tuple(visit(addr + (i,)) for i in view.child_indices)
         nodes[new_id] = CyclicNode(view.sequent, view.app, children)
-        order.append(new_id)
         return new_id
 
     import sys

@@ -381,7 +381,7 @@ def test_quasimorphism_on_algebra_frames():
 def test_embedding_on_algebra_frames():
     for a in SMALL:
         gf = frame_of_algebra(a)
-        report = embedding_check(gf)
+        report = embedding_check(gf, dual_algebra(gf.frame))
         assert report.ok, (a.name, report.violations)
 
 

@@ -202,3 +202,58 @@ def test_root_cut_proofs_contain_a_cut():
     assert check_cyclic_local(p, RS).ok and check_cyclic_progress(p, RS).accepted
     # a cut on a |- a needs a premise equal to the goal or a refuted one
     assert _root_cut_proof(parse_sequent("a |- a"), [], RS, models) is None
+
+
+# The detail line of every criterion, as the audit printed it before the
+# completions and the corpus searches were shared between criteria.
+AUDIT_DETAILS = [
+    "q(Cut) = (x <= y & z.y.w <= u) => z.x.w <= u",
+    "200 id-expansions, 50 zero-widenings",
+    "3 accepted, 10 rejected with cycles",
+    "25 goals, both directions",
+    "containment to depth 8; 30 live prefixes compared",
+    "121 sequent/model pairs",
+    "5 frames",
+    "5 quasiequations x 5 frames",
+    "5 models",
+    "8 of 25 goals proved with a root cut; each has a cut-free proof",
+]
+
+
+def test_audit_run_builds_each_completion_and_search_once(monkeypatch):
+    """One cold audit run builds each of the 5 library models' frame,
+    star-Gentzen report and dual once, and runs each of the 25 corpus goals'
+    default search once, with unchanged verdicts and detail lines."""
+    from collections import Counter
+
+    from actlat import corpus, frames, search
+
+    calls = Counter()
+    depths = []
+
+    def count(name):
+        original = getattr(frames, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(frames, name, counted)
+
+    for name in ("dual_algebra", "check_star_gentzen", "frame_of_algebra"):
+        count(name)
+    prove = search.prove
+
+    def counted_prove(goal, user_rules=(), cfg=None, rules=None):
+        depths.append((cfg or search.SearchConfig()).depth)
+        return prove(goal, user_rules, cfg, rules)
+
+    monkeypatch.setattr(search, "prove", counted_prove)
+    corpus._library_completions.cache_clear()
+    corpus._searched_proofs.cache_clear()
+    results = corpus.run_acceptance()
+    assert [r.number for r in results] == list(range(1, 11))
+    assert all(r.passed for r in results)
+    assert [r.detail for r in results] == AUDIT_DETAILS
+    assert calls["dual_algebra"] == calls["check_star_gentzen"] == calls["frame_of_algebra"] == 5
+    assert depths.count(40) == 25
