@@ -263,7 +263,16 @@ def cmd_rules(args) -> int:
     return OK
 
 
+# the arguments each models action needs; the parser leaves them optional
+_MODELS_NEEDS = {"validate": ("model",), "eval": ("model", "expr"),
+                 "check-seq": ("model", "expr"), "check-qe": ("model", "expr"),
+                 "audit": ("--seqs",)}
+
+
 def cmd_models(args) -> int:
+    missing = [n for n in _MODELS_NEEDS[args.action] if getattr(args, n.lstrip("-")) is None]
+    if missing:
+        raise ValueError(f"models {args.action} needs {' and '.join(missing)}")
     if args.action == "validate":
         a = _resolve_model(args.model)
         report = validate_algebra(a)
@@ -327,6 +336,8 @@ def cmd_models(args) -> int:
 
 
 def cmd_frames(args) -> int:
+    if args.action == "transfer" and args.qe is None and args.rule is None:
+        raise ValueError("frames transfer needs --qe or --rule")
     a = _resolve_model(args.model)
     if args.action == "macneille":
         result = macneille(a)

@@ -706,12 +706,11 @@ def _root_cut_proof(goal: Sequent, user, rules: RuleSet, models) -> CyclicProof 
     in one of the models that satisfies the active rules, are not tried."""
     from .models import holds_quasieq
     from .rules import q_a_of
-    from .search import SearchConfig, _expansions, prove, refute
+    from .search import SearchConfig, cut_instances, prove, refute
 
     models = [m for m in models if all(holds_quasieq(m, q_a_of(r)) for r in user)]
-    for ri in _expansions(goal, rules, (), with_cut=True):
-        if ri.rule.name != "Cut" or goal in ri.premises or \
-                any(refute(p, models).refuted for p in ri.premises):
+    for ri in cut_instances(goal, rules.resolve("Cut")):
+        if goal in ri.premises or any(refute(p, models).refuted for p in ri.premises):
             continue
         subs = [prove(p, user_rules=user, rules=rules, cfg=SearchConfig(depth=10)).proof
                 for p in ri.premises]

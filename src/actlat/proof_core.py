@@ -503,17 +503,12 @@ def zeroR_admit(
     return _zeroR(p, sigma_l, sigma_r, beta, rules)
 
 
-_RIGHT_RULES = {"oneR", "meetR", "joinR0", "joinR1", "prodR", "lresR", "rresR", "starR0", "starR1"}
-
-
 def _zeroR(p, sigma_l, sigma_r, beta, rules):
     rule = rules.resolve(p.app.rule)
-    if rule.name == "id" or rule.name in _RIGHT_RULES:
+    if rule.name == "id" or rule.principal == -1:
         raise ProofError(f"impossible last rule {rule.name} in a proof of succedent 0")
-    if rule.name not in {"zeroL", "oneL", "meetL0", "meetL1", "joinL", "prodL", "prodL1",
-                         "lresL", "rresL", "starLomega", "starLomegaM", "starL"}:
-        if not classify(rule).analytic:
-            raise ProofError(f"structural rule {rule.name} must be analytic")
+    if rule is not rules.builtin.get(rule.name) and not classify(rule).analytic:
+        raise ProofError(f"structural rule {rule.name} must be analytic")
     rhs = rule.conclusion.rhs
     ri = RuleInstance(rule, _widen_inst(rule, p.app.inst, sigma_l, sigma_r, beta))
     new_sequent = Sequent(sigma_l + p.sequent.antecedent + sigma_r, beta)

@@ -368,6 +368,10 @@ def _match_items(
             if forms[:k] == bound:
                 yield from _match_items(rest, forms[k:], fmap, smap, counter, cap)
             return
+        if not rest:
+            # a final sequence metavariable takes the rest of the antecedent
+            yield dict(fmap), {**smap, head.name: forms}
+            return
         for k in range(len(forms) + 1):
             smap[head.name] = forms[:k]
             yield from _match_items(rest, forms[k:], fmap, smap, counter, cap)
@@ -388,13 +392,15 @@ def match_conclusion(
     """All instantiations of the conclusion's metavariables matching goal.
 
     Metavariables that occur only in premises stay unbound; exhaustive over
-    antecedent splits, with a hard cap on the enumeration.
+    antecedent splits, with a hard cap on the enumeration.  No instantiation
+    is given twice: two enumeration paths first differ in the length they
+    give one unbound sequence metavariable, and that binding is never
+    rewritten.
     """
     fmap: dict[str, Formula] = {}
     if not _match_formula(rule.conclusion.rhs, goal.succedent, fmap):
         return []
     out: list[Instantiation] = []
-    seen: set = set()
     counter = [0]
     for fm, sm in _match_items(
         rule.conclusion.lhs, goal.antecedent, fmap, {}, counter, split_cap
@@ -405,10 +411,7 @@ def match_conclusion(
                 _check_var_only(rule, inst)
             except InstantiationError:
                 continue
-        k = inst.key()
-        if k not in seen:
-            seen.add(k)
-            out.append(inst)
+        out.append(inst)
     return out
 
 

@@ -2,10 +2,11 @@
 
 Goals are expanded backward through the rules in a fixed order: the identity
 axiom, right principal rules, left principal rules with the left star rule
-last, then user structural rules, then cut when enabled.  A goal equal to an
-ancestor on the current path may close with a back-edge, but only when the
-path segment in between applies the left star rule at least once (a cycle
-without it can never progress).  Each complete candidate graph runs through
+last, then user structural rules, then cut when enabled.  Every rule
+instance comes from matching a rule's conclusion schema against the goal.
+A goal equal to an ancestor on the current path may close with a back-edge,
+but only when the path segment in between applies the left star rule at
+least once (a cycle without it can never progress).  Each complete candidate graph runs through
 the global progress check; the first accepted one is returned.
 
 Each call keeps a table with one entry per distinct sequent: its visit count,
@@ -36,22 +37,11 @@ from .rules import (
     classify,
     instantiate,
     match_conclusion,
+    metavariables,
     q_of,
 )
 from .models import FiniteActionLattice, find_sequent_counterexample, holds_quasieq, two_chain
-from .syntax import (
-    Formula,
-    Join,
-    LRes,
-    Meet,
-    One,
-    Prod,
-    RRes,
-    Sequent,
-    Star,
-    Var,
-    Zero,
-)
+from .syntax import Formula, Join, LRes, Meet, Prod, RRes, Sequent, Star
 
 
 LOOP_WINDOW = 20         # back-edges may reach this many ancestors up
@@ -102,11 +92,6 @@ class _Back:
     ancestor: int
 
 
-def _splits(forms: tuple[Formula, ...]) -> Iterator[tuple[tuple, tuple]]:
-    for k in range(len(forms) + 1):
-        yield forms[:k], forms[k:]
-
-
 def _subformulas(f: Formula) -> set[Formula]:
     out = {f}
     if isinstance(f, (Meet, Join, Prod, LRes, RRes)):
@@ -116,101 +101,64 @@ def _subformulas(f: Formula) -> set[Formula]:
     return out
 
 
-def _expansions(goal: Sequent, rules: RuleSet, user: Sequence[SchematicRule],
-                with_cut: bool) -> Iterator[RuleInstance]:
-    """Rule instances whose conclusion is the goal, in search order."""
-    lhs, rhs = goal.antecedent, goal.succedent
+# The principal rules in search order, in four groups: the axioms, the right
+# rules, the left rules other than the star rule (tried by the position they
+# introduce), and the left star rule.  prodL1 is left out: it has the premise
+# of prodL, so it would only repeat prodL's candidates.
+SEARCH_ORDER = (
+    ("id", "zeroL"),
+    ("oneR", "meetR", "joinR0", "joinR1", "prodR", "lresR", "rresR", "starR0", "starR1"),
+    ("oneL", "meetL0", "meetL1", "joinL", "prodL", "lresL", "rresL"),
+    ("starL",),
+)
+_BY_POSITION = 2  # the group of SEARCH_ORDER sorted by principal position
 
-    def emit(name: str, inst: Instantiation) -> RuleInstance:
-        return instantiate(rules.resolve(name), inst)
 
-    # axioms
-    if len(lhs) == 1 and isinstance(rhs, Var) and lhs[0] == rhs:
-        yield emit("id", Instantiation(fmap={"a": rhs}))
-    for i, f in enumerate(lhs):
-        if isinstance(f, Zero):
-            yield emit("zeroL", Instantiation(fmap={"b": rhs},
-                                              smap={"Gamma": lhs[:i], "Delta": lhs[i + 1:]}))
-    # right rules
-    if isinstance(rhs, One) and not lhs:
-        yield emit("oneR", Instantiation())
-    if isinstance(rhs, Meet):
-        yield emit("meetR", Instantiation(fmap={"b0": rhs.left, "b1": rhs.right},
-                                          smap={"Gamma": lhs}))
-    if isinstance(rhs, Join):
-        yield emit("joinR0", Instantiation(fmap={"b0": rhs.left, "b1": rhs.right},
-                                           smap={"Gamma": lhs}))
-        yield emit("joinR1", Instantiation(fmap={"b0": rhs.left, "b1": rhs.right},
-                                           smap={"Gamma": lhs}))
-    if isinstance(rhs, Prod):
-        for gamma, delta in _splits(lhs):
-            yield emit("prodR", Instantiation(fmap={"b0": rhs.left, "b1": rhs.right},
-                                              smap={"Gamma": gamma, "Delta": delta}))
-    if isinstance(rhs, LRes):
-        yield emit("lresR", Instantiation(fmap={"b0": rhs.left, "b1": rhs.right},
-                                          smap={"Gamma": lhs}))
-    if isinstance(rhs, RRes):
-        yield emit("rresR", Instantiation(fmap={"b0": rhs.right, "b1": rhs.left},
-                                          smap={"Gamma": lhs}))
-    if isinstance(rhs, Star):
-        if not lhs:
-            yield emit("starR0", Instantiation(fmap={"b": rhs.body}))
-        for gamma, delta in _splits(lhs):
-            yield emit("starR1", Instantiation(fmap={"b": rhs.body},
-                                               smap={"Gamma": gamma, "Delta": delta}))
-    # left rules other than the star rule
-    for i, f in enumerate(lhs):
-        gamma, delta = lhs[:i], lhs[i + 1:]
-        if isinstance(f, One):
-            yield emit("oneL", Instantiation(fmap={"b": rhs},
-                                             smap={"Gamma": gamma, "Delta": delta}))
-        elif isinstance(f, Meet):
-            base = {"a0": f.left, "a1": f.right, "b": rhs}
-            ctx = {"Gamma": gamma, "Delta": delta}
-            yield emit("meetL0", Instantiation(fmap=dict(base), smap=dict(ctx)))
-            yield emit("meetL1", Instantiation(fmap=dict(base), smap=dict(ctx)))
-        elif isinstance(f, Join):
-            yield emit("joinL", Instantiation(fmap={"a0": f.left, "a1": f.right, "b": rhs},
-                                              smap={"Gamma": gamma, "Delta": delta}))
-        elif isinstance(f, Prod):
-            yield emit("prodL", Instantiation(fmap={"a0": f.left, "a1": f.right, "b": rhs},
-                                              smap={"Gamma": gamma, "Delta": delta}))
-        elif isinstance(f, LRes):
-            # conclusion Gamma, Delta', f, Sigma |- b: split the left context
-            for g2, d2 in _splits(gamma):
-                yield emit("lresL", Instantiation(
-                    fmap={"a0": f.left, "a1": f.right, "b": rhs},
-                    smap={"Gamma": g2, "Delta": d2, "Sigma": delta}))
-        elif isinstance(f, RRes):
-            for d2, s2 in _splits(delta):
-                yield emit("rresL", Instantiation(
-                    fmap={"a0": f.right, "a1": f.left, "b": rhs},
-                    smap={"Gamma": gamma, "Delta": d2, "Sigma": s2}))
-    # the left star rule, last of the principal rules
-    for i, f in enumerate(lhs):
-        if isinstance(f, Star):
-            yield emit("starL", Instantiation(fmap={"a": f.body, "b": rhs},
-                                              smap={"Gamma": lhs[:i], "Delta": lhs[i + 1:]}))
-    # user structural rules, in the given order
-    for rule in user:
-        for inst in match_conclusion(rule, goal):
-            missing_f, missing_s = rule.metavariable_names()
-            if set(inst.fmap) < missing_f or set(inst.smap) < missing_s:
-                continue  # premise-only metavariables are not searchable
-            yield instantiate(rule, inst)
-    # cut, with cut formulas drawn from subformulas of the goal
-    if with_cut:
-        pool = sorted(
-            set().union(*(_subformulas(f) for f in lhs + (rhs,))),
-            key=str,
-        )
-        cut = rules.resolve("Cut")
-        for gamma, rest in _splits(lhs):
-            for delta, pi in _splits(rest):
-                for alpha in pool:
-                    inst = Instantiation(fmap={"a": alpha, "b": rhs},
-                                         smap={"Gamma": gamma, "Delta": delta, "Pi": pi})
-                    yield instantiate(cut, inst)
+def _connective(rule: SchematicRule) -> type | None:
+    """The connective a principal rule introduces; None for other rules."""
+    if rule.principal is None:
+        return None
+    ms = rule.conclusion
+    return type(ms.rhs if rule.principal == -1 else ms.lhs[rule.principal])
+
+
+def _rule_groups(rules: RuleSet, user: Sequence[SchematicRule]) -> list[list[tuple]]:
+    """The rules of SEARCH_ORDER resolved through a rule set, then the user
+    rules, each paired with the connective it introduces.  A user rule whose
+    premises mention a metavariable its conclusion does not would need that
+    metavariable guessed, so search leaves it out."""
+    groups = [[rules.resolve(name) for name in names] for names in SEARCH_ORDER]
+    groups.append([r for r in user if metavariables(r.conclusion) == r.metavariable_names()])
+    return [[(r, _connective(r)) for r in group] for group in groups]
+
+
+def cut_instances(goal: Sequent, cut: SchematicRule) -> Iterator[RuleInstance]:
+    """Instances of cut concluding the goal, with cut formulas drawn from
+    the subformulas of the goal."""
+    pool = sorted(
+        set().union(*(_subformulas(f) for f in goal.antecedent + (goal.succedent,))),
+        key=str,
+    )
+    for inst in match_conclusion(cut, goal):
+        for alpha in pool:
+            yield instantiate(cut, Instantiation({"a": alpha, **inst.fmap}, inst.smap))
+
+
+def _expansions(goal: Sequent, groups: list[list[tuple]],
+                cut: SchematicRule | None) -> Iterator[RuleInstance]:
+    """Rule instances whose conclusion is the goal, in search order: the
+    rule groups of :func:`_rule_groups`, then cut when given."""
+    present = {type(f) for f in goal.antecedent}
+    present.add(type(goal.succedent))
+    for i, group in enumerate(groups):
+        found = [instantiate(rule, inst) for rule, connective in group
+                 if connective is None or connective in present
+                 for inst in match_conclusion(rule, goal)]
+        if i == _BY_POSITION:
+            found.sort(key=lambda ri: ri.principal)
+        yield from found
+    if cut is not None:
+        yield from cut_instances(goal, cut)
 
 
 def _to_cyclic(cand: _Cand) -> CyclicProof:
@@ -276,6 +224,8 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
     start = perf_counter()
     cfg = cfg or SearchConfig()
     rules = rules or RuleSet(list(user_rules))
+    groups = _rule_groups(rules, user_rules)
+    cut = rules.resolve("Cut") if cfg.with_cut else None
     table: dict[Sequent, _Entry] = {}
     stats = SearchStats()
     max_width = goal.width + WIDTH_SLACK
@@ -313,7 +263,7 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
             return
         if e.expansions is None:
             e.expansions = [[ri, tuple(entry(p) for p in ri.premises), None]
-                            for ri in _expansions(s, rules, user_rules, cfg.with_cut)]
+                            for ri in _expansions(s, groups, cut)]
         for exp in e.expansions:
             stats.expansions += 1
             if stats.expansions > STEP_CAP:

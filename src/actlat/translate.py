@@ -132,7 +132,7 @@ def project_instantiation(instance: RuleInstance, f: StarAssignment) -> Instanti
 
 
 def check_rule_uniformity(
-    rule: SchematicRule, inst: Instantiation, f: StarAssignment, rules: RuleSet | None = None,
+    rule: SchematicRule, inst: Instantiation, f: StarAssignment,
     instance: RuleInstance | None = None,
 ):
     """Project an instance and assert the result instantiates the same rule.
@@ -342,7 +342,7 @@ class ProjectedLazy(LazyPreproof):
         if case == "copy":
             if not f:
                 return view
-            projected, _, conclusion = check_rule_uniformity(ri.rule, ri.inst, f, self.rules, ri)
+            projected, _, conclusion = check_rule_uniformity(ri.rule, ri.inst, f, ri)
             app = make_app(self.rules, ri.rule.name, projected)
             return NodeView(conclusion, app, view.child_indices)
         sequent = project_sequent(view.sequent, f)

@@ -277,6 +277,18 @@ def test_usage_error_exit_code():
     assert main(["definitely-not-a-command"]) == 3
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["models", "validate"], "model"),
+    (["models", "eval", "two_chain"], "expr"),
+    (["models", "check-seq", "two_chain"], "expr"),
+    (["models", "audit"], "--seqs"),
+    (["frames", "transfer", "two_chain"], "--qe or --rule"),
+])
+def test_missing_argument_is_usage_error(capsys, argv, missing):
+    assert main(argv) == 3
+    assert capsys.readouterr().err.strip().endswith(f"needs {missing}")
+
+
 def test_rules_quasieq_analytic_flag(capsys):
     assert main(["rules", "quasieq", "C", "--analytic"]) == 0
     assert capsys.readouterr().out.strip() == "(x.x <= y) => x <= y"

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,7 @@ from actlat import search
 from actlat.models import library, rel_algebra, soundness_audit, two_chain
 from actlat.progress import check_cyclic_progress
 from actlat.proof_core import check_cyclic_local
-from actlat.rules import RuleSet, example_structural_rules, q_a_of
+from actlat.rules import RuleSet, builtin_rules, example_structural_rules, match_conclusion, q_a_of
 from actlat.search import SearchConfig, SearchResult, prove, refute
 from actlat.syntax import Sequent, parse_sequent
 
@@ -67,13 +68,47 @@ def test_prove_rres_succedent():
         assert_found(prove(seq(text)))
 
 
+def expansions(goal, user=(), with_cut=True):
+    rules = RuleSet(list(user))
+    cut = rules.resolve("Cut") if with_cut else None
+    return search._expansions(goal, search._rule_groups(rules, user), cut)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(formulas(), max_size=3), formulas())
 def test_expansions_conclude_their_goal(antecedent, succedent):
     goal = Sequent(tuple(antecedent), succedent)
-    user = list(EX.values())
-    for ri in search._expansions(goal, RuleSet(user), user, with_cut=True):
+    for ri in expansions(goal, list(EX.values())):
         assert ri.conclusion == goal, ri.rule.name
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(formulas(), max_size=3), formulas())
+def test_expansions_include_every_match(antecedent, succedent):
+    goal = Sequent(tuple(antecedent), succedent)
+    rules = RuleSet()
+    found = [(ri.rule.name, ri.inst) for ri in expansions(goal, with_cut=False)]
+    for name in itertools.chain.from_iterable(search.SEARCH_ORDER):
+        for inst in match_conclusion(rules.resolve(name), goal):
+            assert (name, inst) in found
+
+
+@pytest.mark.parametrize("text, expected", [
+    # left rules by position, meetL0 before meetL1 at each position
+    ("a & b, c . d, a & b |- e | f",
+     [("joinR0", -1), ("joinR1", -1), ("meetL0", 0), ("meetL1", 0), ("prodL", 1),
+      ("meetL0", 2), ("meetL1", 2)]),
+    ("a \\ b, c / d, e* |- f . g",
+     [("prodR", -1)] * 4 + [("lresL", 0), ("rresL", 1), ("rresL", 1), ("starL", 2)]),
+])
+def test_expansion_order(text, expected):
+    assert [(ri.rule.name, ri.principal) for ri in expansions(seq(text), with_cut=False)] == expected
+
+
+def test_search_order_names_every_finitary_builtin_rule():
+    searched = set(itertools.chain.from_iterable(search.SEARCH_ORDER))
+    finitary = {name for name, rule in builtin_rules().items() if not rule.is_omega}
+    assert searched == finitary - {"prodL1"}
 
 
 def test_prove_unknown_for_invalid():
