@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .syntax import (
     Formula,
@@ -350,15 +350,18 @@ def _match_items(
     forms: tuple[Formula, ...],
     fmap: dict[str, Formula],
     smap: dict[str, tuple[Formula, ...]],
+    out: list[Instantiation],
     counter: list[int],
     cap: int,
-) -> Iterator[tuple[dict, dict]]:
+) -> None:
+    """Append to out every binding that matches items against forms,
+    extending fmap and smap; both are as they were on return."""
     counter[0] += 1
     if counter[0] > cap:
         raise SplitCapExceeded(f"antecedent split enumeration exceeded {cap} candidates")
     if not items:
         if not forms:
-            yield dict(fmap), dict(smap)
+            out.append(Instantiation(dict(fmap), dict(smap)))
         return
     head, rest = items[0], items[1:]
     if isinstance(head, SVar):
@@ -366,24 +369,23 @@ def _match_items(
         if bound is not None:
             k = len(bound)
             if forms[:k] == bound:
-                yield from _match_items(rest, forms[k:], fmap, smap, counter, cap)
+                _match_items(rest, forms[k:], fmap, smap, out, counter, cap)
             return
         if not rest:
             # a final sequence metavariable takes the rest of the antecedent
-            yield dict(fmap), {**smap, head.name: forms}
+            out.append(Instantiation(dict(fmap), {**smap, head.name: forms}))
             return
         for k in range(len(forms) + 1):
             smap[head.name] = forms[:k]
-            yield from _match_items(rest, forms[k:], fmap, smap, counter, cap)
+            _match_items(rest, forms[k:], fmap, smap, out, counter, cap)
         del smap[head.name]
-    else:
-        if not forms:
-            return
-        saved = dict(fmap)
+    elif forms:
+        # matching only adds bindings, so undoing it drops the newest keys
+        n = len(fmap)
         if _match_formula(head, forms[0], fmap):
-            yield from _match_items(rest, forms[1:], fmap, smap, counter, cap)
-        fmap.clear()
-        fmap.update(saved)
+            _match_items(rest, forms[1:], fmap, smap, out, counter, cap)
+        while len(fmap) > n:
+            fmap.popitem()
 
 
 def match_conclusion(
@@ -401,17 +403,10 @@ def match_conclusion(
     if not _match_formula(rule.conclusion.rhs, goal.succedent, fmap):
         return []
     out: list[Instantiation] = []
-    counter = [0]
-    for fm, sm in _match_items(
-        rule.conclusion.lhs, goal.antecedent, fmap, {}, counter, split_cap
-    ):
-        inst = Instantiation(fm, sm)
-        if rule.var_only:
-            try:
-                _check_var_only(rule, inst)
-            except InstantiationError:
-                continue
-        out.append(inst)
+    _match_items(rule.conclusion.lhs, goal.antecedent, fmap, {}, out, [0], split_cap)
+    if rule.var_only:
+        out = [inst for inst in out
+               if all(isinstance(inst.fmap.get(n), Var) for n in rule.var_only)]
     return out
 
 

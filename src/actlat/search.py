@@ -114,17 +114,19 @@ SEARCH_ORDER = (
 _BY_POSITION = 2  # the group of SEARCH_ORDER sorted by principal position
 
 
-def _connective(rule: SchematicRule) -> type | None:
-    """The connective a principal rule introduces; None for other rules."""
+def _connective(rule: SchematicRule) -> tuple[bool, type] | None:
+    """Whether a principal rule introduces its connective on the right, and
+    the connective; None for other rules."""
     if rule.principal is None:
         return None
     ms = rule.conclusion
-    return type(ms.rhs if rule.principal == -1 else ms.lhs[rule.principal])
+    right = rule.principal == -1
+    return right, type(ms.rhs if right else ms.lhs[rule.principal])
 
 
 def _rule_groups(rules: RuleSet, user: Sequence[SchematicRule]) -> list[list[tuple]]:
     """The rules of SEARCH_ORDER resolved through a rule set, then the user
-    rules, each paired with the connective it introduces.  A user rule whose
+    rules, each paired with its :func:`_connective`.  A user rule whose
     premises mention a metavariable its conclusion does not would need that
     metavariable guessed, so search leaves it out."""
     groups = [[rules.resolve(name) for name in names] for names in SEARCH_ORDER]
@@ -148,8 +150,8 @@ def _expansions(goal: Sequent, groups: list[list[tuple]],
                 cut: SchematicRule | None) -> Iterator[RuleInstance]:
     """Rule instances whose conclusion is the goal, in search order: the
     rule groups of :func:`_rule_groups`, then cut when given."""
-    present = {type(f) for f in goal.antecedent}
-    present.add(type(goal.succedent))
+    present = {(False, type(f)) for f in goal.antecedent}
+    present.add((True, type(goal.succedent)))
     for i, group in enumerate(groups):
         found = [instantiate(rule, inst) for rule, connective in group
                  if connective is None or connective in present
