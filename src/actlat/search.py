@@ -6,8 +6,9 @@ last, then user structural rules, then cut when enabled.  Every rule
 instance comes from matching a rule's conclusion schema against the goal.
 A goal equal to an ancestor on the current path may close with a back-edge,
 but only when the path segment in between applies the left star rule at
-least once (a cycle without it can never progress).  Each complete candidate graph runs through
-the global progress check; the first accepted one is returned.
+least once (a cycle without it can never progress).  Each complete
+candidate graph runs through the global progress check; the first accepted
+one is returned.
 
 Each call keeps a table with one entry per distinct sequent: its visit count,
 its rule instances with premises mapped to table entries (so the back-edge and
