@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Sequence
 
 from .syntax import (
@@ -295,12 +296,12 @@ class RuleInstance:
     def principal(self) -> int | None:
         """Ground position of the principal occurrence, if any."""
         if self._principal is _UNSET:
-            self._principal = principal_position(self.rule, self.inst, self)
+            self._principal = principal_position(self)
         return self._principal
 
     def ancestry(self, child_index: int) -> frozenset[tuple[tuple[int, int], int]]:
         """Immediate-ancestor pairs between one premise and the conclusion."""
-        return ancestry_for_children(self.rule, self.inst, (child_index,), self)
+        return ancestry_for_children(self, (child_index,))
 
 
 def instantiate(rule: SchematicRule, inst: Instantiation) -> RuleInstance:
@@ -704,17 +705,13 @@ def layout(ms: MetaSequent, inst: Instantiation) -> tuple[list[Origin], Origin, 
     return origins, Origin(rhs_kind, rhs_name, None, -1), starts
 
 
-def principal_position(
-    rule: SchematicRule, inst: Instantiation, instance: RuleInstance | None = None
-) -> int | None:
-    """Ground occurrence position of the principal formula, if any.
-
-    ``instance``, when given, is the instance of ``rule`` under ``inst``;
-    its conclusion layout is reused.
-    """
+def principal_position(instance: RuleInstance) -> int | None:
+    """Ground occurrence position of the principal formula of a rule
+    instance, if any."""
+    rule = instance.rule
     if rule.principal is None or rule.principal == -1:
         return rule.principal
-    _, _, starts = instance.layout if instance else layout(rule.conclusion, inst)
+    _, _, starts = instance.layout
     return starts[rule.principal]
 
 
@@ -733,18 +730,14 @@ def ancestry(instance: RuleInstance) -> frozenset[tuple[tuple[int, int], int]]:
     are the image of the same formula metavariable, or when both sit at the
     same offset inside images of the same sequence metavariable.
     """
-    return ancestry_for_children(
-        instance.rule, instance.inst, range(len(instance.rule.premises)), instance
-    )
+    return ancestry_for_children(instance, range(len(instance.rule.premises)))
 
 
 def ancestry_for_children(
-    rule: SchematicRule, inst: Instantiation, child_indices,
-    instance: RuleInstance | None = None,
+    instance: RuleInstance, child_indices
 ) -> frozenset[tuple[tuple[int, int], int]]:
-    """Immediate-ancestor pairs for the given children; ``instance`` as in
-    :func:`principal_position`."""
-    instance = instance or RuleInstance(rule, inst)
+    """Immediate-ancestor pairs of a rule instance for the given children."""
+    rule, inst = instance.rule, instance.inst
     c_origins, c_rhs, _ = instance.layout
     principal = instance.principal
     pairs: set[tuple[tuple[int, int], int]] = set()
@@ -946,12 +939,26 @@ def example_structural_rules() -> dict[str, SchematicRule]:
     return {r.name: r for r in rules}
 
 
+# one read-only copy of each table, shared by every rule set of the process
+_BUILTIN = MappingProxyType(builtin_rules())
+_EXAMPLES = MappingProxyType(example_structural_rules())
+
+
+def _check_user_name(name: str) -> None:
+    """A user rule may not take the name of a built-in rule or an alias:
+    it would shadow that rule wherever the rule is resolved by name."""
+    if name in _BUILTIN or name in RULE_ALIASES:
+        raise RuleError(f"user rule {name!r} has the name of a built-in rule")
+
+
 class RuleSet:
     """Name-resolving view over built-in plus user rules."""
 
     def __init__(self, user: Sequence[SchematicRule] = ()):
-        self.builtin = builtin_rules()
-        self.examples = example_structural_rules()
+        for r in user:
+            _check_user_name(r.name)
+        self.builtin = _BUILTIN
+        self.examples = _EXAMPLES
         self.user = {r.name: r for r in user}
 
     def resolve(self, name: str) -> SchematicRule:
@@ -1024,6 +1031,7 @@ def parse_rule_file(text: str) -> list[SchematicRule]:
             name = line.strip()[len("rule "):-1].strip()
             if not name:
                 raise RuleError(f"line {line_no}: rule with empty name")
+            _check_user_name(name)
             continue
         if name is None:
             raise RuleError(f"line {line_no}: content outside a rule block")

@@ -308,3 +308,10 @@ def test_user_rule_file(tmp_path, capsys):
     rules.write_text("rule e:\n  G, a, b, D |- g\n  ----\n  G, b, a, D |- g\n")
     assert main(["prove", "a . b |- b . a", "--rules", str(rules)]) == 0
     assert main(["rules", "classify", "e", "--rules", str(rules)]) == 0
+
+
+def test_user_rule_named_like_a_builtin_is_usage_error(tmp_path, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("rule prodL:\n  G, a, b, D |- g\n  ----\n  G, b, a, D |- g\n")
+    assert main(["prove", "a . b |- b . a", "--rules", str(rules)]) == 3
+    assert "name of a built-in rule" in capsys.readouterr().err

@@ -8,6 +8,8 @@ from actlat.rules import (
     FVar,
     Instantiation,
     MetaSequent,
+    RuleError,
+    RuleInstance,
     RuleSet,
     SchematicRule,
     SVar,
@@ -275,7 +277,7 @@ def test_ancestry_clause1_only_for_principal():
 
 def test_principal_position():
     inst = Instantiation(fmap={"a": a, "b": b}, smap={"Gamma": (c, c), "Delta": ()})
-    assert principal_position(B["starL"], inst) == 2
+    assert principal_position(RuleInstance(B["starL"], inst)) == 2
 
 
 def test_omega_premises():
@@ -318,3 +320,27 @@ def test_ruleset_resolution():
     assert rs.resolve("*L").name == "starL"
     assert rs.resolve("meetR").name == "meetR"
     assert rs.resolve("Cut").name == "Cut"
+
+
+EXCHANGE = "  G, a, b, D |- g\n  ----\n  G, b, a, D |- g\n"
+
+
+@pytest.mark.parametrize("name", ["prodL", "starL", ".L", "*Lw"])
+def test_user_rule_may_not_shadow_a_builtin(name):
+    with pytest.raises(RuleError, match="name of a built-in rule"):
+        parse_rule_file(f"rule {name}:\n" + EXCHANGE)
+    renamed = SchematicRule(name, EX["e"].premises, EX["e"].conclusion)
+    with pytest.raises(RuleError, match="name of a built-in rule"):
+        RuleSet([renamed])
+
+
+def test_user_rule_may_take_an_example_name():
+    [rule] = parse_rule_file("rule C:\n" + EXCHANGE)
+    assert RuleSet([rule]).resolve("C") is rule
+
+
+def test_rule_tables_are_shared_and_read_only():
+    assert RuleSet().resolve("prodL") is RuleSet([EX["C"]]).resolve("prodL")
+    assert RuleSet().resolve("Wk") is RuleSet().resolve("Wk")
+    with pytest.raises(TypeError):
+        RuleSet().builtin["prodL"] = EX["e"]
