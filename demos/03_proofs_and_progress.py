@@ -32,15 +32,13 @@ h = height(id_expand(parse_formula("a & b"), rules))
 print("height of the meet expansion:", h.value, "approx:", h.approx)
 
 # An admissible transformation: a proof of Gamma |- 0 widens to any context
-# and any succedent.
-from actlat import Instantiation, Sequent, WfProof, Zero
-from actlat.proof_core import make_app
+# and any succedent.  A node's rule application is derived from the rule's
+# schema: the instance of zeroL that concludes the axiom's sequent.
+from actlat import WfProof, parse_sequent
+from actlat.proof_core import rule_app
 
-axiom = WfProof(
-    Sequent((Var("a"), Zero()), Zero()),
-    make_app(rules, "zeroL", Instantiation(fmap={"b": Zero()},
-                                           smap={"Gamma": (Var("a"),), "Delta": ()})),
-)
+zero_axiom = parse_sequent("a, 0 |- 0")
+axiom = WfProof(zero_axiom, rule_app(rules, "zeroL", zero_axiom))
 widened = zeroR_admit(axiom, (Var("c"),), (), Var("d"), rules)
 print("widened zero proof:", widened.sequent)
 

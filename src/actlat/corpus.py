@@ -7,8 +7,8 @@ import random
 
 import numpy as np
 
-from .proof_core import CyclicNode, CyclicProof, RuleApp, WfProof, make_app
-from .rules import Instantiation, MetaSequent, RuleSet, SchematicRule, SVar, FVar
+from .proof_core import CyclicNode, CyclicProof, OmegaFamily, RuleApp, WfProof, rule_app
+from .rules import MetaSequent, RuleSet, SchematicRule, SVar, FVar
 from .syntax import (
     Formula,
     Join,
@@ -24,89 +24,56 @@ from .syntax import (
     parse_sequent,
 )
 
-_A, _B = Var("a"), Var("b")
-_E: tuple[Formula, ...] = ()
+
+def _cyclic(rules: RuleSet, root: str,
+            spec: dict[str, tuple[str, str, tuple[str, ...]]]) -> CyclicProof:
+    """A cyclic proof from (rule name, sequent, child ids) per node id; each
+    node applies the first instance of its rule whose premises are its
+    children's sequents."""
+    sequents = {nid: parse_sequent(text) for nid, (_, text, _) in spec.items()}
+    return CyclicProof({
+        nid: CyclicNode(sequents[nid],
+                        rule_app(rules, name, sequents[nid], tuple(sequents[c] for c in children)),
+                        children)
+        for nid, (name, _, children) in spec.items()
+    }, root)
+
+
+_STAR_ID = {
+    "n0": ("starL", "a* |- a*", ("n1", "n2")),
+    "n1": ("starR0", "|- a*", ()),
+    "n2": ("starR1", "a, a* |- a*", ("n3", "n0")),
+    "n3": ("id", "a |- a", ()),
+}
 
 
 def canonical_star_id(rules: RuleSet | None = None) -> CyclicProof:
     """The regular proof of ``a* |- a*`` with one left-star cycle."""
-    rules = rules or RuleSet()
-    star = Star(_A)
-    n0 = CyclicNode(
-        Sequent((star,), star),
-        make_app(rules, "starL", Instantiation(fmap={"a": _A, "b": star}, smap={"Gamma": _E, "Delta": _E})),
-        ("n1", "n2"),
-    )
-    n1 = CyclicNode(Sequent(_E, star), make_app(rules, "starR0", Instantiation(fmap={"b": _A})), ())
-    n2 = CyclicNode(
-        Sequent((_A, star), star),
-        make_app(rules, "starR1", Instantiation(fmap={"b": _A}, smap={"Gamma": (_A,), "Delta": (star,)})),
-        ("n3", "n0"),
-    )
-    n3 = CyclicNode(Sequent((_A,), _A), make_app(rules, "id", Instantiation(fmap={"a": _A})), ())
-    return CyclicProof({"n0": n0, "n1": n1, "n2": n2, "n3": n3}, "n0")
+    return _cyclic(rules or RuleSet(), "n0", _STAR_ID)
 
 
 def canonical_two_star(rules: RuleSet | None = None) -> CyclicProof:
     """``a*, a* |- a*``: unfold the first star, feed the rest back."""
-    rules = rules or RuleSet()
-    star = Star(_A)
-    single = canonical_star_id(rules)
-    nodes = dict(single.nodes)
-    nodes["m0"] = CyclicNode(
-        Sequent((star, star), star),
-        make_app(rules, "starL", Instantiation(fmap={"a": _A, "b": star}, smap={"Gamma": _E, "Delta": (star,)})),
-        ("n0", "m2"),
-    )
-    nodes["m2"] = CyclicNode(
-        Sequent((_A, star, star), star),
-        make_app(rules, "starR1", Instantiation(fmap={"b": _A}, smap={"Gamma": (_A,), "Delta": (star, star)})),
-        ("n3", "m0"),
-    )
-    return CyclicProof(nodes, "m0")
+    return _cyclic(rules or RuleSet(), "m0", {
+        **_STAR_ID,
+        "m0": ("starL", "a*, a* |- a*", ("n0", "m2")),
+        "m2": ("starR1", "a, a*, a* |- a*", ("n3", "m0")),
+    })
 
 
 def canonical_join_star(rules: RuleSet | None = None) -> CyclicProof:
     """``(a | b)* |- (a | b)*`` with a left-join split inside the cycle."""
-    rules = rules or RuleSet()
-    j = Join(_A, _B)
-    star = Star(j)
-    nodes = {
-        "k0": CyclicNode(
-            Sequent((star,), star),
-            make_app(rules, "starL", Instantiation(fmap={"a": j, "b": star}, smap={"Gamma": _E, "Delta": _E})),
-            ("k1", "k2"),
-        ),
-        "k1": CyclicNode(Sequent(_E, star), make_app(rules, "starR0", Instantiation(fmap={"b": j})), ()),
-        "k2": CyclicNode(
-            Sequent((j, star), star),
-            make_app(rules, "joinL", Instantiation(fmap={"a0": _A, "a1": _B, "b": star}, smap={"Gamma": _E, "Delta": (star,)})),
-            ("k3", "k4"),
-        ),
-        "k3": CyclicNode(
-            Sequent((_A, star), star),
-            make_app(rules, "starR1", Instantiation(fmap={"b": j}, smap={"Gamma": (_A,), "Delta": (star,)})),
-            ("k5", "k0"),
-        ),
-        "k4": CyclicNode(
-            Sequent((_B, star), star),
-            make_app(rules, "starR1", Instantiation(fmap={"b": j}, smap={"Gamma": (_B,), "Delta": (star,)})),
-            ("k6", "k0"),
-        ),
-        "k5": CyclicNode(
-            Sequent((_A,), j),
-            make_app(rules, "joinR0", Instantiation(fmap={"b0": _A, "b1": _B}, smap={"Gamma": (_A,)})),
-            ("k7",),
-        ),
-        "k6": CyclicNode(
-            Sequent((_B,), j),
-            make_app(rules, "joinR1", Instantiation(fmap={"b0": _A, "b1": _B}, smap={"Gamma": (_B,)})),
-            ("k8",),
-        ),
-        "k7": CyclicNode(Sequent((_A,), _A), make_app(rules, "id", Instantiation(fmap={"a": _A})), ()),
-        "k8": CyclicNode(Sequent((_B,), _B), make_app(rules, "id", Instantiation(fmap={"a": _B})), ()),
-    }
-    return CyclicProof(nodes, "k0")
+    return _cyclic(rules or RuleSet(), "k0", {
+        "k0": ("starL", "(a | b)* |- (a | b)*", ("k1", "k2")),
+        "k1": ("starR0", "|- (a | b)*", ()),
+        "k2": ("joinL", "a | b, (a | b)* |- (a | b)*", ("k3", "k4")),
+        "k3": ("starR1", "a, (a | b)* |- (a | b)*", ("k5", "k0")),
+        "k4": ("starR1", "b, (a | b)* |- (a | b)*", ("k6", "k0")),
+        "k5": ("joinR0", "a |- a | b", ("k7",)),
+        "k6": ("joinR1", "b |- a | b", ("k8",)),
+        "k7": ("id", "a |- a", ()),
+        "k8": ("id", "b |- b", ()),
+    })
 
 
 def canonical_proofs(rules: RuleSet | None = None) -> dict[str, CyclicProof]:
@@ -118,12 +85,10 @@ def canonical_proofs(rules: RuleSet | None = None) -> dict[str, CyclicProof]:
     }
 
 
-def _self_loop(node_id: str, sequent: Sequent, via: str) -> CyclicNode:
+def _self_loop(node_id: str, sequent: Sequent, via: str, rules: RuleSet) -> CyclicNode:
     """A locally valid node that is its own only premise (contraction or
     weakening of the empty sequence)."""
-    inst = Instantiation(fmap={"b": sequent.succedent},
-                         smap={"Gamma": sequent.antecedent, "Pi": _E, "Delta": _E})
-    return CyclicNode(sequent, RuleApp(via, inst, None), (node_id,))
+    return CyclicNode(sequent, rule_app(rules, via, sequent, (sequent,)), (node_id,))
 
 
 def _reachable(nodes: dict[str, CyclicNode], root: str) -> dict[str, CyclicNode]:
@@ -138,10 +103,11 @@ def _reachable(nodes: dict[str, CyclicNode], root: str) -> dict[str, CyclicNode]
     return {k: v for k, v in nodes.items() if k in keep}
 
 
-def _replace_subtree_with_loop(p: CyclicProof, target: str, via: str) -> CyclicProof:
+def _replace_subtree_with_loop(p: CyclicProof, target: str, via: str,
+                               rules: RuleSet) -> CyclicProof:
     """Swap the subtree at ``target`` for a progress-free self-loop."""
     nodes = dict(p.nodes)
-    nodes[target] = _self_loop(target, p.nodes[target].sequent, via)
+    nodes[target] = _self_loop(target, p.nodes[target].sequent, via, rules)
     nodes = _reachable(nodes, p.root)
     return CyclicProof(nodes, p.root)
 
@@ -154,16 +120,16 @@ def corrupted_variants(rules: RuleSet | None = None) -> dict[str, CyclicProof]:
     two_star = canonical_two_star(rules)
     join_star = canonical_join_star(rules)
     return {
-        "star_id_root_loop_C": _replace_subtree_with_loop(star_id, "n0", "C"),
-        "star_id_root_loop_Wk": _replace_subtree_with_loop(star_id, "n0", "Wk"),
-        "star_id_unfold_loop_C": _replace_subtree_with_loop(star_id, "n2", "C"),
-        "star_id_unfold_loop_Wk": _replace_subtree_with_loop(star_id, "n2", "Wk"),
-        "two_star_root_loop_C": _replace_subtree_with_loop(two_star, "m0", "C"),
-        "two_star_unfold_loop_C": _replace_subtree_with_loop(two_star, "m2", "C"),
-        "two_star_inner_loop_Wk": _replace_subtree_with_loop(two_star, "n0", "Wk"),
-        "join_star_root_loop_C": _replace_subtree_with_loop(join_star, "k0", "C"),
-        "join_star_left_branch_loop_Wk": _replace_subtree_with_loop(join_star, "k3", "Wk"),
-        "join_star_right_branch_loop_C": _replace_subtree_with_loop(join_star, "k4", "C"),
+        "star_id_root_loop_C": _replace_subtree_with_loop(star_id, "n0", "C", rules),
+        "star_id_root_loop_Wk": _replace_subtree_with_loop(star_id, "n0", "Wk", rules),
+        "star_id_unfold_loop_C": _replace_subtree_with_loop(star_id, "n2", "C", rules),
+        "star_id_unfold_loop_Wk": _replace_subtree_with_loop(star_id, "n2", "Wk", rules),
+        "two_star_root_loop_C": _replace_subtree_with_loop(two_star, "m0", "C", rules),
+        "two_star_unfold_loop_C": _replace_subtree_with_loop(two_star, "m2", "C", rules),
+        "two_star_inner_loop_Wk": _replace_subtree_with_loop(two_star, "n0", "Wk", rules),
+        "join_star_root_loop_C": _replace_subtree_with_loop(join_star, "k0", "C", rules),
+        "join_star_left_branch_loop_Wk": _replace_subtree_with_loop(join_star, "k3", "Wk", rules),
+        "join_star_right_branch_loop_C": _replace_subtree_with_loop(join_star, "k4", "C", rules),
     }
 
 
@@ -245,13 +211,19 @@ def random_zero_proof(rng: random.Random, rules: RuleSet) -> WfProof:
     are mixed in, so a generated batch covers the axiom, residual, and
     structural transformation cases.
     """
-    from .proof_core import OmegaFamily, id_expand, make_app as mk
+    from .proof_core import id_expand
+
+    def node(name: str, target: tuple[Formula, ...], children=(), principal=None) -> WfProof:
+        """A node proving ``target |- 0`` by the first instance of the rule
+        with that principal position and the children's sequents as
+        premises; several contraction or weakening instances can share them."""
+        sequent = Sequent(target, Zero())
+        premises = None if isinstance(children, OmegaFamily) else tuple(c.sequent for c in children)
+        return WfProof(sequent, rule_app(rules, name, sequent, premises, principal), children)
 
     def axiom(target: tuple[Formula, ...]) -> WfProof:
         i = rng.choice([k for k, f in enumerate(target) if f == Zero()])
-        inst = Instantiation(fmap={"b": Zero()},
-                             smap={"Gamma": target[:i], "Delta": target[i + 1:]})
-        return WfProof(Sequent(target, Zero()), mk(rules, "zeroL", inst))
+        return node("zeroL", target, principal=i)
 
     def build(target: tuple[Formula, ...], depth: int) -> WfProof:
         if depth <= 0:
@@ -282,59 +254,35 @@ def random_zero_proof(rng: random.Random, rules: RuleSet) -> WfProof:
             return axiom(target)
         if move == "oneL":
             i = arg
-            sub = build(target[:i] + target[i + 1:], depth - 1)
-            inst = Instantiation(fmap={"b": Zero()},
-                                 smap={"Gamma": target[:i], "Delta": target[i + 1:]})
-            return WfProof(Sequent(target, Zero()), mk(rules, "oneL", inst), (sub,))
+            return node("oneL", target, (build(target[:i] + target[i + 1:], depth - 1),), i)
         if move == "prodL":
             i = arg
             f = target[i]
             sub = build(target[:i] + (f.left, f.right) + target[i + 1:], depth - 1)
-            inst = Instantiation(fmap={"a0": f.left, "a1": f.right, "b": Zero()},
-                                 smap={"Gamma": target[:i], "Delta": target[i + 1:]})
-            return WfProof(Sequent(target, Zero()), mk(rules, "prodL", inst), (sub,))
+            return node("prodL", target, (sub,), i)
         if move == "lresL":
             i = arg
             f = target[i]
             side = id_expand(f.left, rules)
             main = build(target[:i - 1] + (f.right,) + target[i + 1:], depth - 1)
-            inst = Instantiation(
-                fmap={"a0": f.left, "a1": f.right, "b": Zero()},
-                smap={"Gamma": target[:i - 1], "Delta": (f.left,), "Sigma": target[i + 1:]},
-            )
-            return WfProof(Sequent(target, Zero()), mk(rules, "lresL", inst), (side, main))
+            return node("lresL", target, (side, main), i)
         if move == "omega":
             i = arg
-            f = target[i]
-            gamma, delta = target[:i], target[i + 1:]
+            body, gamma, delta = target[i].body, target[:i], target[i + 1:]
 
             def member(n: int) -> WfProof:
-                return axiom_at(gamma + (f.body,) * n + delta)
+                ant = gamma + (body,) * n + delta
+                return node("zeroL", ant, principal=ant.index(Zero()))
 
-            def axiom_at(ant: tuple[Formula, ...]) -> WfProof:
-                k = ant.index(Zero())
-                inst = Instantiation(fmap={"b": Zero()},
-                                     smap={"Gamma": ant[:k], "Delta": ant[k + 1:]})
-                return WfProof(Sequent(ant, Zero()), mk(rules, "zeroL", inst))
-
-            inst = Instantiation(fmap={"a": f.body, "b": Zero()},
-                                 smap={"Gamma": gamma, "Delta": delta})
-            return WfProof(Sequent(target, Zero()),
-                           mk(rules, "starLomega", inst), OmegaFamily(member))
+            return node("starLomega", target, OmegaFamily(member), i)
         if move == "C":
             i = rng.randrange(len(target))
             j = rng.randint(i + 1, len(target))
             pi = target[i:j]
-            sub = build(target[:i] + pi + pi + target[j:], depth - 1)
-            inst = Instantiation(fmap={"b": Zero()},
-                                 smap={"Gamma": target[:i], "Pi": pi, "Delta": target[j:]})
-            return WfProof(Sequent(target, Zero()), RuleApp("C", inst, None), (sub,))
+            return node("C", target, (build(target[:i] + pi + pi + target[j:], depth - 1),))
         # weakening: drop a block that leaves a zero behind
         i, j = arg
-        sub = build(target[:i] + target[j:], depth - 1)
-        inst = Instantiation(fmap={"b": Zero()},
-                             smap={"Gamma": target[:i], "Pi": target[i:j], "Delta": target[j:]})
-        return WfProof(Sequent(target, Zero()), RuleApp("Wk", inst, None), (sub,))
+        return node("Wk", target, (build(target[:i] + target[j:], depth - 1),))
 
     target = [Zero()]
     target.append(One())

@@ -33,6 +33,7 @@ from .rules import (
     SchematicRule,
     SVar,
     classify,
+    match_conclusion,
 )
 from .syntax import (
     Formula,
@@ -77,6 +78,28 @@ def make_app(rules: RuleSet, name: str, inst: Instantiation) -> RuleApp:
     """The application of a rule with its principal occurrence marked."""
     rule = rules.resolve(name)
     return RuleApp(rule.name, inst, RuleInstance(rule, inst).principal)
+
+
+def rule_app(rules: RuleSet, name: str, sequent: Sequent,
+             premises: tuple[Sequent, ...] | None = None,
+             principal: int | None = None) -> RuleApp:
+    """The application of a rule that concludes ``sequent``, derived from the
+    rule's schema.
+
+    Of the instances that match the conclusion, those whose premises are
+    ``premises`` (any premises when None, as for a premise family) and whose
+    principal position is ``principal`` (any when None) qualify; the first
+    in match order is returned.  Raises ProofError when none qualifies.
+    """
+    rule = rules.resolve(name)
+    for inst in match_conclusion(rule, sequent):
+        ri = RuleInstance(rule, inst)
+        if ((principal is None or ri.principal == principal)
+                and (premises is None or ri.premises == premises)):
+            return RuleApp(rule.name, inst, ri.principal)
+    raise ProofError(f"no instance of {rule.name} concludes {print_sequent(sequent)}"
+                     + ("" if premises is None else " from the given premises")
+                     + ("" if principal is None else f" with principal {principal}"))
 
 
 class OmegaFamily:
@@ -329,10 +352,6 @@ def height(p: WfProof, omega_fuel: int = 5) -> HeightResult:
 # Identity expansion.
 
 
-def _leaf(rules: RuleSet, name: str, inst: Instantiation, sequent: Sequent) -> WfProof:
-    return WfProof(sequent, make_app(rules, name, inst))
-
-
 def _shared(memo: dict, key, build: Callable[[], WfProof], keep=None) -> WfProof:
     """``build()`` once per key of one top-level call.  A key made of
     ``id(node)`` passes the node as ``keep``, so the id is never reused."""
@@ -355,88 +374,50 @@ def _id_expand(alpha: Formula, rules: RuleSet, memo: dict) -> WfProof:
     return _shared(memo, alpha, lambda: _expand(alpha, rules, memo))
 
 
+def _derived(rules: RuleSet, name: str, sequent: Sequent, *children: WfProof) -> WfProof:
+    """A finite node whose application is the instance of the named rule
+    with the children's sequents as premises."""
+    return WfProof(sequent, rule_app(rules, name, sequent, tuple(c.sequent for c in children)),
+                   children)
+
+
 def _expand(alpha: Formula, rules: RuleSet, memo: dict) -> WfProof:
-    e: tuple[Formula, ...] = ()
+    goal = Sequent((alpha,), alpha)
     if isinstance(alpha, Var):
-        return _leaf(rules, "id", Instantiation(fmap={"a": alpha}), Sequent((alpha,), alpha))
+        return _derived(rules, "id", goal)
     if isinstance(alpha, Zero):
-        inst = Instantiation(fmap={"b": alpha}, smap={"Gamma": e, "Delta": e})
-        return _leaf(rules, "zeroL", inst, Sequent((alpha,), alpha))
+        return _derived(rules, "zeroL", goal)
     if isinstance(alpha, One):
-        seed = _leaf(rules, "oneR", Instantiation(), Sequent(e, alpha))
-        inst = Instantiation(fmap={"b": alpha}, smap={"Gamma": e, "Delta": e})
-        return WfProof(Sequent((alpha,), alpha), make_app(rules, "oneL", inst), (seed,))
-    if isinstance(alpha, Meet):
-        l, r = alpha.left, alpha.right
-        left = WfProof(
-            Sequent((alpha,), l),
-            make_app(rules, "meetL0", Instantiation(fmap={"a0": l, "a1": r, "b": l}, smap={"Gamma": e, "Delta": e})),
-            (_id_expand(l, rules, memo),),
-        )
-        right = WfProof(
-            Sequent((alpha,), r),
-            make_app(rules, "meetL1", Instantiation(fmap={"a0": l, "a1": r, "b": r}, smap={"Gamma": e, "Delta": e})),
-            (_id_expand(r, rules, memo),),
-        )
-        inst = Instantiation(fmap={"b0": l, "b1": r}, smap={"Gamma": (alpha,)})
-        return WfProof(Sequent((alpha,), alpha), make_app(rules, "meetR", inst), (left, right))
-    if isinstance(alpha, Join):
-        l, r = alpha.left, alpha.right
-        left = WfProof(
-            Sequent((l,), alpha),
-            make_app(rules, "joinR0", Instantiation(fmap={"b0": l, "b1": r}, smap={"Gamma": (l,)})),
-            (_id_expand(l, rules, memo),),
-        )
-        right = WfProof(
-            Sequent((r,), alpha),
-            make_app(rules, "joinR1", Instantiation(fmap={"b0": l, "b1": r}, smap={"Gamma": (r,)})),
-            (_id_expand(r, rules, memo),),
-        )
-        inst = Instantiation(fmap={"a0": l, "a1": r, "b": alpha}, smap={"Gamma": e, "Delta": e})
-        return WfProof(Sequent((alpha,), alpha), make_app(rules, "joinL", inst), (left, right))
-    if isinstance(alpha, Prod):
-        l, r = alpha.left, alpha.right
-        pair = WfProof(
-            Sequent((l, r), alpha),
-            make_app(rules, "prodR", Instantiation(fmap={"b0": l, "b1": r}, smap={"Gamma": (l,), "Delta": (r,)})),
-            (_id_expand(l, rules, memo), _id_expand(r, rules, memo)),
-        )
-        inst = Instantiation(fmap={"a0": l, "a1": r, "b": alpha}, smap={"Gamma": e, "Delta": e})
-        return WfProof(Sequent((alpha,), alpha), make_app(rules, "prodL", inst), (pair,))
-    if isinstance(alpha, LRes):
-        l, r = alpha.left, alpha.right
-        use = WfProof(
-            Sequent((l, alpha), r),
-            make_app(rules, "lresL", Instantiation(
-                fmap={"a0": l, "a1": r, "b": r},
-                smap={"Gamma": e, "Delta": (l,), "Sigma": e},
-            )),
-            (_id_expand(l, rules, memo), _id_expand(r, rules, memo)),
-        )
-        inst = Instantiation(fmap={"b0": l, "b1": r}, smap={"Gamma": (alpha,)})
-        return WfProof(Sequent((alpha,), alpha), make_app(rules, "lresR", inst), (use,))
-    if isinstance(alpha, RRes):
-        l, r = alpha.left, alpha.right  # alpha = l / r
-        use = WfProof(
-            Sequent((alpha, r), l),
-            make_app(rules, "rresL", Instantiation(
-                fmap={"a0": r, "a1": l, "b": l},
-                smap={"Gamma": e, "Delta": (r,), "Sigma": e},
-            )),
-            (_id_expand(r, rules, memo), _id_expand(l, rules, memo)),
-        )
-        inst = Instantiation(fmap={"b0": r, "b1": l}, smap={"Gamma": (alpha,)})
-        return WfProof(Sequent((alpha,), alpha), make_app(rules, "rresR", inst), (use,))
+        return _derived(rules, "oneL", goal, _derived(rules, "oneR", Sequent((), alpha)))
     if isinstance(alpha, Star):
         gamma = alpha.body
-        inst = Instantiation(fmap={"a": gamma, "b": alpha}, smap={"Gamma": e, "Delta": e})
         family = OmegaFamily(
             lambda n: _tau(gamma, n, rules, memo),
             schema="tau_n",
             params={"body": print_formula(gamma)},
         )
-        return WfProof(Sequent((alpha,), alpha), make_app(rules, "starLomega", inst), family)
-    raise ProofError(f"cannot expand {alpha!r}")
+        return WfProof(goal, rule_app(rules, "starLomega", goal), family)
+    if not isinstance(alpha, (Meet, Join, Prod, LRes, RRes)):
+        raise ProofError(f"cannot expand {alpha!r}")
+    l, r = alpha.left, alpha.right
+    left, right = _id_expand(l, rules, memo), _id_expand(r, rules, memo)
+    if isinstance(alpha, Meet):
+        return _derived(rules, "meetR", goal,
+                        _derived(rules, "meetL0", Sequent((alpha,), l), left),
+                        _derived(rules, "meetL1", Sequent((alpha,), r), right))
+    if isinstance(alpha, Join):
+        return _derived(rules, "joinL", goal,
+                        _derived(rules, "joinR0", Sequent((l,), alpha), left),
+                        _derived(rules, "joinR1", Sequent((r,), alpha), right))
+    if isinstance(alpha, Prod):
+        return _derived(rules, "prodL", goal,
+                        _derived(rules, "prodR", Sequent((l, r), alpha), left, right))
+    if isinstance(alpha, LRes):
+        return _derived(rules, "lresR", goal,
+                        _derived(rules, "lresL", Sequent((l, alpha), r), left, right))
+    # alpha = l / r
+    return _derived(rules, "rresR", goal,
+                    _derived(rules, "rresL", Sequent((alpha, r), l), right, left))
 
 
 def tau_n(gamma: Formula, n: int, rules: RuleSet | None = None) -> WfProof:
@@ -447,10 +428,9 @@ def tau_n(gamma: Formula, n: int, rules: RuleSet | None = None) -> WfProof:
 def _tau(gamma: Formula, n: int, rules: RuleSet, memo: dict) -> WfProof:
     def build() -> WfProof:
         if n == 0:
-            return _leaf(rules, "starR0", Instantiation(fmap={"b": gamma}), Sequent((), Star(gamma)))
-        inst = Instantiation(fmap={"b": gamma}, smap={"Gamma": (gamma,), "Delta": (gamma,) * (n - 1)})
-        return WfProof(Sequent((gamma,) * n, Star(gamma)), make_app(rules, "starR1", inst),
-                       (_id_expand(gamma, rules, memo), _tau(gamma, n - 1, rules, memo)))
+            return _derived(rules, "starR0", Sequent((), Star(gamma)))
+        return _derived(rules, "starR1", Sequent((gamma,) * n, Star(gamma)),
+                        _id_expand(gamma, rules, memo), _tau(gamma, n - 1, rules, memo))
 
     return _shared(memo, (gamma, n), build)
 
@@ -621,15 +601,13 @@ def _standardize(p: WfProof, rules: RuleSet, memo: dict) -> WfProof:
 def _standard_node(p: WfProof, rules: RuleSet, memo: dict) -> WfProof:
     rule = rules.resolve(p.app.rule)
     if rule.name == "starLomegaM":
-        inst = p.app.inst
-        gamma_len = len(inst.smap["Gamma"])
-        app = make_app(rules, "starLomega", inst)
+        app = make_app(rules, "starLomega", p.app.inst)
 
         def premise(n: int) -> WfProof:
             if n == 0:
                 return _standardize(p.children(0), rules, memo)
             q = _standardize(p.children(n), rules, memo)
-            pos = gamma_len + 1
+            pos = p.app.principal + 1
             for _ in range(n - 1):
                 q = _invert_at(q, pos, rules, Prod, memo)
                 pos += 1

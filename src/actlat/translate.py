@@ -32,15 +32,10 @@ from .proof_core import (
     WfProof,
     check_local,
     make_app,
+    rule_app,
     to_standard_omega,
 )
-from .rules import (
-    Instantiation,
-    RuleInstance,
-    RuleSet,
-    SchematicRule,
-    classify,
-)
+from .rules import Instantiation, RuleInstance, RuleSet, classify
 from .syntax import Sequent, Star, power_formula
 
 StarAssignment = dict[int, int]
@@ -80,21 +75,16 @@ def project_sequent(s: Sequent, f: StarAssignment) -> Sequent:
     return Sequent(tuple(lhs), s.succedent)
 
 
-def evolve_assignment(
-    f: StarAssignment,
-    rule: SchematicRule,
-    inst: Instantiation,
-    child_index: int,
-    instance: RuleInstance | None = None,
-) -> StarAssignment:
-    """Carry an assignment from a conclusion to one premise along immediate
-    ancestry; positions with no ancestor in the premise drop out.
+def evolve_assignment(f: StarAssignment, instance: RuleInstance,
+                      child_index: int) -> StarAssignment:
+    """Carry an assignment from the conclusion of a rule instance to one
+    premise along immediate ancestry; positions with no ancestor in the
+    premise drop out.
 
     Only allowed for linear rules, the id axiom, or principal rules whose
-    principal occurrence is unassigned.  ``instance``, when given, is the
-    instance of ``rule`` under ``inst`` and is reused.
+    principal occurrence is unassigned.
     """
-    instance = instance or RuleInstance(rule, inst)
+    rule = instance.rule
     flags = classify(rule)
     principal = instance.principal
     if not (flags.linear or rule.name == "id" or principal is not None):
@@ -131,17 +121,14 @@ def project_instantiation(instance: RuleInstance, f: StarAssignment) -> Instanti
     return out
 
 
-def check_rule_uniformity(
-    rule: SchematicRule, inst: Instantiation, f: StarAssignment,
-    instance: RuleInstance | None = None,
-):
-    """Project an instance and assert the result instantiates the same rule.
+def check_rule_uniformity(instance: RuleInstance, f: StarAssignment):
+    """Project a rule instance and assert the result instantiates the same
+    rule.
 
     Returns (projected instantiation, projected premises, projected
     conclusion); a mismatch raises, signalling a rule-engine bug.
-    ``instance`` as in :func:`evolve_assignment`.
     """
-    instance = instance or RuleInstance(rule, inst)
+    rule = instance.rule
     validate_assignment(f, instance.conclusion)
     projected = RuleInstance(rule, project_instantiation(instance, f))
     want_conclusion = project_sequent(instance.conclusion, f)
@@ -153,7 +140,7 @@ def check_rule_uniformity(
     premises = []
     if not rule.is_omega:
         for i in instance.child_indices:
-            fi = evolve_assignment(f, rule, inst, i, instance)
+            fi = evolve_assignment(f, instance, i)
             want = project_sequent(instance.premise(i), fi)
             got = projected.premise(i)
             if got != want:
@@ -319,7 +306,7 @@ class ProjectedLazy(LazyPreproof):
                 f = {p + (p > k): v for p, v in fp.items() if p != k}
                 f[k + 1] = fp[k] - 1
             else:
-                f = evolve_assignment(fp, ri.rule, ri.inst, step, ri)
+                f = evolve_assignment(fp, ri, step)
         view = self.src.node_at(addr)
         state = (f, view, RuleInstance(self.rules.resolve(view.app.rule), view.app.inst), None)
         self._states[addr] = state
@@ -342,24 +329,14 @@ class ProjectedLazy(LazyPreproof):
         if case == "copy":
             if not f:
                 return view
-            projected, _, conclusion = check_rule_uniformity(ri.rule, ri.inst, f, ri)
+            projected, _, conclusion = check_rule_uniformity(ri, f)
             app = make_app(self.rules, ri.rule.name, projected)
             return NodeView(conclusion, app, view.child_indices)
+        # the packed power at k is 1 or alpha . alpha^(n-1)
         sequent = project_sequent(view.sequent, f)
-        alpha = view.app.inst.fmap["a"]
-        before, after = sequent.antecedent[:k], sequent.antecedent[k + 1:]
         if case == "zero":
-            inst = Instantiation(fmap={"b": sequent.succedent},
-                                 smap={"Gamma": before, "Delta": after})
-            app = RuleApp("oneL", inst, k)
-            return NodeView(sequent, app, (0,))
-        n = f[k]
-        inst = Instantiation(
-            fmap={"a0": alpha, "a1": power_formula(alpha, n - 1), "b": sequent.succedent},
-            smap={"Gamma": before, "Delta": after},
-        )
-        app = RuleApp("prodL1", inst, k)
-        return NodeView(sequent, app, (1,))
+            return NodeView(sequent, rule_app(self.rules, "oneL", sequent, principal=k), (0,))
+        return NodeView(sequent, rule_app(self.rules, "prodL1", sequent, principal=k), (1,))
 
 
 def project_proof(proof, f: StarAssignment, rules: RuleSet | None = None) -> ProjectedLazy:
@@ -532,66 +509,62 @@ class LadderLazy(LazyPreproof):
     principal at every spine step (a progressing thread by construction).
     """
 
-    progress_certified = True
-
     def __init__(self, proof: WfProof, rules: RuleSet | None = None):
         self.proof = proof
         self.rules = rules or RuleSet()
-        self._memo: dict[tuple[int, ...], tuple] = {}
+        # per address: the source node, the ladder depth (None off the
+        # spines) and the view, None until node_at first asks for it
+        self._memo: dict[tuple[int, ...], tuple[WfProof, int | None, NodeView | None]] = {}
 
-    def _normalize(self, node: WfProof) -> tuple:
-        if node.is_omega:
-            if node.app.rule != "starLomega":
-                raise ProofError(
-                    f"only the standard infinitary rule can be unravelled, got {node.app.rule}"
-                )
-            return ("ladder", node, 0)
-        return ("node", node)
+    def _enter(self, node: WfProof) -> tuple[WfProof, int | None]:
+        if not node.is_omega:
+            return node, None
+        if node.app.rule != "starLomega":
+            raise ProofError(
+                f"only the standard infinitary rule can be unravelled, got {node.app.rule}"
+            )
+        k, ant = node.app.principal, node.sequent.antecedent
+        if not (isinstance(k, int) and 0 <= k < len(ant) and isinstance(ant[k], Star)):
+            raise ProofError(f"principal mark of starLomega is {k!r}, not a starred occurrence")
+        return node, 0
 
-    def _state(self, addr: tuple[int, ...]) -> tuple:
+    def _state(self, addr: tuple[int, ...]):
         if addr in self._memo:
             return self._memo[addr]
         if not addr:
-            state = self._normalize(self.proof)
+            node, j = self._enter(self.proof)
         else:
-            parent = self._state(addr[:-1])
+            node, j, _ = self._state(addr[:-1])
             step = addr[-1]
-            if parent[0] == "ladder":
-                _, node, j = parent
+            if j is not None:
                 if step == 0:
-                    state = self._normalize(node.children(j))
+                    node, j = self._enter(node.children(j))
                 elif step == 1:
-                    state = ("ladder", node, j + 1)
+                    j += 1
                 else:
                     raise AddressError(f"no child {step} at {addr[:-1]}")
             else:
-                node = parent[1]
                 indices = _indices_for(self.rules, node.app)
                 if step not in indices:
                     raise AddressError(f"no child {step} at {addr[:-1]}")
-                state = self._normalize(node.children[indices.index(step)])
-        self._memo[addr] = state
+                node, j = self._enter(node.children[indices.index(step)])
+        state = self._memo[addr] = (node, j, None)
         return state
 
     def node_at(self, addr):
-        state = self._state(tuple(addr))
-        if state[0] == "node":
-            node = state[1]
+        addr = tuple(addr)
+        node, j, view = self._state(addr)
+        if view is None:
+            view = self._view(node, j)
+            self._memo[addr] = (node, j, view)
+        return view
+
+    def _view(self, node: WfProof, j: int | None) -> NodeView:
+        if j is None:
             return NodeView(node.sequent, node.app, _indices_for(self.rules, node.app))
-        _, node, j = state
-        inst = node.app.inst
-        gamma = inst.smap["Gamma"]
-        delta = inst.smap["Delta"]
-        alpha = inst.fmap["a"]
-        beta = inst.fmap["b"]
-        star = Star(alpha)
-        spine_inst = Instantiation(
-            fmap={"a": alpha, "b": beta},
-            smap={"Gamma": gamma + (alpha,) * j, "Delta": delta},
-        )
-        sequent = Sequent(gamma + (alpha,) * j + (star,) + delta, beta)
-        app = RuleApp("starL", spine_inst, len(gamma) + j)
-        return NodeView(sequent, app, (0, 1))
+        k, ant = node.app.principal, node.sequent.antecedent
+        spine = Sequent(ant[:k] + (ant[k].body,) * j + ant[k:], node.sequent.succedent)
+        return NodeView(spine, rule_app(self.rules, "starL", spine, principal=k + j), (0, 1))
 
 
 def wf_to_nwf(p: WfProof, rules: RuleSet | None = None) -> LadderLazy:

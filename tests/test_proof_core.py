@@ -19,6 +19,7 @@ from actlat.proof_core import (
     id_expand,
     make_app,
     oneL_invert,
+    rule_app,
     tau_n,
     to_standard_omega,
     wf_from_json,
@@ -55,6 +56,43 @@ def id_leaf(v):
 
 def test_check_local_id_ok():
     assert check_local(seq("a |- a"), make_app(RS, "id", Instantiation(fmap={"a": a})), ()) is None
+
+
+def test_rule_app_chooses_the_split_by_its_premises():
+    goal = seq("a, b |- a . b")
+    app = rule_app(RS, "prodR", goal, (seq("a |- a"), seq("b |- b")))
+    assert app == RuleApp("prodR", Instantiation(fmap={"b0": a, "b1": b},
+                                                 smap={"Gamma": (a,), "Delta": (b,)}), -1)
+    assert check_local(goal, app, (seq("a |- a"), seq("b |- b"))) is None
+    # without premises, the first split in match order: Gamma empty
+    assert rule_app(RS, "prodR", goal).inst.smap["Gamma"] == ()
+
+
+def test_rule_app_chooses_the_instance_by_its_principal():
+    goal = seq("1, 1 |- 0")
+    assert rule_app(RS, "oneL", goal, (seq("1 |- 0"),)).principal == 0
+    app = rule_app(RS, "oneL", goal, (seq("1 |- 0"),), principal=1)
+    assert app.principal == 1
+    assert app.inst == Instantiation(fmap={"b": Zero()}, smap={"Gamma": (One(),), "Delta": ()})
+
+
+def test_rule_app_builds_a_family_node_without_premises():
+    goal = seq("b, a* |- a*")
+    app = rule_app(RS, "starLomega", goal)
+    assert app == RuleApp("starLomega", Instantiation(fmap={"a": a, "b": Star(a)},
+                                                      smap={"Gamma": (b,), "Delta": ()}), 1)
+    star = seq("a* |- a*")
+    p = WfProof(star, rule_app(RS, "starLomega", star), OmegaFamily(lambda n: tau_n(a, n, RS)))
+    assert check_wf(p, 4, RS).ok
+
+
+def test_rule_app_raises_when_no_instance_qualifies():
+    with pytest.raises(ProofError, match="no instance of prodR"):
+        rule_app(RS, "prodR", seq("a, b |- a . b"), (seq("b |- a"), seq("|- b")))
+    with pytest.raises(ProofError, match="with principal 1"):
+        rule_app(RS, "oneL", seq("1, a |- 0"), principal=1)
+    with pytest.raises(ProofError):
+        rule_app(RS, "id", seq("a . b |- a . b"))
 
 
 def test_check_local_id_requires_variable():

@@ -8,7 +8,7 @@ from actlat.proof_core import (
     check_wf,
     id_expand,
 )
-from actlat.rules import Instantiation, RuleSet, instantiate
+from actlat.rules import Instantiation, RuleInstance, RuleSet, instantiate
 from actlat.syntax import (
     One,
     Prod,
@@ -70,17 +70,17 @@ def test_evolve_through_unary_context():
     rule = RS.resolve("oneL")
     inst = Instantiation(fmap={"b": c}, smap={"Gamma": (Star(a),), "Delta": (b,)})
     f = {0: 2}
-    assert evolve_assignment(f, rule, inst, 0) == {0: 2}
+    assert evolve_assignment(f, RuleInstance(rule, inst), 0) == {0: 2}
     # a position after the removed unit shifts down
     inst2 = Instantiation(fmap={"b": c}, smap={"Gamma": (), "Delta": (Star(a),)})
-    assert evolve_assignment({1: 3}, rule, inst2, 0) == {0: 3}
+    assert evolve_assignment({1: 3}, RuleInstance(rule, inst2), 0) == {0: 3}
 
 
 def test_evolve_through_contraction_duplicates():
     rule = RS.resolve("C")
     star = Star(a)
     inst = Instantiation(fmap={"b": c}, smap={"Gamma": (), "Pi": (star,), "Delta": ()})
-    out = evolve_assignment({0: 2}, rule, inst, 0)
+    out = evolve_assignment({0: 2}, RuleInstance(rule, inst), 0)
     assert out == {0: 2, 1: 2}
 
 
@@ -89,7 +89,7 @@ def test_evolve_drops_unrelated_positions():
     star = Star(a)
     inst = Instantiation(fmap={"b": c}, smap={"Gamma": (), "Pi": (star,), "Delta": (b,)})
     # position 0 (the weakened-in star) has no ancestor in the premise
-    out = evolve_assignment({0: 1}, rule, inst, 0)
+    out = evolve_assignment({0: 1}, RuleInstance(rule, inst), 0)
     assert out == {}
 
 
@@ -97,7 +97,7 @@ def test_evolve_rejects_assigned_principal():
     rule = RS.resolve("starL")
     inst = Instantiation(fmap={"a": a, "b": c}, smap={"Gamma": (), "Delta": ()})
     with pytest.raises(AssignmentError):
-        evolve_assignment({0: 1}, rule, inst, 1)
+        evolve_assignment({0: 1}, RuleInstance(rule, inst), 1)
 
 
 def test_evolution_preserves_validity():
@@ -119,14 +119,14 @@ def test_evolution_preserves_validity():
 
             for slot, child in enumerate(node.children):
                 indices = rule.child_indices()
-                fi = evolve_assignment(f, rule, node.app.inst, indices[slot])
+                fi = evolve_assignment(f, RuleInstance(rule, node.app.inst), indices[slot])
                 validate_assignment(fi, proof.node(child).sequent)
 
 
 def test_uniformity_id():
     rule = RS.resolve("id")
     inst = Instantiation(fmap={"a": a})
-    projected, premises, conclusion = check_rule_uniformity(rule, inst, {})
+    projected, premises, conclusion = check_rule_uniformity(RuleInstance(rule, inst), {})
     assert conclusion == seq("a |- a")
     assert premises == ()
 
@@ -135,7 +135,7 @@ def test_uniformity_meetR_context():
     rule = RS.resolve("meetR")
     star = Star(a)
     inst = Instantiation(fmap={"b0": b, "b1": c}, smap={"Gamma": (star,)})
-    projected, premises, conclusion = check_rule_uniformity(rule, inst, {0: 1})
+    projected, premises, conclusion = check_rule_uniformity(RuleInstance(rule, inst), {0: 1})
     assert conclusion == Sequent((power_formula(a, 1),), parse_sequent("|- b & c").succedent)
     assert premises[0] == Sequent((power_formula(a, 1),), b)
     assert premises[1] == Sequent((power_formula(a, 1),), c)
@@ -145,7 +145,7 @@ def test_uniformity_contraction():
     rule = RS.resolve("C")
     star = Star(a)
     inst = Instantiation(fmap={"b": c}, smap={"Gamma": (), "Pi": (star,), "Delta": ()})
-    projected, premises, conclusion = check_rule_uniformity(rule, inst, {0: 2})
+    projected, premises, conclusion = check_rule_uniformity(RuleInstance(rule, inst), {0: 2})
     assert conclusion == Sequent((power_formula(a, 2),), c)
     assert premises[0] == Sequent((power_formula(a, 2), power_formula(a, 2)), c)
 
@@ -350,7 +350,7 @@ def test_projection_checks_each_address_once(monkeypatch):
     node_at = translate.ProjectedLazy.node_at
 
     def counting_check(*args, **kwargs):
-        checks.append(args[0].name)
+        checks.append(args[0].rule.name)
         return check(*args, **kwargs)
 
     def recording_node_at(self, addr):
@@ -422,6 +422,17 @@ def test_wf_to_nwf_ladder():
         assert left.sequent == Sequent((a,) * j, Star(a))
     checked, violation = check_lazy_prefix(lazy, 4, RS)
     assert violation is None, violation
+
+
+def test_wf_to_nwf_ladder_reads_the_principal_mark():
+    import dataclasses
+
+    p = id_expand(Star(a), RS)
+    assert wf_to_nwf(p, RS).node_at((1, 1)).app.principal == 2
+    for mark in (None, 1):
+        bad = dataclasses.replace(p, app=dataclasses.replace(p.app, principal=mark))
+        with pytest.raises(ProofError, match="principal mark"):
+            wf_to_nwf(bad, RS).node_at(())
 
 
 def test_round_trip_conclusions():
