@@ -89,14 +89,20 @@ def rule_app(rules: RuleSet, name: str, sequent: Sequent,
     Of the instances that match the conclusion, those whose premises are
     ``premises`` (any premises when None, as for a premise family) and whose
     principal position is ``principal`` (any when None) qualify; the first
-    in match order is returned.  Raises ProofError when none qualifies.
+    in match order is returned.  Raises ProofError when none qualifies, or
+    when premises are given for a rule whose premises mention a
+    metavariable its conclusion does not (cut's formula).
     """
     rule = rules.resolve(name)
     for inst in match_conclusion(rule, sequent):
         ri = RuleInstance(rule, inst)
-        if ((principal is None or ri.principal == principal)
-                and (premises is None or ri.premises == premises)):
-            return RuleApp(rule.name, inst, ri.principal)
+        if principal is not None and ri.principal != principal:
+            continue
+        try:
+            if premises is None or ri.premises == premises:
+                return RuleApp(rule.name, inst, ri.principal)
+        except InstantiationError as e:
+            raise ProofError(f"cannot derive {rule.name} from its conclusion: {e}") from e
     raise ProofError(f"no instance of {rule.name} concludes {print_sequent(sequent)}"
                      + ("" if premises is None else " from the given premises")
                      + ("" if principal is None else f" with principal {principal}"))

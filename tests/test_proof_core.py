@@ -93,6 +93,8 @@ def test_rule_app_raises_when_no_instance_qualifies():
         rule_app(RS, "oneL", seq("1, a |- 0"), principal=1)
     with pytest.raises(ProofError):
         rule_app(RS, "id", seq("a . b |- a . b"))
+    with pytest.raises(ProofError, match="cannot derive Cut"):
+        rule_app(RS, "Cut", seq("a |- a"), (seq("a |- a"), seq("a |- a")))
 
 
 def test_check_local_id_requires_variable():
