@@ -91,7 +91,9 @@ def rule_app(rules: RuleSet, name: str, sequent: Sequent,
     principal position is ``principal`` (any when None) qualify; the first
     in match order is returned.  Raises ProofError when none qualifies, or
     when premises are given for a rule whose premises mention a
-    metavariable its conclusion does not (cut's formula).
+    metavariable its conclusion does not (cut's formula); without premises
+    such a metavariable stays unbound, as in :func:`match_conclusion`, and
+    the local check rejects the node.
     """
     rule = rules.resolve(name)
     for inst in match_conclusion(rule, sequent):
