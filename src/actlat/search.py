@@ -10,10 +10,13 @@ least once (a cycle without it can never progress).  Each complete
 candidate graph runs through the global progress check; the first accepted
 one is returned.
 
-Each call keeps a table with one entry per distinct sequent: its visit count,
-its rule instances with premises mapped to table entries (so the back-edge and
-self-premise tests compare by identity), which instances are usable, and
-whether it is viable; each is computed once per search, in the same order.
+Each call keeps a table with one entry per distinct sequent reached as a
+premise: its visit count, its rule instances with premises mapped to table
+entries (so the back-edge and self-premise tests compare by identity), which
+instances are usable, and whether it is viable; each is computed once per
+search, in the same order.  Instances are built one rule group at a time, as
+the search consumes them.  A sequent that can yield nothing more (visit-capped,
+or with no usable instance) is not entered again; its visits are only counted.
 
 The search is a semi-decision procedure: exhausted budgets yield an unknown
 result, never a refutation.  Refutation is a separate counter-valuation
@@ -65,6 +68,7 @@ class SearchConfig:
 @dataclass
 class SearchStats:
     expansions: int = 0      # rule instances enumerated, usable or not
+    instances: int = 0       # rule instances built
     sequents: int = 0        # distinct sequents in the table
     model_queries: int = 0   # counter-model searches in the pruning models
     model_seconds: float = 0.0   # time spent in those searches
@@ -148,9 +152,9 @@ def cut_instances(goal: Sequent, cut: SchematicRule) -> Iterator[RuleInstance]:
 
 
 def _expansions(goal: Sequent, groups: list[list[tuple]],
-                cut: SchematicRule | None) -> Iterator[RuleInstance]:
-    """Rule instances whose conclusion is the goal, in search order: the
-    rule groups of :func:`_rule_groups`, then cut when given."""
+                cut: SchematicRule | None) -> Iterator[list[RuleInstance]]:
+    """Rule instances whose conclusion is the goal, in search order and in
+    non-empty groups: those of :func:`_rule_groups`, then each cut alone."""
     present = {(False, type(f)) for f in goal.antecedent}
     present.add((True, type(goal.succedent)))
     for i, group in enumerate(groups):
@@ -159,9 +163,10 @@ def _expansions(goal: Sequent, groups: list[list[tuple]],
                  for inst in match_conclusion(rule, goal)]
         if i == _BY_POSITION:
             found.sort(key=lambda ri: ri.principal)
-        yield from found
+        if found:
+            yield found
     if cut is not None:
-        yield from cut_instances(goal, cut)
+        yield from ([ri] for ri in cut_instances(goal, cut))
 
 
 def _to_cyclic(cand: _Cand) -> CyclicProof:
@@ -212,9 +217,12 @@ def _pruning_models(user_rules) -> list[FiniteActionLattice]:
 class _Entry:
     """The table entry of one distinct sequent within one search."""
     sequent: Sequent
+    pending: Iterator[list[RuleInstance]]   # the instance groups not built yet
+    # [ri, premise entries, usable] per instance built, then None while pending lasts
+    expansions: list[list | None] = field(default_factory=lambda: [None])
     visits: int = 0
-    expansions: list[list] | None = None   # [ri, premise entries, usable] each
     viable: bool | None = None
+    inert: bool = False   # later visits yield nothing: visit-capped, or no usable instance
 
 
 def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
@@ -235,7 +243,7 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
     pruning = _pruning_models(user_rules)
 
     def entry(s: Sequent) -> _Entry:
-        return table.get(s) or table.setdefault(s, _Entry(s))
+        return table.get(s) or table.setdefault(s, _Entry(s, _expansions(s, groups, cut)))
 
     def viable(e: _Entry) -> bool:
         if e.viable is None:
@@ -248,49 +256,93 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
                     stats.model_seconds += perf_counter() - t0
         return e.viable
 
-    def candidates(e: _Entry, depth: int, path: tuple[tuple[Sequent, str], ...]):
-        # path holds exactly one (sequent, rule) entry per ancestor of s, root
-        # first, so back-edge indices line up with the stack the graph builder
-        # keeps.  Each frame passes its children a path of its own: generators
-        # suspended in a sibling's subtree never leave entries behind.
-        s = e.sequent
+    def grow(e: _Entry) -> list | None:
+        """Put e's next group of instances in place of the final None, and
+        return its first; None when no group is left."""
+        exps = e.expansions
+        exps.pop()
+        group = next(e.pending, None)
+        if group is None:
+            return None
+        stats.instances += len(group)
+        exps += [[ri, tuple(map(entry, ri.premises)), None] for ri in group]
+        exps.append(None)
+        return exps[-1 - len(group)]
+
+    def pass_over(e: _Entry, depth: int) -> None:
+        # a visit to an inert entry, which yields nothing: one with no usable
+        # instance is never on a path, and each instance is one expansion
         e.visits += 1
-        if e.visits > VISIT_CAP:
-            return
-        lo = max(0, len(path) - LOOP_WINDOW)
-        for i in range(lo, len(path)):
-            anc, _ = path[i]
-            if anc is s and any(r == "starL" for _, r in path[i:]):
-                yield _Back(i)
+        if e.visits <= VISIT_CAP and depth > 0:
+            stats.expansions += len(e.expansions)
+            if stats.expansions > STEP_CAP:
+                stats.expansions = STEP_CAP + 1
+                raise _StepsExhausted
+
+    def candidates(e: _Entry, depth: int, path: tuple[_Entry, ...], last_star: int):
+        # path holds one entry per ancestor of e, root first, so back-edge
+        # indices line up with the stack the graph builder keeps; last_star
+        # indexes the last one that applied starL.  Each frame passes its
+        # children a path of its own, so none leaves entries behind.
+        e.visits += 1
+        if e.visits >= VISIT_CAP:
+            e.inert = True
+            if e.visits > VISIT_CAP:
+                return
+        if e in path:
+            for i in range(max(0, len(path) - LOOP_WINDOW), last_star + 1):
+                if path[i] is e:
+                    yield _Back(i)
         if depth <= 0:
             return
-        if e.expansions is None:
-            e.expansions = [[ri, tuple(entry(p) for p in ri.premises), None]
-                            for ri in _expansions(s, groups, cut)]
-        for exp in e.expansions:
+        s, sub, depth = e.sequent, path + (e,), depth - 1
+        live = False
+        for exp in e.expansions:   # the loop sees the groups that grow appends
+            if exp is None and (exp := grow(e)) is None:
+                break
             stats.expansions += 1
             if stats.expansions > STEP_CAP:
                 raise _StepsExhausted
             ri, premises, usable = exp
             if usable is None:
                 # a premise equal to its conclusion can never progress
-                usable = exp[2] = all(p is not e for p in premises) and \
-                    all(viable(p) for p in premises)
-            if usable:
-                yield from _combine(s, ri, premises, (), depth, path + ((s, ri.rule.name),))
+                usable = exp[2] = e not in premises and all(map(viable, premises))
+            if not usable:
+                continue
+            live = True
+            star = len(path) if ri.rule.name == "starL" else last_star
+            if not premises:
+                yield _Cand(s, ri, ())
+            elif len(premises) <= 2 and premises[0].inert:
+                pass_over(premises[0], depth)
+            elif len(premises) == 1:
+                for a in candidates(premises[0], depth, sub, star):
+                    yield _Cand(s, ri, (a,))
+            elif len(premises) == 2:
+                p, q = premises
+                for a in candidates(p, depth, sub, star):
+                    if q.inert:
+                        pass_over(q, depth)
+                        continue
+                    for b in candidates(q, depth, sub, star):
+                        yield _Cand(s, ri, (a, b))
+            else:
+                yield from _combine(s, ri, premises, (), depth, sub, star)
+        if not live:
+            e.inert = True
 
-    def _combine(s, ri, premises, done, depth, path):
+    def _combine(s, ri, premises, done, depth, path, last_star):
         if not premises:
             yield _Cand(s, ri, done)
             return
-        for sub in candidates(premises[0], depth - 1, path):
-            yield from _combine(s, ri, premises[1:], done + (sub,), depth, path)
+        for sub in candidates(premises[0], depth, path, last_star):
+            yield from _combine(s, ri, premises[1:], done + (sub,), depth, path, last_star)
 
     root = entry(goal)
     try:
         if not viable(root):
             return SearchResult(False, None, "goal fails in a sound finite counter-model", stats)
-        for cand in candidates(root, cfg.depth, ()):
+        for cand in candidates(root, cfg.depth, (), -1):
             if isinstance(cand, _Back):
                 continue
             stats.candidates += 1

@@ -112,8 +112,8 @@ def test_translate_nested_families_round_trip(tmp_path, capsys):
     assert main(["check", str(wf), "--omega-fuel", "3"]) == 0
 
 
-STATS_KEYS = {"expansions", "sequents", "model_queries", "model_seconds", "candidates",
-              "visit_capped", "seconds"}
+STATS_KEYS = {"expansions", "instances", "sequents", "model_queries", "model_seconds",
+              "candidates", "visit_capped", "seconds"}
 
 
 def test_prove_json_schema(capsys):

@@ -71,7 +71,8 @@ def test_prove_rres_succedent():
 def expansions(goal, user=(), with_cut=True):
     rules = RuleSet(list(user))
     cut = rules.resolve("Cut") if with_cut else None
-    return search._expansions(goal, search._rule_groups(rules, user), cut)
+    groups = search._expansions(goal, search._rule_groups(rules, user), cut)
+    return list(itertools.chain.from_iterable(groups))
 
 
 @settings(max_examples=100, deadline=None)
@@ -272,8 +273,11 @@ def test_viability_queried_once_per_sequent(monkeypatch):
     assert len(queried) <= 200
 
 
+# Caps 501, 2001 and 10008 run out inside a visit to a sequent with no usable
+# instance, whose expansions are counted all at once, past the cap.
 @pytest.mark.parametrize("cap, value, text, cfg, reason", [
-    ("STEP_CAP", 500, "(a | b)* |- (a* . b)* . a*", None, "step budget exhausted"),
+    *(("STEP_CAP", value, "(a | b)* |- (a* . b)* . a*", None, "step budget exhausted")
+      for value in (500, 501, 2000, 2001, 10000, 10008)),
     ("MAX_CANDIDATES", 2, "a* . a |- a . a*", SearchConfig(depth=12, with_cut=True),
      "candidate budget exhausted"),
 ])
@@ -291,3 +295,32 @@ def test_default_budgets_on_budget_goals():
     assert prove_star_identity("(a | b)* |- (a* . b)* . a*").reason == \
         "search space exhausted within bounds"
     assert_found(prove_star_identity("a* . a |- a . a*"))
+
+
+# found, reason and SearchStats but sequents, instances and the timings, as
+# the search gave them before it built instances lazily
+@pytest.mark.parametrize("text, cfg, found, reason, expansions, model_queries, candidates, capped", [
+    ("(a | b)* |- (a* . b)* . a*", None, False, "search space exhausted within bounds",
+     20434, 86, 0, 1),
+    ("(a . b)*, a |- a . (b . a)*", None, True, "", 220, 62, 1, 0),
+    ("a* . a |- a . a*", SearchConfig(depth=12, with_cut=True), False,
+     "candidate budget exhausted", 1262, 56, 64, 0),
+    ("a* . b* |- (a . b)*", None, False, "search space exhausted within bounds", 30, 21, 0, 0),
+])
+def test_search_stats_pinned(text, cfg, found, reason, expansions, model_queries,
+                             candidates, capped):
+    result = prove(seq(text), cfg=cfg)
+    stats = result.stats
+    assert (result.found, result.reason) == (found, reason)
+    assert (stats.expansions, stats.model_queries, stats.candidates, stats.visit_capped) == \
+        (expansions, model_queries, candidates, capped)
+
+
+def test_instances_built_as_consumed():
+    # the proof closes inside the first group of each sequent it reaches, so
+    # the later groups (the left rules of the goal) are never built
+    result = prove(seq("a & b |- b | a"))
+    assert_found(result)
+    reached = {node.sequent for node in result.proof.nodes.values()}
+    every = sum(len(expansions(s, with_cut=False)) for s in reached)
+    assert (result.stats.instances, every) == (5, 7)
