@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import FiniteActionLattice, _var_grids, holds_quasieq, star_table, validate_algebra
+from .models import FiniteActionLattice, _open_grids, holds_quasieq, star_table, validate_algebra
 from .rules import Quasiequation, is_analytic_quasiequation
 from .syntax import Formula, One, Prod, Var
 
@@ -510,7 +510,7 @@ def frame_q_counterexample(f: ResiduatedFrame, q: Quasiequation):
         return out
 
     k = len(names)
-    grids = _var_grids(n, names)
+    grids = {name: plain for name, (plain, _) in zip(names, _open_grids(n, k))}
     # premise/conclusion values; broadcast against the bound variable axis
     concl_val = eval_word(concl, grids)
     ok = f.n_rel[concl_val][..., :]

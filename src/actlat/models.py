@@ -13,8 +13,10 @@ of atoms under a partial product, numbered by bitmask.
 Validity queries evaluate formulas over all valuations at once.  Each model
 keeps its tables raveled in the narrowest unsigned dtype that holds n*n,
 once plain and once times n, so a binary connective (and the order) costs
-one add of the times-n left operand to the right one and one flat ``take``;
-large carriers are chunked over the first variable.
+one add of the times-n left operand to the right one and one flat ``take``.
+The grid is walked in blocks of the first variable of at most 64K cells, so
+index arrays stay small; within a block, and across one proof search's
+pruning queries, each subformula is evaluated once.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from .syntax import (
     variables,
 )
 
-_GRID_LIMIT = 4_000_000
+_GRID_LIMIT = 4_000_000   # beyond VAR_CAP variables, grids above this are refused
+_BLOCK_CELLS = 1 << 16    # cells per block of the query kernel
 VAR_CAP = 4
 
 
@@ -384,63 +387,84 @@ def _open_grids(n: int, k: int) -> tuple:
     return tuple((plain.reshape(shape), times_n.reshape(shape)) for shape in shapes)
 
 
-def _var_grids(n: int, names: list[str]) -> dict[str, np.ndarray]:
-    k = len(names)
-    grids = {}
-    for axis, name in enumerate(names):
-        shape = [1] * k
-        shape[axis] = n
-        grids[name] = np.arange(n).reshape(shape)
-    return grids
+class Evaluator:
+    """Formula values over fixed open grids, given as each variable's
+    (plain, times-n) pair.  Each formula's values, plain or times n, are
+    computed once and kept in a dict keyed by ``(formula, scaled)``."""
+
+    def __init__(self, t: _Tables, grids: dict):
+        self.t, self.grids, self.values = t, grids, {}
+
+    def __call__(self, f: Formula, scaled: bool):
+        kind = type(f)
+        if kind is Var:
+            return self.grids[f.name][scaled]
+        key = (f, scaled)
+        out = self.values.get(key)
+        if out is None:
+            read = self.t[kind][scaled]
+            if kind is Star:
+                out = read.take(self(f.body, False))
+            elif kind is Zero or kind is One:
+                out = read
+            else:
+                out = read.take(self(f.left, True) + self(f.right, False))
+            self.values[key] = out
+        return out
+
+    def holds(self, ineq: Inequation):
+        return self.t.le.take(self(ineq.lhs, True) + self(ineq.rhs, False))
+
+    def sequent(self, s: Sequent):
+        """Where s holds: its antecedent folded through the product table,
+        times n, read against the succedent in the order."""
+        acc = self(s.antecedent[0], True) if s.antecedent else self.t[One][1]
+        for f in s.antecedent[1:]:
+            acc = self.t[Prod][1].take(acc + self(f, False))
+        return self.t.le.take(acc + self(s.succedent, False))
 
 
-def _eval(t: _Tables, grids: dict, f: Formula, scaled: bool):
-    """The values of f over the grids, times n when scaled."""
-    kind = type(f)
-    if kind is Var:
-        return grids[f.name][scaled]
-    read = t[kind][scaled]
-    if kind is Star:
-        return read.take(_eval(t, grids, f.body, False))
-    if kind is Zero or kind is One:
-        return read
-    return read.take(_eval(t, grids, f.left, True) + _eval(t, grids, f.right, False))
+def _names(*formulas: Formula) -> list[str]:
+    return sorted(set().union(*map(variables, formulas)))
 
 
-def _holds(t: _Tables, grids: dict, ineq: Inequation):
-    return t.le.take(_eval(t, grids, ineq.lhs, True) + _eval(t, grids, ineq.rhs, False))
+def evaluator(a: FiniteActionLattice, s: Sequent) -> Evaluator | None:
+    """An evaluator over a's whole grid of the variables of s, for queries
+    on sequents whose variables are among them; None when that grid exceeds
+    one block of the query kernel."""
+    names = _names(*s.antecedent, s.succedent)
+    if a.size ** len(names) > _BLOCK_CELLS:
+        return None
+    return Evaluator(a.tables, dict(zip(names, _open_grids(a.size, len(names)))))
 
 
 def _check_all_valuations(a: FiniteActionLattice, names: list[str], predicate) -> tuple | None:
-    """Run a vectorized predicate of the model's tables and the variable
-    grids over all valuations; returns a witness valuation or None.  Chunks
-    over the first variable on big grids."""
-    n = a.size
-    t = a.tables
-    if len(names) > VAR_CAP and n ** len(names) > _GRID_LIMIT:
+    """Run a vectorized predicate of an :class:`Evaluator` over all
+    valuations of the named variables; returns the first failing valuation
+    or None.  The grid is walked in blocks of the first variable, each of at
+    most _BLOCK_CELLS cells (one value, when the other variables alone
+    exceed that), in increasing order, each with a fresh evaluator."""
+    n, k = a.size, len(names)
+    if k > VAR_CAP and n ** k > _GRID_LIMIT:
         raise ModelError(
-            f"validity query over {len(names)} variables on a carrier of size {n} "
+            f"validity query over {k} variables on a carrier of size {n} "
             f"exceeds the exhaustive budget (cap {VAR_CAP} variables)"
         )
-    if names and n ** len(names) > _GRID_LIMIT:
-        first, rest = names[0], names[1:]
-        grids = dict(zip(rest, _open_grids(n, len(rest))))
-        (plain, times_n), = _open_grids(n, 1)
-        for v in range(n):
-            grids[first] = (plain[v], times_n[v])
-            ok = predicate(t, grids)
-            if not ok.all():
-                idx = np.argwhere(~np.broadcast_to(ok, (n,) * len(rest)))
-                witness = {first: v}
-                witness.update({name: int(i) for name, i in zip(rest, idx[0])})
-                return tuple(sorted(witness.items()))
-        return None
-    ok = predicate(t, dict(zip(names, _open_grids(n, len(names)))))
-    if ok.all():
-        return None
-    idx = np.argwhere(~np.broadcast_to(ok, (n,) * len(names))) if names else [()]
-    witness = {name: int(i) for name, i in zip(names, idx[0])}
-    return tuple(sorted(witness.items()))
+    grids = dict(zip(names, _open_grids(n, k)))
+    if not names:
+        return None if predicate(Evaluator(a.tables, grids)).all() else ()
+    first = names[0]
+    plain, times_n = grids[first]
+    step = max(1, _BLOCK_CELLS // n ** (k - 1))
+    for lo in range(0, n, step):
+        block = {**grids, first: (plain[lo:lo + step], times_n[lo:lo + step])}
+        ok = predicate(Evaluator(a.tables, block))
+        if not ok.all():
+            shape = (min(step, n - lo),) + (n,) * (k - 1)
+            idx = np.argwhere(~np.broadcast_to(ok, shape))[0]
+            idx[0] += lo
+            return tuple(zip(names, map(int, idx)))
+    return None
 
 
 def sequent_inequation(s: Sequent) -> Inequation:
@@ -455,15 +479,17 @@ def sequent_inequation(s: Sequent) -> Inequation:
     return Inequation(lhs, s.succedent)
 
 
-def holds_sequent(a: FiniteActionLattice, s: Sequent) -> bool:
+def holds_sequent(a: FiniteActionLattice | Evaluator, s: Sequent) -> bool:
+    """Whether s holds in model a, or over the grids of an :func:`evaluator`
+    that cover the variables of s (reusing the values it holds)."""
+    if isinstance(a, Evaluator):
+        return bool(a.sequent(s).all())
     return find_sequent_counterexample(a, s) is None
 
 
 def find_sequent_counterexample(a: FiniteActionLattice, s: Sequent):
-    ineq = sequent_inequation(s)
-    names = sorted(variables(ineq.lhs) | variables(ineq.rhs))
-
-    return _check_all_valuations(a, names, lambda t, grids: _holds(t, grids, ineq))
+    names = _names(*s.antecedent, s.succedent)
+    return _check_all_valuations(a, names, lambda ev: ev.sequent(s))
 
 
 def holds_quasieq(a: FiniteActionLattice, q: Quasiequation) -> bool:
@@ -471,15 +497,12 @@ def holds_quasieq(a: FiniteActionLattice, q: Quasiequation) -> bool:
 
 
 def find_quasieq_counterexample(a: FiniteActionLattice, q: Quasiequation):
-    names = set()
-    for iq in (*q.premises, q.conclusion):
-        names |= variables(iq.lhs) | variables(iq.rhs)
-    names = sorted(names)
+    names = _names(*(f for iq in (*q.premises, q.conclusion) for f in (iq.lhs, iq.rhs)))
 
-    def predicate(t, grids):
-        ok = _holds(t, grids, q.conclusion)
+    def predicate(ev):
+        ok = ev.holds(q.conclusion)
         for p in q.premises:
-            ok = ok | ~_holds(t, grids, p)
+            ok = ok | ~ev.holds(p)
         return ok
 
     return _check_all_valuations(a, names, predicate)

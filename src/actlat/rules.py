@@ -175,11 +175,6 @@ class SchematicRule:
     def is_omega(self) -> bool:
         return self.omega is not None
 
-    @property
-    def arity(self) -> int | None:
-        """Number of premises; None for the infinitary rules."""
-        return None if self.is_omega else len(self.premises)
-
     def child_indices(self) -> tuple[int, ...] | None:
         """Valid child address components; None means every natural number.
 

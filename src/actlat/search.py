@@ -32,7 +32,7 @@ from time import perf_counter
 from typing import Iterator, Sequence
 
 from .progress import check_cyclic_progress
-from .proof_core import CyclicNode, CyclicProof, RuleApp, check_cyclic_local
+from .proof_core import CyclicNode, CyclicProof, ResourceLimit, RuleApp, check_cyclic_local
 from .rules import (
     Instantiation,
     RuleInstance,
@@ -44,7 +44,8 @@ from .rules import (
     metavariables,
     q_of,
 )
-from .models import FiniteActionLattice, find_sequent_counterexample, holds_quasieq, two_chain
+from .models import (FiniteActionLattice, evaluator, find_sequent_counterexample, holds_quasieq,
+                     holds_sequent, two_chain)
 from .syntax import Formula, Join, LRes, Meet, Prod, RRes, Sequent, Star
 
 
@@ -240,7 +241,9 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
     table: dict[Sequent, _Entry] = {}
     stats = SearchStats()
     max_width = goal.width + WIDTH_SLACK
-    pruning = _pruning_models(user_rules)
+    # every sequent's variables are the goal's (cut formulas are goal
+    # subformulas), so one evaluator per model serves the whole search
+    pruning = [evaluator(m, goal) or m for m in _pruning_models(user_rules)]
 
     def entry(s: Sequent) -> _Entry:
         return table.get(s) or table.setdefault(s, _Entry(s, _expansions(s, groups, cut)))
@@ -252,7 +255,7 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
                 if e.viable:
                     stats.model_queries += 1
                     t0 = perf_counter()
-                    e.viable = find_sequent_counterexample(m, e.sequent) is None
+                    e.viable = holds_sequent(m, e.sequent)
                     stats.model_seconds += perf_counter() - t0
         return e.viable
 
@@ -347,8 +350,7 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
                 continue
             stats.candidates += 1
             proof = _to_cyclic(cand)
-            if check_cyclic_local(proof, rules).ok and \
-                    check_cyclic_progress(proof, rules).accepted:
+            if check_cyclic_local(proof, rules).ok and _progresses(proof, rules):
                 return SearchResult(True, proof, stats=stats)
             if stats.candidates >= MAX_CANDIDATES:
                 return SearchResult(False, None, "candidate budget exhausted", stats)
@@ -359,6 +361,14 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
         stats.visit_capped = sum(e.visits > VISIT_CAP for e in table.values())
         stats.seconds = perf_counter() - start
     return SearchResult(False, None, "search space exhausted within bounds", stats)
+
+
+def _progresses(proof: CyclicProof, rules: RuleSet) -> bool:
+    """The progress check's verdict; a candidate past its limits is rejected."""
+    try:
+        return check_cyclic_progress(proof, rules).accepted
+    except ResourceLimit:
+        return False
 
 
 @dataclass

@@ -1,6 +1,8 @@
 import dataclasses
 import functools
 import itertools
+import random
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -34,7 +36,7 @@ from actlat.models import (
 from actlat.rules import Inequation, Quasiequation, RuleSet, example_structural_rules, q_a_of, q_of
 from actlat.syntax import Prod, Sequent, Star, Var, parse_formula, parse_sequent, variables
 
-from tests.helpers import ATOMS, formulas, reference_counterexample
+from tests.helpers import ATOMS, formulas, random_formula, reference_counterexample
 
 EX = example_structural_rules()
 
@@ -254,7 +256,7 @@ def test_sequent_queries_match_reference(data, chunked):
     a = kernel_models()[data.draw(st.sampled_from(sorted(kernel_models())))]
     s = data.draw(QUERIES[a.size < 128][0])
     want = reference_counterexample(a, (), sequent_inequation(s))
-    with mock.patch.object(models, "_GRID_LIMIT", 1 if chunked else models._GRID_LIMIT):
+    with mock.patch.object(models, "_BLOCK_CELLS", 1 if chunked else models._BLOCK_CELLS):
         assert find_sequent_counterexample(a, s) == want
 
 
@@ -264,7 +266,7 @@ def test_quasieq_queries_match_reference(data, chunked):
     a = kernel_models()[data.draw(st.sampled_from(sorted(kernel_models())))]
     q = data.draw(QUERIES[a.size < 128][1])
     want = reference_counterexample(a, q.premises, q.conclusion)
-    with mock.patch.object(models, "_GRID_LIMIT", 1 if chunked else models._GRID_LIMIT):
+    with mock.patch.object(models, "_BLOCK_CELLS", 1 if chunked else models._BLOCK_CELLS):
         assert find_quasieq_counterexample(a, q) == want
 
 
@@ -288,9 +290,57 @@ def test_var_cap_applies_only_beyond_the_grid_limit():
         with pytest.raises(ModelError, match="over 5 variables on a carrier of size 2"):
             find_sequent_counterexample(two_chain(), five)
     four = parse_sequent("v . w, x |- x . v")
-    with mock.patch.object(models, "_GRID_LIMIT", 1):  # chunked, never capped
+    with mock.patch.multiple(models, _GRID_LIMIT=1, _BLOCK_CELLS=1):  # blocked, never capped
         assert find_sequent_counterexample(two_chain(), four) == \
             reference_counterexample(two_chain(), (), sequent_inequation(four))
+
+
+def _three_variable_queries(seed: int, count: int) -> tuple[list, list]:
+    """count sequents and count quasiequations over exactly a, b and c."""
+    rng = random.Random(seed)
+
+    def draw(k):
+        while True:
+            fs = [random_formula(rng, 5, 1) for _ in range(k)]
+            if set().union(*map(variables, fs)) == {"a", "b", "c"}:
+                return fs
+
+    sequents = [Sequent(tuple(fs[:-1]), fs[-1]) for fs in (draw(rng.randint(2, 3))
+                                                          for _ in range(count))]
+    quasieqs = [Quasiequation((Inequation(f, g),), Inequation(h, k))
+                for f, g, h, k in (draw(4) for _ in range(count))]
+    return sequents, quasieqs
+
+
+def test_blocked_queries_match_whole_grid_reference():
+    a = truncated_words()
+    step = models._BLOCK_CELLS // a.size ** 2
+    assert 1 <= step < a.size  # the grid spans several blocks
+    sequents, quasieqs = _three_variable_queries(5, 16)
+    got = [find_sequent_counterexample(a, s) for s in sequents] + \
+        [find_quasieq_counterexample(a, q) for q in quasieqs]
+    want = [reference_counterexample(a, (), sequent_inequation(s)) for s in sequents] + \
+        [reference_counterexample(a, q.premises, q.conclusion) for q in quasieqs]
+    assert got == want
+    assert None in got and any(w is not None for w in got)
+    # the first failing valuation lies in the third block of a
+    late = parse_sequent("(1 / 0) \\ (a & c) |- 0 | c & b")
+    witness = find_sequent_counterexample(a, late)
+    assert witness == reference_counterexample(a, (), sequent_inequation(late)) == \
+        (("a", 8), ("b", 0), ("c", 8))
+    assert witness[0][1] >= 2 * step
+
+
+def test_three_variable_query_memory():
+    a = truncated_words()
+    s = parse_sequent("a . (b . c) |- (a . b) . c")
+    tracemalloc.start()
+    try:
+        assert find_sequent_counterexample(a, s) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 def test_holds_quasieq_contraction():

@@ -4,11 +4,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from actlat import search
+from actlat import models, search
 from actlat.models import library, rel_algebra, soundness_audit, two_chain
 from actlat.progress import check_cyclic_progress
-from actlat.proof_core import check_cyclic_local
-from actlat.rules import RuleSet, builtin_rules, example_structural_rules, match_conclusion, q_a_of
+from actlat.proof_core import ResourceLimit, check_cyclic_local
+from actlat.rules import (RuleSet, builtin_rules, example_structural_rules, match_conclusion,
+                          parse_rule_file, q_a_of)
 from actlat.search import SearchConfig, SearchResult, prove, refute
 from actlat.syntax import Sequent, parse_sequent
 
@@ -259,16 +260,23 @@ def test_missed_identity_stats(text):
     assert stats.seconds > 0
 
 
-def test_viability_queried_once_per_sequent(monkeypatch):
+def record_queries(monkeypatch) -> list:
+    """Record (model or evaluator, sequent, verdict) for every pruning query."""
     queried = []
-    real = search.find_sequent_counterexample
+    real = search.holds_sequent
 
-    def counting(model, s):
-        queried.append(s)
-        return real(model, s)
+    def recording(model, s):
+        queried.append((model, s, real(model, s)))
+        return queried[-1][2]
 
-    monkeypatch.setattr(search, "find_sequent_counterexample", counting)
+    monkeypatch.setattr(search, "holds_sequent", recording)
+    return queried
+
+
+def test_viability_queried_once_per_sequent(monkeypatch):
+    records = record_queries(monkeypatch)
     result = prove(seq("(a | b)* |- (a* . b)* . a*"))
+    queried = [s for _, s, _ in records]
     assert len(queried) == len(set(queried)) == result.stats.model_queries
     assert len(queried) <= 200
 
@@ -326,3 +334,52 @@ def test_instances_built_as_consumed():
     reached = {node.sequent for node in result.proof.nodes.values()}
     every = sum(len(expansions(s, with_cut=False)) for s in reached)
     assert (result.stats.instances, every) == (5, 7)
+
+
+@pytest.mark.parametrize("text, cfg", [
+    ("(a | b)* |- (a* . b)* . a*", None),
+    ("a* . a |- a . a*", SearchConfig(depth=12, with_cut=True)),
+])
+def test_pruning_cache_agrees_with_the_kernel(monkeypatch, text, cfg):
+    queried = record_queries(monkeypatch)
+    goal = seq(text)
+    prove(goal, cfg=cfg)
+    assert queried and all(isinstance(m, models.Evaluator) for m, _, _ in queried)
+    assert {s for _, s, _ in queried} > {goal}
+    for _, s, verdict in queried:
+        assert verdict == (models.find_sequent_counterexample(two_chain(), s) is None), s
+    # the same sequents through evaluators over larger models' goal grids
+    for model in (rel_algebra(2), models.truncated_words()):
+        ev = models.evaluator(model, goal)
+        for _, s, _ in queried:
+            assert models.holds_sequent(ev, s) == models.holds_sequent(model, s), (model.name, s)
+
+
+def test_search_falls_back_to_the_kernel_beyond_one_block(monkeypatch):
+    monkeypatch.setattr(models, "_BLOCK_CELLS", 2)  # a 2-variable goal needs 4 cells
+    queried = record_queries(monkeypatch)
+    assert_found(prove(seq("a . b |- a . b")))
+    assert queried and all(m is search._two_chain() for m, _, _ in queried)
+
+
+def test_progress_limit_rejects_one_candidate(monkeypatch):
+    # every candidate of this goal exceeds the progress check's node cap at
+    # the default depth: each is rejected and counted, and the search ends
+    # with its stats (two candidates keep the test short)
+    limited = []
+    real = search.check_cyclic_progress
+
+    def checking(proof, rules):
+        try:
+            return real(proof, rules)
+        except ResourceLimit:
+            limited.append(len(proof.nodes))
+            raise
+
+    monkeypatch.setattr(search, "check_cyclic_progress", checking)
+    monkeypatch.setattr(search, "MAX_CANDIDATES", 2)
+    mix = parse_rule_file("rule mix3:\n  G |- b\n  D |- b\n  P |- b\n  ----\n  G, D, P |- b\n")
+    result = prove(seq("(a | b)*, a, b |- (a | b)*"), [*mix, EX["Wk"]])
+    assert isinstance(result, SearchResult)
+    assert (result.found, result.reason) == (False, "candidate budget exhausted")
+    assert result.stats.candidates == len(limited) == 2
