@@ -13,10 +13,11 @@ one is returned.
 Each call keeps a table with one entry per distinct sequent reached as a
 premise: its visit count, its rule instances with premises mapped to table
 entries (so the back-edge and self-premise tests compare by identity), which
-instances are usable, and whether it is viable; each is computed once per
-search, in the same order.  Instances are built one rule group at a time, as
-the search consumes them.  A sequent that can yield nothing more (visit-capped,
-or with no usable instance) is not entered again; its visits are only counted.
+instances are usable, and whether it is viable, read from one value cache per
+pruning model; each is computed once per search, in the same order.
+Instances are built one rule group at a time, as the search consumes them.  A
+sequent that can yield nothing more (visit-capped, or with no usable
+instance) is not entered again; its visits are only counted.
 
 The search is a semi-decision procedure: exhausted budgets yield an unknown
 result, never a refutation.  Refutation is a separate counter-valuation

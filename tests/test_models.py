@@ -219,8 +219,9 @@ def test_var_cap_on_large_carrier():
 
 # The query kernel against the reference evaluator of tests/helpers.py, on
 # models on both sides of each dtype boundary of its tables (uint8 up to 16
-# elements, uint16 up to 256, uint32 beyond), also chunked over the first
-# variable.  Carriers of 128 elements and more get formulas over two variables.
+# elements, uint16 up to 256, uint32 beyond), also in blocks of one value of
+# the first variable.  Carriers of 128 elements and more get formulas over two
+# variables.
 @functools.cache
 def kernel_models() -> dict:
     chains = {f"chain{n}": _chain(f"chain{n}", n) for n in (16, 17, 256, 257)}
