@@ -37,6 +37,7 @@ from .models import (
     library,
     load_model,
     save_model,
+    soundness_audit,
     validate_algebra,
 )
 from .progress import check_cyclic_progress
@@ -60,7 +61,7 @@ from .rules import (
     q_of,
 )
 from .search import RefuteResult, SearchConfig, prove, refute
-from .syntax import ParseError, parse_formula, parse_sequent, print_sequent
+from .syntax import ParseError, parse_formula, parse_sequent, parse_sequent_file, print_sequent
 from .translate import check_lazy_prefix, nwf_to_wf, project_cyclic, wf_to_nwf
 
 OK, REJECTED, RESOURCE, USAGE, INTERNAL = 0, 1, 2, 3, 4
@@ -318,16 +319,11 @@ def cmd_models(args) -> int:
     # audit
     models = _models_from(args.models)
     with open(args.seqs, "r", encoding="utf-8") as fh:
-        from .syntax import parse_sequent_file
-
         sequents = parse_sequent_file(fh.read())
-    user = _load_user_rules(args.rules)
-    qas = [q_a_of(r) for r in user]
-    from .models import soundness_audit
-
-    report = soundness_audit(sequents, models, qas)
+    report = soundness_audit(sequents, models, _load_user_rules(args.rules))
     payload = {"checked": report.checked, "ok": report.ok,
                "skipped_models": report.skipped_models,
+               "undecided_models": report.undecided_models,
                "violations": [str(v) for v in report.violations]}
     _emit(args, payload,
           f"{report.checked} pairs checked; "

@@ -546,22 +546,18 @@ def _crit_projection() -> CriterionResult:
 
 
 def _crit_soundness() -> CriterionResult:
-    from .models import holds_quasieq, soundness_audit
-    from .rules import example_structural_rules, q_a_of
+    from .models import soundness_audit
 
     t0 = _time.perf_counter()
-    ex = example_structural_rules()
     models = [c.gentzen.algebra for c in _library_completions().values()]
     failures = []
     checked = 0
-    by_extras: dict[tuple, list] = {}
+    by_extras: dict[tuple, tuple] = {}
     for name, goal, extras, user, rules, result in _searched_proofs():
         if result.found:
-            by_extras.setdefault(extras, []).append(goal)
-    for extras, goals in by_extras.items():
-        qas = [q_a_of(ex[e]) for e in extras]
-        eligible = [a for a in models if all(holds_quasieq(a, q) for q in qas)]
-        report = soundness_audit(goals, eligible, qas)
+            by_extras.setdefault(extras, (user, []))[1].append(goal)
+    for user, goals in by_extras.values():
+        report = soundness_audit(goals, models, user)
         checked += report.checked
         failures.extend(str(v) for v in report.violations)
     return _result(6, "soundness audit", t0, not failures,
@@ -652,11 +648,10 @@ def _root_cut_proof(goal: Sequent, user, rules: RuleSet, models) -> CyclicProof 
     goal, with both premises found by cut-free search; None if there is
     none.  Cuts with a premise equal to the goal, or with a premise refuted
     in one of the models that satisfies the active rules, are not tried."""
-    from .models import holds_quasieq
-    from .rules import q_a_of
+    from .models import rule_models
     from .search import SearchConfig, cut_instances, prove, refute
 
-    models = [m for m in models if all(holds_quasieq(m, q_a_of(r)) for r in user)]
+    models = rule_models(models, user)[0]
     for ri in cut_instances(goal, rules.resolve("Cut")):
         if goal in ri.premises or any(refute(p, models).refuted for p in ri.premises):
             continue

@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .rules import Inequation, Quasiequation
+from .rules import Inequation, Quasiequation, classify, q_a_of, q_of
 from .syntax import (
     Formula,
     Join,
@@ -522,10 +522,35 @@ class AuditViolation:
         return f"{self.sequent} fails in {self.model} at {dict(self.valuation)}"
 
 
+def rule_models(models, rules) -> tuple[list[FiniteActionLattice], list[str], list[str]]:
+    """The models in which every given rule is sound, then the names of those
+    where one fails, then of those its query cannot decide (a ModelError).
+    An analytic rule is judged by :func:`q_a_of`, any other structural rule
+    by :func:`q_of`; a rule that is not structural leaves no model."""
+    structural = all(classify(r).structural for r in rules)
+    qs = [q_a_of(r) if classify(r).analytic else q_of(r) for r in rules] if structural else []
+    sound, skipped, undecided = [], [], []
+    for a in models:
+        verdict = structural
+        for q in qs:
+            try:
+                if not holds_quasieq(a, q):
+                    verdict = False
+                    break
+            except ModelError:
+                verdict = None
+        if verdict:
+            sound.append(a)
+        else:
+            (undecided if verdict is None else skipped).append(a.name)
+    return sound, skipped, undecided
+
+
 @dataclass
 class AuditReport:
     checked: int = 0
     skipped_models: list[str] = field(default_factory=list)
+    undecided_models: list[str] = field(default_factory=list)
     violations: list[AuditViolation] = field(default_factory=list)
 
     @property
@@ -533,19 +558,13 @@ class AuditReport:
         return not self.violations
 
 
-def soundness_audit(
-    sequents,
-    models,
-    rule_quasieqs=(),
-) -> AuditReport:
-    """Every given sequent must hold in every model that satisfies the
-    active rules' quasiequations; a hit flags a defect upstream (checker,
+def soundness_audit(sequents, models, rules=()) -> AuditReport:
+    """Every given sequent must hold in every model in which the given rules
+    are sound (:func:`rule_models`); a hit flags a defect upstream (checker,
     search, or translation)."""
     report = AuditReport()
-    for a in models:
-        if any(not holds_quasieq(a, q) for q in rule_quasieqs):
-            report.skipped_models.append(a.name)
-            continue
+    sound, report.skipped_models, report.undecided_models = rule_models(models, rules)
+    for a in sound:
         for s in sequents:
             witness = find_sequent_counterexample(a, s)
             report.checked += 1

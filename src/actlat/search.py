@@ -32,21 +32,19 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterator, Sequence
 
-from .progress import check_cyclic_progress
+from .progress import NODE_CAP, check_cyclic_progress
 from .proof_core import CyclicNode, CyclicProof, ResourceLimit, RuleApp, check_cyclic_local
 from .rules import (
     Instantiation,
     RuleInstance,
     RuleSet,
     SchematicRule,
-    classify,
     instantiate,
     match_conclusion,
     metavariables,
-    q_of,
 )
-from .models import (FiniteActionLattice, evaluator, find_sequent_counterexample, holds_quasieq,
-                     holds_sequent, two_chain)
+from .models import (FiniteActionLattice, evaluator, find_sequent_counterexample, holds_sequent,
+                     rule_models, two_chain)
 from .syntax import Formula, Join, LRes, Meet, Prod, RRes, Sequent, Star
 
 
@@ -202,19 +200,6 @@ class _StepsExhausted(Exception):
 _two_chain = functools.cache(two_chain)
 
 
-def _pruning_models(user_rules) -> list[FiniteActionLattice]:
-    """Finite models whose failures soundly rule subgoals out.  A model only
-    qualifies when it satisfies the quasiequations of every active
-    structural rule (built-in rules and cut are sound in any model)."""
-    model = _two_chain()
-    for rule in user_rules:
-        if not classify(rule).structural:
-            return []
-        if not holds_quasieq(model, q_of(rule)):
-            return []
-    return [model]
-
-
 @dataclass(slots=True, eq=False)
 class _Entry:
     """The table entry of one distinct sequent within one search."""
@@ -244,7 +229,7 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
     max_width = goal.width + WIDTH_SLACK
     # every sequent's variables are the goal's (cut formulas are goal
     # subformulas), so one evaluator per model serves the whole search
-    pruning = [evaluator(m, goal) or m for m in _pruning_models(user_rules)]
+    pruning = [evaluator(m, goal) or m for m in rule_models([_two_chain()], user_rules)[0]]
 
     def entry(s: Sequent) -> _Entry:
         return table.get(s) or table.setdefault(s, _Entry(s, _expansions(s, groups, cut)))
@@ -351,7 +336,9 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
                 continue
             stats.candidates += 1
             proof = _to_cyclic(cand)
-            if check_cyclic_local(proof, rules).ok and _progresses(proof, rules):
+            # the progress check refuses a graph over its node cap: skip its local check
+            if (len(proof.nodes) <= NODE_CAP and check_cyclic_local(proof, rules).ok
+                    and _progresses(proof, rules)):
                 return SearchResult(True, proof, stats=stats)
             if stats.candidates >= MAX_CANDIDATES:
                 return SearchResult(False, None, "candidate budget exhausted", stats)

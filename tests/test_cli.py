@@ -222,6 +222,16 @@ def test_models_audit(tmp_path, capsys):
     assert main(["models", "audit", "--seqs", str(seqs)]) == 0
 
 
+def test_models_audit_accepts_a_rule_that_is_not_analytic(tmp_path, capsys):
+    seqs = tmp_path / "goals.txt"
+    seqs.write_text("a, b |- b . a\n")
+    rules = tmp_path / "rules.txt"
+    rules.write_text("rule e:\n  G, a, b, D |- g\n  ----\n  G, b, a, D |- g\n")
+    assert main(["--json", "models", "audit", "--seqs", str(seqs), "--rules", str(rules)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["skipped_models"], out["undecided_models"]) == (["rel2"], ["trunc_words"])
+
+
 def test_frames_commands(capsys):
     assert main(["frames", "dual", "two_chain"]) == 0
     assert main(["frames", "gentzen-check", "three_chain"]) == 0

@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from actlat import models, search
+from actlat import models, progress, search
 from actlat.models import library, rel_algebra, soundness_audit, two_chain
 from actlat.progress import check_cyclic_progress
 from actlat.proof_core import ResourceLimit, check_cyclic_local
@@ -363,9 +363,10 @@ def test_search_falls_back_to_the_kernel_beyond_one_block(monkeypatch):
 
 
 def test_progress_limit_rejects_one_candidate(monkeypatch):
-    # every candidate of this goal exceeds the progress check's node cap at
-    # the default depth: each is rejected and counted, and the search ends
-    # with its stats (two candidates keep the test short)
+    # with no room for trace relations, every candidate of this goal exceeds
+    # the progress check's relation cap: each is rejected and counted, and
+    # the search ends with its stats (two candidates keep the test short)
+    monkeypatch.setattr(progress, "REL_CAP", 0)
     limited = []
     real = search.check_cyclic_progress
 
@@ -378,8 +379,29 @@ def test_progress_limit_rejects_one_candidate(monkeypatch):
 
     monkeypatch.setattr(search, "check_cyclic_progress", checking)
     monkeypatch.setattr(search, "MAX_CANDIDATES", 2)
-    mix = parse_rule_file("rule mix3:\n  G |- b\n  D |- b\n  P |- b\n  ----\n  G, D, P |- b\n")
-    result = prove(seq("(a | b)*, a, b |- (a | b)*"), [*mix, EX["Wk"]])
+    result = prove(seq("a* |- a*"))
     assert isinstance(result, SearchResult)
     assert (result.found, result.reason) == (False, "candidate budget exhausted")
     assert result.stats.candidates == len(limited) == 2
+
+
+def test_candidate_over_the_node_cap_skips_the_local_check(monkeypatch):
+    # every candidate of this goal has over 2,700 nodes at the default
+    # depth; it is rejected before the local check, with the verdict and
+    # stats the search gave when the progress check rejected it
+    sizes = []
+    real = search.check_cyclic_local
+
+    def checking(proof, rules):
+        sizes.append(len(proof.nodes))
+        return real(proof, rules)
+
+    monkeypatch.setattr(search, "check_cyclic_local", checking)
+    monkeypatch.setattr(search, "MAX_CANDIDATES", 2)
+    mix = parse_rule_file("rule mix3:\n  G |- b\n  D |- b\n  P |- b\n  ----\n  G, D, P |- b\n")
+    result = prove(seq("(a | b)*, a, b |- (a | b)*"), [*mix, EX["Wk"]])
+    assert all(n <= progress.NODE_CAP for n in sizes)
+    assert (result.found, result.reason) == (False, "candidate budget exhausted")
+    stats = result.stats
+    assert (stats.expansions, stats.instances, stats.sequents, stats.model_queries,
+            stats.candidates, stats.visit_capped) == (54697, 5684, 315, 265, 2, 1)
