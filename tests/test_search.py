@@ -387,8 +387,7 @@ def test_progress_limit_rejects_one_candidate(monkeypatch):
 
 def test_candidate_over_the_node_cap_skips_the_local_check(monkeypatch):
     # every candidate of this goal has over 2,700 nodes at the default
-    # depth; it is rejected before the local check, with the verdict and
-    # stats the search gave when the progress check rejected it
+    # depth: each is rejected before the local check and still counted
     sizes = []
     real = search.check_cyclic_local
 
