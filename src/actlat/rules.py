@@ -243,19 +243,21 @@ class RuleInstance:
     """One application of a rule: its ground shape under one instantiation.
 
     This is the one place that works out a node's conclusion, premises,
-    principal position, conclusion layout and immediate ancestry.  Each fact
-    is computed on first use and then kept, so a caller pays only for what
-    it reads.  The fields are plain properties over slots because the first
-    read of a ``functools.cached_property`` costs several times more on
-    Python 3.11, and most instances are read only a few times.
+    principal position, conclusion layout and immediate ancestry, each on
+    first read.  Layout and ancestry depend only on the instance's *shape*:
+    the rule schema, the image length of each sequence metavariable and the
+    child index.  They come from :data:`_SHAPES`, computed once per shape
+    and shared, so callers must not mutate them; the principal position is
+    read off the shared layout.  The fields are plain
+    properties over slots: a ``functools.cached_property`` costs more.
     """
 
-    __slots__ = ("rule", "inst", "_conclusion", "_premises", "_layout", "_principal")
+    __slots__ = ("rule", "inst", "_conclusion", "_premises", "_layout", "_principal", "_shape")
 
     def __init__(self, rule: SchematicRule, inst: Instantiation):
         self.rule = rule
         self.inst = inst
-        self._conclusion = self._premises = self._layout = None
+        self._conclusion = self._premises = self._layout = self._shape = None
         self._principal = _UNSET  # None is a valid principal position
 
     @property
@@ -284,7 +286,7 @@ class RuleInstance:
     def layout(self) -> tuple[list[Origin], Origin, dict[int, int]]:
         """Origins of the conclusion's occurrences, see :func:`layout`."""
         if self._layout is None:
-            self._layout = layout(self.rule.conclusion, self.inst)
+            self._layout = self._shared("layout", lambda: layout(self.rule.conclusion, self.inst))
         return self._layout
 
     @property
@@ -296,7 +298,22 @@ class RuleInstance:
 
     def ancestry(self, child_index: int) -> frozenset[tuple[tuple[int, int], int]]:
         """Immediate-ancestor pairs between one premise and the conclusion."""
-        return ancestry_for_children(self, (child_index,))
+        return self._shared(child_index, lambda: ancestry_for_children(self, (child_index,)))
+
+    def _shared(self, fact, compute):
+        """One fact of this instance's shape, computed on the shape's first read."""
+        if self._shape is None:
+            smap = self.inst.smap
+            self._shape = (id(self.rule), *smap, *map(len, smap.values()))
+        key = (fact, self._shape)
+        entry = _SHAPES.get(key)
+        if entry is None:
+            # the entry holds the rule, so its id is not reused while the entry lives
+            entry = (self.rule, compute())
+            if len(_SHAPES) >= SHAPE_CAP:
+                _SHAPES.clear()
+            _SHAPES[key] = entry
+        return entry[1]
 
 
 def instantiate(rule: SchematicRule, inst: Instantiation) -> RuleInstance:
@@ -663,7 +680,13 @@ def analytic_qe_to_equation(q: Quasiequation) -> Inequation:
 
 
 # ---------------------------------------------------------------------------
-# Ground layout of an instance and the immediate-ancestor relation.
+# Ground layout of an instance and the immediate-ancestor relation, computed
+# once per shape: the formulas bound to the metavariables play no part.
+
+# ("layout" or a child index, (id(rule), svar names, image lengths)) ->
+# (rule, fact); emptied when it holds SHAPE_CAP entries.
+SHAPE_CAP = 512
+_SHAPES: dict[tuple, tuple] = {}
 
 
 @dataclass(frozen=True)
@@ -710,13 +733,6 @@ def principal_position(instance: RuleInstance) -> int | None:
     return starts[rule.principal]
 
 
-def _positions_with_origin(origins: list[Origin], rhs: Origin):
-    """Iterate (position, origin) including the succedent at -1."""
-    for p, o in enumerate(origins):
-        yield p, o
-    yield -1, rhs
-
-
 def ancestry(instance: RuleInstance) -> frozenset[tuple[tuple[int, int], int]]:
     """Immediate-ancestor pairs (((premise index, premise position), conclusion position)).
 
@@ -728,34 +744,34 @@ def ancestry(instance: RuleInstance) -> frozenset[tuple[tuple[int, int], int]]:
     return ancestry_for_children(instance, range(len(instance.rule.premises)))
 
 
+def _meta_items(ms: MetaSequent, starts: dict[int, int]) -> list[tuple[Item, int]]:
+    """(item, first ground position) of each metavariable item, the succedent at -1."""
+    return [(item, at) for item, at in (*zip(ms.lhs, starts.values()), (ms.rhs, -1))
+            if isinstance(item, (SVar, FVar))]
+
+
 def ancestry_for_children(
     instance: RuleInstance, child_indices
 ) -> frozenset[tuple[tuple[int, int], int]]:
-    """Immediate-ancestor pairs of a rule instance for the given children."""
-    rule, inst = instance.rule, instance.inst
-    c_origins, c_rhs, _ = instance.layout
+    """Immediate-ancestor pairs of a rule instance for the given children:
+    premise items are matched to conclusion items by metavariable, then each
+    match is expanded to positions by the length of its image."""
+    rule, smap = instance.rule, instance.inst.smap
+    conclusion = _meta_items(rule.conclusion, instance.layout[2])
     principal = instance.principal
     pairs: set[tuple[tuple[int, int], int]] = set()
     for i in child_indices:
         ms, aux_items = rule.premise_meta(i)
-        p_origins, p_rhs, p_starts = layout(ms, inst)
+        _, _, p_starts = layout(ms, instance.inst)
         # clause 1: auxiliary -> principal
         if principal is not None:
-            for item in aux_items:
-                if item == -1:
-                    pairs.add(((i, -1), principal))
-                else:
-                    pairs.add(((i, p_starts[item]), principal))
+            pairs.update(((i, -1 if item == -1 else p_starts[item]), principal)
+                         for item in aux_items)
         # clauses 2 and 3: same metavariable images
-        for q, po in _positions_with_origin(p_origins, p_rhs):
-            if po.kind == "formula":
-                continue
-            for q2, co in _positions_with_origin(c_origins, c_rhs):
-                if co.kind != po.kind or co.name != po.name:
-                    continue
-                if po.kind == "svar" and co.offset != po.offset:
-                    continue
-                pairs.add(((i, q), q2))
+        for item, q in _meta_items(ms, p_starts):
+            width = len(smap[item.name]) if isinstance(item, SVar) else 1
+            pairs.update(((i, q + off), c + off)
+                         for other, c in conclusion if other == item for off in range(width))
     return frozenset(pairs)
 
 
@@ -918,6 +934,10 @@ RULE_ALIASES = {
 
 def example_structural_rules() -> dict[str, SchematicRule]:
     """The usual structural-rule examples: Cut, c, C, e, Wk."""
+    return dict(_EXAMPLES)
+
+
+def _example_rules() -> dict[str, SchematicRule]:
     G, D, P = _sv("Gamma"), _sv("Delta"), _sv("Pi")
     a, b, g = _fv("a"), _fv("b"), _fv("g")
     rules = [
@@ -934,9 +954,11 @@ def example_structural_rules() -> dict[str, SchematicRule]:
     return {r.name: r for r in rules}
 
 
-# one read-only copy of each table, shared by every rule set of the process
+# one read-only copy of each table, shared by every rule set of the process;
+# every call of example_structural_rules shares its rule objects too, and so
+# the facts kept per rule shape
 _BUILTIN = MappingProxyType(builtin_rules())
-_EXAMPLES = MappingProxyType(example_structural_rules())
+_EXAMPLES = MappingProxyType(_example_rules())
 
 
 def _check_user_name(name: str) -> None:

@@ -27,7 +27,6 @@ search in finite models.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterator, Sequence
@@ -169,12 +168,14 @@ def _expansions(goal: Sequent, groups: list[list[tuple]],
         yield from ([ri] for ri in cut_instances(goal, cut))
 
 
-def _to_cyclic(cand: _Cand) -> CyclicProof:
+def _to_cyclic(cand: _Cand) -> CyclicProof | None:
+    """The candidate as a proof graph; None once it passes NODE_CAP nodes,
+    since the progress check refuses such a graph."""
     nodes: dict[str, CyclicNode] = {}
-    counter = itertools.count()
+    ids = iter(range(NODE_CAP))   # one more node raises StopIteration
 
     def build(c: _Cand, stack: list[str]) -> str:
-        nid = f"s{next(counter)}"
+        nid = f"s{next(ids)}"
         stack.append(nid)
         child_ids = []
         for child in c.children:
@@ -187,8 +188,10 @@ def _to_cyclic(cand: _Cand) -> CyclicProof:
         nodes[nid] = CyclicNode(c.sequent, app, tuple(child_ids))
         return nid
 
-    root = build(cand, [])
-    return CyclicProof(nodes, root)
+    try:
+        return CyclicProof(nodes, build(cand, []))
+    except StopIteration:
+        return None
 
 
 class _StepsExhausted(Exception):
@@ -336,8 +339,7 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
                 continue
             stats.candidates += 1
             proof = _to_cyclic(cand)
-            # the progress check refuses a graph over its node cap: skip its local check
-            if (len(proof.nodes) <= NODE_CAP and check_cyclic_local(proof, rules).ok
+            if (proof is not None and check_cyclic_local(proof, rules).ok
                     and _progresses(proof, rules)):
                 return SearchResult(True, proof, stats=stats)
             if stats.candidates >= MAX_CANDIDATES:
@@ -348,6 +350,9 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
         stats.sequents = len(table)
         stats.visit_capped = sum(e.visits > VISIT_CAP for e in table.values())
         stats.seconds = perf_counter() - start
+    if stats.visit_capped:
+        return SearchResult(False, None, f"visit cap reached: {stats.visit_capped} sequent(s) "
+                            f"visited more than VISIT_CAP ({VISIT_CAP}) times", stats)
     return SearchResult(False, None, "search space exhausted within bounds", stats)
 
 

@@ -5,6 +5,7 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
+from actlat.rules import layout
 from actlat.syntax import Formula, Join, LRes, Meet, One, Prod, RRes, Star, Var, Zero, variables
 
 ATOMS = [Var("a"), Var("b"), Var("c"), Zero(), One()]
@@ -113,3 +114,30 @@ def reference_counterexample(a, premises, conclusion):
         ok = ok | ~holds(p)
     bad = np.argwhere(~np.broadcast_to(ok, (n,) * k))
     return tuple(zip(names, (int(v) for v in bad[0]))) if len(bad) else None
+
+
+def reference_shape(instance, child_indices):
+    """(layout, principal position, ancestry) of a rule instance, computed
+    afresh: the conclusion and premise layouts of ``actlat.rules.layout``,
+    and every premise position compared with every conclusion position
+    through their origins.  The reference for the per-shape facts of
+    ``actlat.rules.RuleInstance``."""
+    rule, inst = instance.rule, instance.inst
+    c_origins, c_rhs, c_starts = layout(rule.conclusion, inst)
+    principal = rule.principal
+    if principal is not None and principal != -1:
+        principal = c_starts[principal]
+    pairs = set()
+    for i in child_indices:
+        ms, aux_items = rule.premise_meta(i)
+        p_origins, p_rhs, p_starts = layout(ms, inst)
+        if principal is not None:
+            for item in aux_items:
+                pairs.add(((i, -1 if item == -1 else p_starts[item]), principal))
+        for q, po in [*enumerate(p_origins), (-1, p_rhs)]:
+            if po.kind == "formula":
+                continue
+            for q2, co in [*enumerate(c_origins), (-1, c_rhs)]:
+                if co.kind == po.kind and co.name == po.name and co.offset == po.offset:
+                    pairs.add(((i, q), q2))
+    return (c_origins, c_rhs, c_starts), principal, frozenset(pairs)

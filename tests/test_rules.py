@@ -1,7 +1,9 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from actlat import rules
 from actlat.rules import (
     ClassificationError,
     EmptyJoinError,
@@ -37,6 +39,8 @@ from actlat.syntax import (
     parse_formula,
     parse_sequent,
 )
+
+from tests.helpers import reference_shape
 
 B = builtin_rules()
 EX = example_structural_rules()
@@ -278,6 +282,41 @@ def test_ancestry_clause1_only_for_principal():
 def test_principal_position():
     inst = Instantiation(fmap={"a": a, "b": b}, smap={"Gamma": (c, c), "Delta": ()})
     assert principal_position(RuleInstance(B["starL"], inst)) == 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([*B.values(), *EX.values()]), st.data())
+def test_shape_facts_match_the_position_scan(rule, data):
+    # images of 0-4 formulas bound in any order, and the first nine children
+    # of the infinitary rules; a second instance of the same shape, with
+    # other formulas, reads the facts the first one left in the table
+    _, svars = rule.metavariable_names()
+    names = data.draw(st.permutations(sorted(svars)))
+    lengths = {name: data.draw(st.integers(0, 4)) for name in names}
+    children = rule.child_indices()
+    children = range(9) if children is None else children
+    for formula in (p, Star(q)):
+        ri = RuleInstance(rule, Instantiation({}, {n: (formula,) * k for n, k in lengths.items()}))
+        want_layout, want_principal, _ = reference_shape(ri, ())
+        assert (ri.layout, ri.principal) == (want_layout, want_principal)
+        for child in children:
+            assert ri.ancestry(child) == reference_shape(ri, (child,))[2], (rule.name, child)
+
+
+def test_shape_table_stays_within_its_bound():
+    # 10,000 instances of distinct shapes: lresL under 9,987 triples of image
+    # lengths, and the infinitary rule at 13 children up to 10,000
+    image = (p,)
+    lengths = itertools.islice(itertools.product(range(22), repeat=3), 9_987)
+    for g, d, s_ in lengths:
+        inst = Instantiation({}, {"Gamma": image * g, "Delta": image * d, "Sigma": image * s_})
+        RuleInstance(B["lresL"], inst).ancestry(1)
+        assert len(rules._SHAPES) <= rules.SHAPE_CAP
+    omega = RuleInstance(B["starLomega"], Instantiation({}, {"Gamma": image, "Delta": ()}))
+    for n in (*range(10), 100, 1_000, 10_000):
+        assert len(omega.ancestry(n)) == n + 2
+        assert len(rules._SHAPES) <= rules.SHAPE_CAP
+    rules._SHAPES.clear()
 
 
 def test_omega_premises():

@@ -244,15 +244,17 @@ def test_back_edges_target_ancestors(text):
     assert seen == set(proof.nodes)
 
 
-# The two valid identities of the battery that search misses: each ends with
-# the space exhausted, inside the step and candidate budgets.
-MISSED = ["a . a* |- a* . a", "(a | b)* |- (a* . b)* . a*"]
+# The two valid identities of the battery that search misses, inside the
+# step and candidate budgets: one exhausts its space, one fires VISIT_CAP.
+VISIT_CAPPED_ONCE = "visit cap reached: 1 sequent(s) visited more than VISIT_CAP (2000) times"
+MISSED = {"a . a* |- a* . a": "search space exhausted within bounds",
+          "(a | b)* |- (a* . b)* . a*": VISIT_CAPPED_ONCE}
 
 
 @pytest.mark.parametrize("text", MISSED)
 def test_missed_identity_stats(text):
     result = prove_star_identity(text)
-    assert result.reason == "search space exhausted within bounds"
+    assert result.reason == MISSED[text]
     stats = result.stats
     assert 0 < stats.expansions < search.STEP_CAP
     assert stats.candidates < search.MAX_CANDIDATES
@@ -302,16 +304,14 @@ def test_budget_exhaustion_reasons(monkeypatch, cap, value, text, cfg, reason):
 
 
 def test_default_budgets_on_budget_goals():
-    assert prove_star_identity("(a | b)* |- (a* . b)* . a*").reason == \
-        "search space exhausted within bounds"
+    assert prove_star_identity("(a | b)* |- (a* . b)* . a*").reason == VISIT_CAPPED_ONCE
     assert_found(prove_star_identity("a* . a |- a . a*"))
 
 
 # found, reason and SearchStats but sequents, instances and the timings, as
 # the search gave them before it built instances lazily
 @pytest.mark.parametrize("text, cfg, found, reason, expansions, model_queries, candidates, capped", [
-    ("(a | b)* |- (a* . b)* . a*", None, False, "search space exhausted within bounds",
-     20434, 86, 0, 1),
+    ("(a | b)* |- (a* . b)* . a*", None, False, VISIT_CAPPED_ONCE, 20434, 86, 0, 1),
     ("(a . b)*, a |- a . (b . a)*", None, True, "", 220, 62, 1, 0),
     ("a* . a |- a . a*", SearchConfig(depth=12, with_cut=True), False,
      "candidate budget exhausted", 1262, 56, 64, 0),
@@ -387,19 +387,26 @@ def test_progress_limit_rejects_one_candidate(monkeypatch):
 
 def test_candidate_over_the_node_cap_skips_the_local_check(monkeypatch):
     # every candidate of this goal has over 2,700 nodes at the default
-    # depth: each is rejected before the local check and still counted
-    sizes = []
-    real = search.check_cyclic_local
+    # depth: each is rejected, and still counted, before its graph is built
+    # (so before the local check)
+    graphs, nodes = [], []
+    real_proof, real_node = search.CyclicProof, search.CyclicNode
 
-    def checking(proof, rules):
-        sizes.append(len(proof.nodes))
-        return real(proof, rules)
+    def proof(node_map, root):
+        graphs.append(len(node_map))
+        return real_proof(node_map, root)
 
-    monkeypatch.setattr(search, "check_cyclic_local", checking)
+    def node(*args):
+        nodes.append(None)
+        return real_node(*args)
+
+    monkeypatch.setattr(search, "CyclicProof", proof)
+    monkeypatch.setattr(search, "CyclicNode", node)
     monkeypatch.setattr(search, "MAX_CANDIDATES", 2)
     mix = parse_rule_file("rule mix3:\n  G |- b\n  D |- b\n  P |- b\n  ----\n  G, D, P |- b\n")
     result = prove(seq("(a | b)*, a, b |- (a | b)*"), [*mix, EX["Wk"]])
-    assert all(n <= progress.NODE_CAP for n in sizes)
+    assert graphs == []
+    assert len(nodes) <= 2 * progress.NODE_CAP
     assert (result.found, result.reason) == (False, "candidate budget exhausted")
     stats = result.stats
     assert (stats.expansions, stats.instances, stats.sequents, stats.model_queries,
