@@ -19,6 +19,11 @@ are enumerated by intersecting rows with the basics until no new row appears.
 The Gentzen-frame laws are likewise checked over whole tables, not element by
 element; a law that quantifies over two related pairs, such as (.R), counts
 its breaks per algebra element with one float32 product (:func:`_broken_rows`).
+
+Frames, Gentzen frames and dual algebras are immutable values, as models are:
+frozen dataclasses over read-only tables.  Each fact derived from one (a
+model's frame, a Gentzen frame's star-Gentzen report, a frame's dual) is
+computed once and kept on it, so :func:`macneille` reuses an audit's work.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import FiniteActionLattice, _open_grids, holds_quasieq, star_table, validate_algebra
+from .models import (FiniteActionLattice, _open_grids, holds_quasieq, kept, read_only, star_table,
+                     validate_algebra)
 from .rules import Quasiequation, is_analytic_quasiequation
 from .syntax import Formula, One, Prod, Var
 
@@ -41,7 +47,7 @@ class FrameError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResiduatedFrame:
     name: str
     w_names: tuple[str, ...]
@@ -52,6 +58,9 @@ class ResiduatedFrame:
     lres_w: np.ndarray      # (|W|, |W'|) int into W'; witness for x \\ z
     rres_w: np.ndarray      # (|W'|, |W|) int into W'; witness for z / y
     zero_wp: int | None = None  # W' element interpreting the least constant
+
+    def __post_init__(self):
+        read_only(self.n_rel, self.op, self.lres_w, self.rres_w)
 
     @property
     def w_size(self) -> int:
@@ -133,7 +142,7 @@ def _locate(closed: np.ndarray, sets: np.ndarray) -> np.ndarray:
     return _within(sets, closed).argmax(axis=-1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualStats:
     closed_sets: int = 0         # elements of the dual algebra
     rounds: int = 0              # intersection rounds, the last adding no set
@@ -141,7 +150,7 @@ class DualStats:
     tables_seconds: float = 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualAlgebra:
     """Closed sets with the induced operations, indexed for table lookups."""
 
@@ -150,9 +159,12 @@ class DualAlgebra:
     algebra: FiniteActionLattice      # explicit-table view of the same data
     stats: DualStats = field(default_factory=DualStats)
 
+    def __post_init__(self):
+        read_only(self.closed)
 
-def dual_algebra(f: ResiduatedFrame, name: str | None = None) -> DualAlgebra:
-    """Enumerate the closed sets and build the full operation tables.
+
+def dual_algebra(f: ResiduatedFrame) -> DualAlgebra:
+    """Enumerate the closed sets and build the full operation tables, once per frame.
 
     Closed sets are ordered as by :func:`_distinct`, so the least one is
     first.  Products are read off the right residuals (X.Y <= Z iff
@@ -160,6 +172,10 @@ def dual_algebra(f: ResiduatedFrame, name: str | None = None) -> DualAlgebra:
     the algebra itself: by the nucleus law the closure of S u S.X is the join
     of the closure of S and its product with X.
     """
+    return kept(f, "_dual", _dual_algebra)
+
+
+def _dual_algebra(f: ResiduatedFrame) -> DualAlgebra:
     nuclear = check_nuclear(f)
     if not nuclear.ok:
         raise FrameError(f"frame is not nuclear: {nuclear.violations[0]}")
@@ -203,7 +219,7 @@ def dual_algebra(f: ResiduatedFrame, name: str | None = None) -> DualAlgebra:
     eps[f.eps] = True
     one = int(_locate(closed, eps))
     algebra = FiniteActionLattice(
-        name=name or f"{f.name}+",
+        name=f"{f.name}+",
         elements=tuple("{" + ",".join(f.w_names[i] for i in np.flatnonzero(m)) + "}"
                        for m in closed),
         le=le, meet=meet, join=join, prod=prod, lres=lres, rres=rres,
@@ -217,30 +233,29 @@ def dual_algebra(f: ResiduatedFrame, name: str | None = None) -> DualAlgebra:
 # Gentzen frames: a frame together with an algebra embedded in both sorts.
 
 
-@dataclass
+@dataclass(frozen=True)
 class GentzenFrame:
     frame: ResiduatedFrame
     algebra: FiniteActionLattice
     to_w: np.ndarray    # carrier -> W index
     to_wp: np.ndarray   # carrier -> W' index
 
+    def __post_init__(self):
+        read_only(self.to_w, self.to_wp)
+
 
 def frame_of_algebra(a: FiniteActionLattice) -> GentzenFrame:
-    """The frame of an algebra over itself: both sorts are the carrier, the
-    relation is the order, witnesses are the residuals."""
-    n = a.size
-    frame = ResiduatedFrame(
-        name=f"W[{a.name}]",
-        w_names=a.elements,
-        wp_names=a.elements,
-        n_rel=a.le.copy(),
-        op=a.prod.copy(),
-        eps=a.one,
-        lres_w=a.lres.copy(),
-        rres_w=a.rres.copy(),
-        zero_wp=a.zero,
-    )
-    ident = np.arange(n)
+    """The frame of an algebra over itself, once per model: both sorts are
+    the carrier, the relation is the order, witnesses are the residuals.
+    The frame shares the model's read-only tables."""
+    return kept(a, "_frame", _frame_of_algebra)
+
+
+def _frame_of_algebra(a: FiniteActionLattice) -> GentzenFrame:
+    frame = ResiduatedFrame(name=f"W[{a.name}]", w_names=a.elements, wp_names=a.elements,
+                            n_rel=a.le, op=a.prod, eps=a.one, lres_w=a.lres, rres_w=a.rres,
+                            zero_wp=a.zero)
+    ident = np.arange(a.size)
     return GentzenFrame(frame, a, ident, ident)
 
 
@@ -289,8 +304,7 @@ def check_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
     f, a = gf.frame, gf.algebra
     report = FrameReport()
     N = f.n_rel
-    w_of = gf.to_w
-    wp_of = gf.to_wp
+    w_of, wp_of = gf.to_w, gf.to_wp
     # (Id)
     if not N[w_of, wp_of].all():
         report.add("(Id)", (int(np.flatnonzero(~N[w_of, wp_of])[0]),))
@@ -316,13 +330,8 @@ def check_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
         xi, y, bi = (int(v) for v in np.argwhere(bad)[0])
         report.add("(.R)", (int(xs[xi]), y, ai, bi))
     # (^L0)/(^L1): a_i N z -> a0 ^ a1 N z
-    for side, law in ((0, "(^L0)"), (1, "(^L1)")):
-        base = N[w_of, :]
-        if side == 0:
-            cond = base[:, None, :]
-        else:
-            cond = base[None, :, :]
-        conseq = N[w_of[a.meet], :]
+    base, conseq = N[w_of, :], N[w_of[a.meet], :]
+    for cond, law in ((base[:, None, :], "(^L0)"), (base[None, :, :], "(^L1)")):
         _quantify_pairs(np.broadcast_to(cond, conseq.shape), conseq, report, law)
     # (^R): x N a and x N b -> x N a ^ b
     cond = N[:, wp_of][:, :, None] & N[:, wp_of][:, None, :]
@@ -333,13 +342,8 @@ def check_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
     conseq = N[w_of[a.join], :]
     _quantify_pairs(cond, conseq, report, "(vL)")
     # (vR0)/(vR1): x N a_i -> x N a0 v a1
-    for side, law in ((0, "(vR0)"), (1, "(vR1)")):
-        base = N[:, wp_of]
-        if side == 0:
-            cond = base[:, :, None]
-        else:
-            cond = base[:, None, :]
-        conseq = N[:, wp_of[a.join]]
+    base, conseq = N[:, wp_of], N[:, wp_of[a.join]]
+    for cond, law in ((base[:, :, None], "(vR0)"), (base[:, None, :], "(vR1)")):
         _quantify_pairs(np.broadcast_to(cond, conseq.shape), conseq, report, law)
     # (\L): x N a and b N z -> a\b N x lres z   (a, b algebra; x in W, z in W')
     # (\R): x N a \ b (witness) -> x N a\b
@@ -359,7 +363,13 @@ def check_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
 
 def check_star_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
     """Gentzen laws plus the zero and star laws; the infinitary star premise
-    family is checked over one full power cycle of each element."""
+    family is checked over one full power cycle of each element.  Checked once
+    per Gentzen frame and value of with_cut; each call gets its own report."""
+    report = kept(gf, f"_star_gentzen_{with_cut}", _star_gentzen, with_cut)
+    return FrameReport(list(report.violations))
+
+
+def _star_gentzen(gf: GentzenFrame, with_cut: bool) -> FrameReport:
     report = check_gentzen(gf, with_cut)
     f, a = gf.frame, gf.algebra
     N = f.n_rel
@@ -559,13 +569,14 @@ def macneille(a: FiniteActionLattice) -> CompletionResult:
     """The algebra's own frame, its star-Gentzen laws, its dual algebra and
     the down-set embedding into it; on a finite algebra the embedding is
     onto.  The embedding check tests injectivity, as the order of a valid
-    algebra is antisymmetric."""
+    algebra is antisymmetric.  All but the embedding are facts kept on the
+    model and its frames, so an earlier audit's are reused."""
     report = validate_algebra(a)
     if not report.ok:
         raise FrameError(f"not a valid algebra: {report.violations[0]}")
     gf = frame_of_algebra(a)
     star_report = check_star_gentzen(gf, with_cut=True)
-    dual = dual_algebra(gf.frame, name=f"{a.name}^+")
+    dual = dual_algebra(gf.frame)
     embedding = embedding_check(gf, dual)
     return CompletionResult(gf, dual, embedding, embedding.ok and a.size == len(dual.closed),
                             star_report)

@@ -53,13 +53,28 @@ class ModelError(ValueError):
     pass
 
 
-@dataclass
+def read_only(*tables: np.ndarray) -> None:
+    """Forbid writes into the given tables."""
+    for t in tables:
+        t.setflags(write=False)
+
+
+def kept(obj, key: str, make, *args):
+    """make(obj, *args), computed on first use and kept on obj under key: a
+    fact of an immutable object (a frozen dataclass with read-only tables)."""
+    memo = obj.__dict__
+    if key not in memo:
+        memo[key] = make(obj, *args)
+    return memo[key]
+
+
+@dataclass(frozen=True)
 class FiniteActionLattice:
     """A finite action lattice given by its tables over elements 0..n-1.
 
-    A model's tables are not changed after it is built: validity queries
-    read a copy made on first use (:attr:`tables`).  To change a table,
-    build a new model, as ``dataclasses.replace`` does.
+    A model is immutable, its tables read-only, so each fact derived from
+    it (validation, frame, the tables the queries read) is kept on it.  To
+    change a table, build a new model, as ``dataclasses.replace`` does.
     """
 
     name: str
@@ -74,6 +89,9 @@ class FiniteActionLattice:
     zero: int
     one: int
 
+    def __post_init__(self):
+        read_only(self.le, self.meet, self.join, self.prod, self.lres, self.rres, self.star)
+
     @property
     def size(self) -> int:
         return len(self.elements)
@@ -87,7 +105,7 @@ class FiniteActionLattice:
         return bool(self.le[x, y])
 
 
-@dataclass
+@dataclass(frozen=True)
 class LawViolation:
     law: str
     witness: tuple
@@ -126,7 +144,12 @@ def star_by_powers(a: FiniteActionLattice, x: int) -> int:
 
 
 def validate_algebra(a: FiniteActionLattice) -> AlgebraReport:
-    """Check every defining law, reporting one witness per broken law."""
+    """Check every defining law, reporting one witness per broken law.  The
+    laws are checked once per model; each call gets its own report."""
+    return AlgebraReport(list(kept(a, "_validation", _validate_algebra).violations))
+
+
+def _validate_algebra(a: FiniteActionLattice) -> AlgebraReport:
     report = AlgebraReport()
     n = a.size
     le = a.le

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Sequence
 
@@ -174,6 +175,11 @@ class SchematicRule:
     @property
     def is_omega(self) -> bool:
         return self.omega is not None
+
+    @cached_property
+    def flags(self) -> RuleFlags:
+        """The :func:`classify` flags, computed once per schema."""
+        return classify(self)
 
     def child_indices(self) -> tuple[int, ...] | None:
         """Valid child address components; None means every natural number.

@@ -35,7 +35,7 @@ from .proof_core import (
     rule_app,
     to_standard_omega,
 )
-from .rules import Instantiation, RuleInstance, RuleSet, classify
+from .rules import Instantiation, RuleInstance, RuleSet
 from .syntax import Sequent, Star, power_formula
 
 StarAssignment = dict[int, int]
@@ -85,9 +85,8 @@ def evolve_assignment(f: StarAssignment, instance: RuleInstance,
     principal occurrence is unassigned.
     """
     rule = instance.rule
-    flags = classify(rule)
     principal = instance.principal
-    if not (flags.linear or rule.name == "id" or principal is not None):
+    if not (rule.flags.linear or rule.name == "id" or principal is not None):
         raise AssignmentError(f"cannot evolve through {rule.name}")
     if principal is not None and principal in f:
         raise AssignmentError("the principal occurrence is assigned; use projection")
@@ -469,7 +468,7 @@ def _used_rules_linear(p: CyclicProof, rules: RuleSet) -> None:
         rule = rules.resolve(node.app.rule)
         if rule.name in builtin:
             continue
-        if not classify(rule).linear:
+        if not rule.flags.linear:
             raise ProofError(f"rule {rule.name} is not linear; translation requires linear rules")
 
 

@@ -200,10 +200,16 @@ def test_dual_algebra_of_frame_with_unequal_sorts():
     assert (alg.zero, alg.one) == (0, 1)
 
 
+def _broken(gf, part: str, table: str, entry: tuple, value):
+    """A copy of a Gentzen frame with one entry of one table of its frame or
+    its algebra changed."""
+    broken = getattr(getattr(gf, part), table).copy()
+    broken[entry] = value
+    return dataclasses.replace(gf, **{part: dataclasses.replace(getattr(gf, part), **{table: broken})})
+
+
 def test_dual_algebra_rejects_non_nuclear_frame():
-    f = frame_of_algebra(rel_algebra(2)).frame
-    f.lres_w = f.lres_w.copy()
-    f.lres_w[7, 6] = 0
+    f = _broken(frame_of_algebra(rel_algebra(2)), "frame", "lres_w", (7, 6), 0).frame
     with pytest.raises(FrameError) as err:
         dual_algebra(f)
     assert str(err.value) == "frame is not nuclear: ('x.y N z iff y N x\\\\z', (7, 8, 6))"
@@ -263,10 +269,7 @@ def test_star_gentzen_frames_pass():
 
 
 def test_gentzen_detects_broken_relation():
-    a = two_chain()
-    gf = frame_of_algebra(a)
-    gf.frame.n_rel = gf.frame.n_rel.copy()
-    gf.frame.n_rel[0, 1] = False  # drop 0 <= 1
+    gf = _broken(frame_of_algebra(two_chain()), "frame", "n_rel", (0, 1), False)  # drop 0 <= 1
     report = check_star_gentzen(gf)
     assert not report.ok
 
@@ -287,19 +290,14 @@ BROKEN_ENTRIES = [
 @pytest.mark.parametrize("law,part,table,entry,value,witness", BROKEN_ENTRIES,
                          ids=[case[0] for case in BROKEN_ENTRIES])
 def test_star_gentzen_reports_broken_entry(law, part, table, entry, value, witness):
-    gf = frame_of_algebra(rel_algebra(2))
-    broken = getattr(getattr(gf, part), table).copy()
-    broken[entry] = value
-    setattr(gf, part, dataclasses.replace(getattr(gf, part), **{table: broken}))
+    gf = _broken(frame_of_algebra(rel_algebra(2)), part, table, entry, value)
     assert check_star_gentzen(gf).violations == [(law, witness)]
 
 
 def test_star_gentzen_reports_first_witnesses():
     # relating {00,01,10} to {00} in the frame of rel_algebra(2) breaks nine
     # laws, most of them at several tuples; each is reported at its first
-    gf = frame_of_algebra(rel_algebra(2))
-    gf.frame.n_rel = gf.frame.n_rel.copy()
-    gf.frame.n_rel[7, 1] = True
+    gf = _broken(frame_of_algebra(rel_algebra(2)), "frame", "n_rel", (7, 1), True)
     assert check_star_gentzen(gf).violations == [
         ("(Cut)", (2, 7, 1)), ("(.R)", (1, 7, 1, 1)), ("(^L0)", (7, 2, 1)),
         ("(^L1)", (2, 7, 1)), ("(vR0)", (7, 1, 2)), ("(vR1)", (7, 2, 1)),
@@ -347,12 +345,10 @@ def _corrupted_frames(rng: random.Random, per_table: int):
         for part, table in CORRUPTED_TABLES:
             for _ in range(per_table):
                 old = getattr(getattr(gf, part), table)
-                broken = old.copy()
                 entry = tuple(rng.randrange(size) for size in old.shape)
-                broken[entry] = (not old[entry] if old.dtype == bool else
-                                 rng.choice([v for v in range(a.size) if v != old[entry]]))
-                yield dataclasses.replace(
-                    gf, **{part: dataclasses.replace(getattr(gf, part), **{table: broken})})
+                yield _broken(gf, part, table, entry,
+                              not old[entry] if old.dtype == bool else
+                              rng.choice([v for v in range(a.size) if v != old[entry]]))
 
 
 def test_whole_table_laws_match_element_loops():
@@ -418,3 +414,98 @@ def test_macneille_preserves_quasiequations():
         for rule_name in ("C", "Wk"):
             q = q_a_of(EX[rule_name])
             assert holds_quasieq(a, q) == holds_quasieq(result.dual.algebra, q)
+
+
+# ---------------------------------------------------------------------------
+# Facts kept on models and frames: computed once per object, never stale.
+
+
+def test_frame_fields_cannot_be_assigned():
+    gf = frame_of_algebra(rel_algebra(1))
+    dual = dual_algebra(gf.frame)
+    for obj, name in ((gf, "algebra"), (gf, "to_w"), (gf.frame, "n_rel"), (gf.frame, "eps"),
+                      (gf.algebra, "prod"), (dual, "closed"), (dual.stats, "rounds")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+
+
+def test_model_and_frame_tables_are_read_only():
+    a = rel_algebra(1)
+    gf = frame_of_algebra(a)
+    dual = dual_algebra(gf.frame)
+    tables = [getattr(a, t) for t in ("le", "meet", "join", "prod", "lres", "rres", "star")]
+    tables += [getattr(gf.frame, t) for t in ("n_rel", "op", "lres_w", "rres_w")]
+    for t in tables + [gf.to_w, gf.to_wp, dual.closed]:
+        corner = (0,) * t.ndim
+        with pytest.raises(ValueError, match="read-only"):
+            t[corner] = t[corner]
+
+
+@pytest.mark.parametrize("law,part,table,entry,value,witness", BROKEN_ENTRIES,
+                         ids=[case[0] for case in BROKEN_ENTRIES])
+def test_facts_of_a_good_frame_are_not_served_for_a_broken_copy(law, part, table, entry, value,
+                                                                 witness):
+    a = rel_algebra(2)
+    gf = frame_of_algebra(a)
+    dual = dual_algebra(gf.frame)
+    assert validate_algebra(a).ok and check_star_gentzen(gf).ok and validate_algebra(dual.algebra).ok
+    bad = _broken(gf, part, table, entry, value)
+    assert check_star_gentzen(bad).violations == [(law, witness)]
+    if part == "frame":
+        with pytest.raises(FrameError, match="not nuclear"):
+            dual_algebra(bad.frame)
+        return
+    assert not validate_algebra(bad.algebra).ok
+    own = frame_of_algebra(bad.algebra)
+    assert own.frame is not gf.frame and not check_star_gentzen(own).ok
+    if table == "star":  # the frame does not read star: its dual is built anew, equal to the good one
+        again = dual_algebra(own.frame)
+        assert again is not dual and (again.closed == dual.closed).all()
+    else:
+        with pytest.raises(FrameError, match="not nuclear"):
+            dual_algebra(own.frame)
+
+
+def test_changing_a_returned_report_changes_no_later_one():
+    a = rel_algebra(2)
+    gf = frame_of_algebra(a)
+    bad = _broken(gf, "frame", "n_rel", (7, 1), True)
+    for check in (lambda: validate_algebra(a), lambda: check_star_gentzen(gf),
+                  lambda: check_star_gentzen(bad), lambda: check_star_gentzen(bad, with_cut=False)):
+        want = list(check().violations)
+        got = check()
+        got.add("(Id)", (0,))
+        assert check().violations == want
+        got.violations.clear()
+        assert check().violations == want
+    # each value of with_cut has its own report: only the one with cut breaks (Cut)
+    assert check_star_gentzen(bad, with_cut=False).violations == check_star_gentzen(bad).violations[1:]
+
+
+def test_macneille_reuses_the_audit(monkeypatch):
+    # the audit steps of the semantics benchmark workload, then the completion:
+    # the closed sets are enumerated and the star-Gentzen laws checked once
+    calls = Counter()
+    for name in ("_dual_algebra", "_star_gentzen"):
+        def counted(*args, _name=name, _worker=getattr(frames, name)):
+            calls[_name] += 1
+            return _worker(*args)
+
+        monkeypatch.setattr(frames, name, counted)
+    qes = [q_a_of(EX["C"]), q_a_of(EX["Wk"])]
+    for build in (two_chain, lambda: truncated_words(3, "a")):
+        calls.clear()
+        a = build()
+        assert validate_algebra(a).ok
+        gf = frame_of_algebra(a)
+        assert check_nuclear(gf.frame).ok and check_star_gentzen(gf).ok
+        dual = dual_algebra(gf.frame)
+        assert validate_algebra(dual.algebra).ok
+        assert quasimorphism_check(gf, dual).ok and embedding_check(gf, dual).ok
+        assert all(verify_transfer(gf.frame, q, dual).ok for q in qes)
+        done = macneille(a)
+        assert done.gentzen is gf and done.dual is dual and done.is_isomorphism
+        assert calls == {"_dual_algebra": 1, "_star_gentzen": 1}
+        # a model built anew shares nothing with the last one
+        assert macneille(build()).dual is not dual
+        assert calls == {"_dual_algebra": 2, "_star_gentzen": 2}

@@ -86,7 +86,7 @@ def test_validate_reports_first_witness(table, entry, value, violations):
     a = rel_algebra(2)
     broken = getattr(a, table).copy()
     broken[entry] = value
-    setattr(a, table, broken)
+    a = dataclasses.replace(a, **{table: broken})
     assert [(v.law, v.witness) for v in validate_algebra(a).violations] == violations
 
 

@@ -100,6 +100,26 @@ def test_evolve_rejects_assigned_principal():
         evolve_assignment({0: 1}, RuleInstance(rule, inst), 1)
 
 
+def test_rule_flags_are_classified_once_per_schema(monkeypatch):
+    # evolution and the translation's linearity check read a rule's flags off
+    # its schema, which classifies itself on first use
+    import dataclasses
+
+    import actlat.rules as rules
+
+    classified = []
+    classify = rules.classify
+    monkeypatch.setattr(rules, "classify", lambda rule: classified.append(rule.name) or classify(rule))
+    rule = dataclasses.replace(RS.resolve("oneL"))  # a schema not classified yet
+    inst = Instantiation(fmap={"b": c}, smap={"Gamma": (Star(a),), "Delta": (b,)})
+    for _ in range(3):
+        assert evolve_assignment({0: 2}, RuleInstance(rule, inst), 0) == {0: 2}
+    assert classified == ["oneL"]
+    classified.clear()
+    assert check_wf(nwf_to_wf(canonical_two_star(RS), rules=RS), 5, RS).ok
+    assert len(classified) == len(set(classified))
+
+
 def test_evolution_preserves_validity():
     # carried assignments stay valid for every premise across the nodes of
     # the reference proofs
