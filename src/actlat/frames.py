@@ -15,6 +15,10 @@ float32 counts these exactly, as no count exceeds a row's length.  The basic
 closed sets are the columns of the relation (one per element of the second
 sort); every closed set is an intersection of basic ones, so the closed sets
 are enumerated by intersecting rows with the basics until no new row appears.
+Each row is keyed by its packed bits (:func:`_keys`), so the distinct rows
+are a unique over keys, and a set already known to be closed (a meet, a
+residual of a nuclear frame) is found by an exact key lookup, not by a
+:func:`_within` product; joins are read off the order.
 
 The Gentzen-frame laws are likewise checked over whole tables, not element by
 element; a law that quantifies over two related pairs, such as (.R), counts
@@ -41,6 +45,7 @@ from .syntax import Formula, One, Prod, Var
 CLOSED_SET_CAP = 4096
 # bytes per temporary of _broken_rows: the frame of a 128-element algebra is one block
 GENTZEN_BLOCK_BYTES = 1 << 23
+QUASI_BLOCK_CELLS = 1 << 16   # member pairs per block of quasimorphism_check
 
 
 class FrameError(ValueError):
@@ -128,11 +133,28 @@ def set_product(f: ResiduatedFrame, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
     return out
 
 
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One key per row, ordered as the binary number whose bit x is column x:
+    the row's bits packed 8 columns a byte, low column first, and the bytes
+    read from the last, compared as one raw byte string."""
+    packed = np.packbits(rows.reshape(-1, rows.shape[-1]), axis=1, bitorder="little")
+    keys = np.ascontiguousarray(packed[:, ::-1]).view(np.dtype((np.void, packed.shape[1])))
+    return keys.reshape(rows.shape[:-1])
+
+
 def _distinct(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows in the order of the binary numbers whose bit x is
-    column x, so a subset comes before its supersets."""
-    rows = rows[np.lexsort(rows.T)]
-    return rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+    """The distinct rows in the order of their :func:`_keys`, so a subset
+    comes before its supersets."""
+    return rows[np.unique(_keys(rows), return_index=True)[1]]
+
+
+def _lookup(keys: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """Index of each row of sets among the closed sets with the given sorted
+    keys; -1 where a row is not closed.  The whole sort is closed and has the
+    greatest key, so every row lands on some index."""
+    probe = _keys(sets)
+    found = np.searchsorted(keys, probe)
+    return np.where(keys[found] == probe, found, -1)
 
 
 def _locate(closed: np.ndarray, sets: np.ndarray) -> np.ndarray:
@@ -195,18 +217,20 @@ def _dual_algebra(f: ResiduatedFrame) -> DualAlgebra:
         closed = grown
     k = len(closed)
     enumerated = time.perf_counter()
-    xs, ys = closed[:, None, :], closed[None, :, :]
+    keys = _keys(closed)
 
     le = _within(closed, closed)
-    meet = _locate(closed, xs & ys)
-    join = _locate(closed, xs | ys)
+    # an intersection of closed sets is closed, so it is found by its key; a
+    # join is the first closed set above both, as :func:`_locate` reads it
+    meet = _lookup(keys, closed[:, None, :] & closed[None, :, :])
+    join = (le[:, None, :] & le[None, :, :]).argmax(axis=-1)
 
     def residual(op: np.ndarray) -> np.ndarray:
         # under[i, j, w]: every x in X_i has op[x, w] in X_j; row (j, w) of
         # closed[:, op.T] is {x : op[x, w] in X_j}
         under = _within(closed, closed[:, op.T].reshape(-1, n)).reshape(k, k, n)
-        found = _locate(closed, under)
-        if (closed[found] != under).any():
+        found = _lookup(keys, under)
+        if (found < 0).any():
             raise FrameError("a residual landed outside the closed sets; frame is not nuclear")
         return found
 
@@ -410,7 +434,6 @@ def quasimorphism_check(gf: GentzenFrame, dual: DualAlgebra) -> FrameReport:
     report = FrameReport()
     f, a = gf.frame, gf.algebra
     alg = dual.algebra
-    n = a.size
     # members[ai, i]: closed set i belongs to the image of ai
     inside = _within(dual.closed, f.n_rel[:, gf.to_wp].T)
     members = dual.closed[:, gf.to_w].T & inside.T
@@ -427,16 +450,19 @@ def quasimorphism_check(gf: GentzenFrame, dual: DualAlgebra) -> FrameReport:
         "lres": (a.lres, alg.lres),
         "rres": (a.rres, alg.rres),
     }
-    # all member pairs (bi, y); a witness is the least (ai, bi, x, y)
-    pb, py = np.nonzero(members)
+    # all member pairs (ai, x) against all (bi, y), in blocks of whole rows ai
+    # of about QUASI_BLOCK_CELLS pairs; a witness is the least (ai, bi, x, y)
+    pa, px = np.nonzero(members)
+    step = max(1, QUASI_BLOCK_CELLS * a.size // max(1, len(pa)) ** 2)
+    starts = np.searchsorted(pa, np.arange(0, a.size + step, step))
     for law, (alg_op, dual_op) in ops.items():
-        for ai in range(n):
-            xs = np.flatnonzero(members[ai])
-            bad = ~members[alg_op[ai, pb][None, :], dual_op[xs[:, None], py[None, :]]]
-            if bad.any():
-                xi, q = np.nonzero(bad)
-                first = np.lexsort((py[q], xs[xi], pb[q]))[0]
-                report.add(law, (ai, int(pb[q[first]]), int(xs[xi[first]]), int(py[q[first]])))
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            r, q = np.nonzero(~members[alg_op[pa[lo:hi, None], pa], dual_op[px[lo:hi, None], px]])
+            if len(r):
+                r += lo
+                first = np.lexsort((px[q], px[r], pa[q], pa[r]))[0]
+                i, j = r[first], q[first]
+                report.add(law, (int(pa[i]), int(pa[j]), int(px[i]), int(px[j])))
                 return report
     bad = members & ~members[a.star][:, alg.star]
     if bad.any():

@@ -2,13 +2,15 @@
 
 A model is a finite carrier with explicit tables for the order, lattice
 operations, monoid product, both residuals, and star.  Validation checks
-every defining law exhaustively, including star-continuity: the star of each
-element must equal the join of its finitely many distinct powers.
+every defining law exhaustively over whole tables, including
+star-continuity: the star of each element must equal the join of its
+finitely many distinct powers, walked for all elements at once.
 
 Library models are built by one constructor from their order, lattice
-tables and product: residuals are the greatest solutions of x.y <= z, star
-the least solution of x* = 1 | x*.x.  Relations and word sets are subsets
-of atoms under a partial product, numbered by bitmask.
+tables and product: residuals are the greatest solutions of x.y <= z, found
+for all fixed factors of one side in blocks of 64K cells, star the least
+solution of x* = 1 | x*.x.  Relations and word sets are subsets of atoms
+under a partial product, numbered by bitmask.
 
 Validity queries evaluate formulas over all valuations at once.  Each model
 keeps its tables raveled in the narrowest unsigned dtype that holds n*n,
@@ -45,7 +47,7 @@ from .syntax import (
 )
 
 _GRID_LIMIT = 4_000_000   # beyond VAR_CAP variables, grids above this are refused
-_BLOCK_CELLS = 1 << 16    # cells per block of the query kernel
+_BLOCK_CELLS = 1 << 16    # cells per block of the query kernel and the residual search
 VAR_CAP = 4
 
 
@@ -131,18 +133,6 @@ def _first_bad(mask: np.ndarray) -> tuple:
     return tuple(int(v) for v in idx[0])
 
 
-def star_by_powers(a: FiniteActionLattice, x: int) -> int:
-    """Join of all distinct powers of x (stabilizes on a finite carrier)."""
-    acc = a.one
-    power = a.one
-    seen = set()
-    while power not in seen:
-        seen.add(power)
-        acc = int(a.join[acc, power])
-        power = int(a.prod[power, x])
-    return acc
-
-
 def validate_algebra(a: FiniteActionLattice) -> AlgebraReport:
     """Check every defining law, reporting one witness per broken law.  The
     laws are checked once per model; each call gets its own report."""
@@ -210,11 +200,16 @@ def _validate_algebra(a: FiniteActionLattice) -> AlgebraReport:
     induct_r = ~yx | yxs
     if not induct_r.all():
         report.add("y.x <= y implies y.x* <= y", _first_bad(induct_r))
-    # star-continuity: star equals the join of all powers
-    for x in range(n):
-        if star_by_powers(a, x) != int(s[x]):
-            report.add("star is the join of the powers", (x,))
-            break
+    # star-continuity: star equals the join of all powers, over the powers of
+    # all elements at once, each joined until its next power is one it has had
+    xs, power, acc = np.arange(n), np.full(n, a.one), np.full(n, a.one)
+    seen = np.zeros((n, n), dtype=bool)
+    while (fresh := ~seen[xs, power]).any():
+        seen[xs, power] = True
+        acc = np.where(fresh, j[acc, power], acc)
+        power = p[power, xs]
+    if (acc != s).any():
+        report.add("star is the join of the powers", (int(np.flatnonzero(acc != s)[0]),))
     return report
 
 
@@ -238,31 +233,35 @@ def star_table(join: np.ndarray, prod: np.ndarray, one: int) -> np.ndarray:
 def _algebra(name, elements, le, meet, join, prod, one, zero) -> FiniteActionLattice:
     """A model from its order, lattice operations, product and constants.
 
-    x \\ z and z / y are the greatest solutions of x.y <= z, found one row at
-    a time: for a fixed left (or right) factor, row z of the candidate matrix
-    holds the solutions for z, and the residual is the candidate whose
-    down-set holds the whole row.  Star comes from :func:`star_table`.
+    x \\ z and z / y are the greatest solutions of x.y <= z, found for all
+    fixed left (then right) factors at once, in blocks of at most 64K cells:
+    for fixed factor f, row z of the candidate matrix holds the solutions for
+    z, and the residual is the candidate whose down-set holds the whole row.
+    Star comes from :func:`star_table`.
     """
     n = len(elements)
-    rows = np.arange(n)
     # candidates are tried largest down-set first: a greatest one comes first
     order = np.argsort(-le.sum(axis=0), kind="stable")
     above = np.ascontiguousarray(le.T)  # above[z, y]: y <= z
     below_order = above[:, order]
 
-    def greatest(products: np.ndarray, side: str, fixed: int) -> np.ndarray:
-        cand = above[:, products[order]]  # cand[z, k]: products[order[k]] <= z
-        first = cand.argmax(axis=1)
-        best = order[first]
-        ok = cand[rows, first] & (cand <= below_order[best]).all(axis=1)
-        if not ok.all():
-            z = elements[int(np.flatnonzero(~ok)[0])]
-            pair = f"{elements[fixed]} \\ {z}" if side == "left" else f"{z} / {elements[fixed]}"
-            raise ModelError(f"{name}: missing {side} residual {pair}")
-        return best
+    def greatest(table: np.ndarray, out: np.ndarray, side: str) -> None:
+        """Fill out[f, z] with the greatest y with table[f, y] <= z."""
+        step = max(1, _BLOCK_CELLS // (n * n))
+        for lo in range(0, n, step):
+            cand = above[:, table[lo:lo + step, order]].transpose(1, 0, 2)  # [f, z, k]
+            best = order[cand.argmax(axis=2)]
+            ok = cand.any(axis=2) & (cand <= below_order[best]).all(axis=2)
+            if not ok.all():
+                f, z = (int(v) for v in np.argwhere(~ok)[0])
+                fixed, z = elements[lo + f], elements[z]
+                pair = f"{fixed} \\ {z}" if side == "left" else f"{z} / {fixed}"
+                raise ModelError(f"{name}: missing {side} residual {pair}")
+            out[lo:lo + step] = best
 
-    lres = np.array([greatest(prod[x], "left", x) for x in rows])
-    rres = np.column_stack([greatest(prod[:, y], "right", y) for y in rows])
+    lres, rres = np.empty((n, n), dtype=order.dtype), np.empty((n, n), dtype=order.dtype)
+    greatest(prod, lres, "left")
+    greatest(prod.T, rres.T, "right")
     return FiniteActionLattice(
         name=name, elements=tuple(elements), le=le, meet=meet, join=join, prod=prod,
         lres=lres, rres=rres, star=star_table(join, prod, one), zero=zero, one=one,

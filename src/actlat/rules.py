@@ -303,7 +303,11 @@ class RuleInstance:
         return self._principal
 
     def ancestry(self, child_index: int) -> frozenset[tuple[tuple[int, int], int]]:
-        """Immediate-ancestor pairs between one premise and the conclusion."""
+        """Immediate-ancestor pairs between one premise and the conclusion.
+        Children from SHAPE_CHILD_CAP on, which only an infinitary rule has
+        and whose pairs grow with the index, are computed and not tabled."""
+        if child_index >= SHAPE_CHILD_CAP:
+            return ancestry_for_children(self, (child_index,))
         return self._shared(child_index, lambda: ancestry_for_children(self, (child_index,)))
 
     def _shared(self, fact, compute):
@@ -689,9 +693,10 @@ def analytic_qe_to_equation(q: Quasiequation) -> Inequation:
 # Ground layout of an instance and the immediate-ancestor relation, computed
 # once per shape: the formulas bound to the metavariables play no part.
 
-# ("layout" or a child index, (id(rule), svar names, image lengths)) ->
-# (rule, fact); emptied when it holds SHAPE_CAP entries.
+# ("layout" or a child index below SHAPE_CHILD_CAP, (id(rule), svar names,
+# image lengths)) -> (rule, fact); emptied when it holds SHAPE_CAP entries.
 SHAPE_CAP = 512
+SHAPE_CHILD_CAP = 32
 _SHAPES: dict[tuple, tuple] = {}
 
 
@@ -974,6 +979,12 @@ def _check_user_name(name: str) -> None:
         raise RuleError(f"user rule {name!r} has the name of a built-in rule")
 
 
+# every name a rule set without user rules resolves: an alias names its
+# built-in rule, and a built-in rule takes precedence over an example rule
+_NAMES = MappingProxyType({**_EXAMPLES, **_BUILTIN,
+                           **{alias: _BUILTIN[name] for alias, name in RULE_ALIASES.items()}})
+
+
 class RuleSet:
     """Name-resolving view over built-in plus user rules."""
 
@@ -983,13 +994,14 @@ class RuleSet:
         self.builtin = _BUILTIN
         self.examples = _EXAMPLES
         self.user = {r.name: r for r in user}
+        # a user rule can take no built-in name or alias, so it only shadows an example rule
+        self._names = {**_NAMES, **self.user} if self.user else _NAMES
 
     def resolve(self, name: str) -> SchematicRule:
-        name = RULE_ALIASES.get(name, name)
-        for table in (self.user, self.builtin, self.examples):
-            if name in table:
-                return table[name]
-        raise RuleError(f"unknown rule {name!r}")
+        try:
+            return self._names[name]
+        except KeyError:
+            raise RuleError(f"unknown rule {name!r}") from None
 
     def user_rules(self) -> list[SchematicRule]:
         return list(self.user.values())

@@ -82,6 +82,58 @@ def loop_gentzen_laws(gf, star: bool) -> list:
     return found
 
 
+def star_by_powers(a, x: int) -> int:
+    """Join of all distinct powers of x (stabilizes on a finite carrier): the
+    scalar reference for the star-continuity check of ``validate_algebra``."""
+    acc = a.one
+    power = a.one
+    seen = set()
+    while power not in seen:
+        seen.add(power)
+        acc = int(a.join[acc, power])
+        power = int(a.prod[power, x])
+    return acc
+
+
+def lexsort_distinct(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows by a lexsort with the last column as primary key:
+    the reference order for ``actlat.frames._distinct``."""
+    rows = rows[np.lexsort(rows.T)]
+    return rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+
+
+def loop_quasimorphism(gf, dual) -> list:
+    """The violations of ``quasimorphism_check``, each operation law checked
+    one algebra element at a time: the reference for the whole-table check."""
+    from actlat.frames import _locate, _within
+
+    found = []
+    f, a, alg = gf.frame, gf.algebra, dual.algebra
+    inside = _within(dual.closed, f.n_rel[:, gf.to_wp].T)
+    members = dual.closed[:, gf.to_w].T & inside.T
+    if not members[a.one, alg.one]:
+        found.append(("unit membership", (int(alg.one),)))
+    if f.zero_wp is not None:
+        zero_set = int(_locate(dual.closed, f.n_rel[:, f.zero_wp]))
+        if not members[a.zero, zero_set]:
+            found.append(("zero membership", (zero_set,)))
+    pb, py = np.nonzero(members)
+    for law in ("meet", "join", "prod", "lres", "rres"):
+        alg_op, dual_op = getattr(a, law), getattr(alg, law)
+        for ai in range(a.size):
+            xs = np.flatnonzero(members[ai])
+            bad = ~members[alg_op[ai, pb][None, :], dual_op[xs[:, None], py[None, :]]]
+            if bad.any():
+                xi, q = np.nonzero(bad)
+                first = np.lexsort((py[q], xs[xi], pb[q]))[0]
+                found.append((law, (ai, int(pb[q[first]]), int(xs[xi[first]]), int(py[q[first]]))))
+                return found
+    bad = members & ~members[a.star][:, alg.star]
+    if bad.any():
+        found.append(("star", tuple(int(v) for v in np.argwhere(bad)[0])))
+    return found
+
+
 def _reference_eval(a, grids: dict, f: Formula) -> np.ndarray:
     if isinstance(f, Var):
         return grids[f.name]

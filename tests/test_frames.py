@@ -38,7 +38,7 @@ from actlat.models import (
     holds_quasieq,
 )
 from actlat.rules import example_structural_rules, q_a_of
-from tests.helpers import loop_gentzen_laws
+from tests.helpers import lexsort_distinct, loop_gentzen_laws, loop_quasimorphism
 
 EX = example_structural_rules()
 
@@ -215,6 +215,24 @@ def test_dual_algebra_rejects_non_nuclear_frame():
     assert str(err.value) == "frame is not nuclear: ('x.y N z iff y N x\\\\z', (7, 8, 6))"
 
 
+def test_dual_algebra_raises_for_a_residual_outside_the_closed_sets(monkeypatch):
+    # with the nuclear check passed over, a non-nuclear frame is still caught
+    # when a residual is not closed
+    monkeypatch.setattr(frames, "check_nuclear", lambda f: frames.FrameReport())
+    f = _broken(frame_of_algebra(rel_algebra(2)), "frame", "op", (0, 0), 1).frame
+    with pytest.raises(FrameError) as err:
+        dual_algebra(f)
+    assert str(err.value) == "a residual landed outside the closed sets; frame is not nuclear"
+
+
+@given(st.integers(1, 130), st.integers(1, 24), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+def test_distinct_keeps_the_lexsort_order(width, count, density, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.random((count, width)) < density
+    rows = np.concatenate([rows, rows[rng.integers(count, size=count)]])
+    assert np.array_equal(_distinct(rows), lexsort_distinct(rows))
+
+
 def test_dual_algebra_closed_set_cap(monkeypatch):
     monkeypatch.setattr(frames, "CLOSED_SET_CAP", 8)
     with pytest.raises(FrameError, match="^more than 8 closed sets$"):
@@ -372,6 +390,38 @@ def test_quasimorphism_on_algebra_frames():
         dual = dual_algebra(gf.frame)
         report = quasimorphism_check(gf, dual)
         assert report.ok, (a.name, report.violations)
+
+
+def _corrupted_duals(rng, per_table):
+    """Duals of small algebra frames with one entry of one operation table
+    changed; then, per model, duals whose closed sets are replaced by sparse
+    random sets over a total relation, so that an element's members are
+    those sets that hold it, several or none."""
+    for a in (three_chain(), rel_algebra(2), truncated_words(3, "a")):
+        gf = frame_of_algebra(a)
+        dual = dual_algebra(gf.frame)
+        for table in ("meet", "join", "prod", "lres", "rres", "star"):
+            for _ in range(per_table):
+                t = getattr(dual.algebra, table).copy()
+                entry = tuple(rng.randrange(n) for n in t.shape)
+                t[entry] = rng.choice([v for v in range(a.size) if v != t[entry]])
+                yield gf, dataclasses.replace(
+                    dual, algebra=dataclasses.replace(dual.algebra, **{table: t}))
+        total = _broken(gf, "frame", "n_rel", ..., True)
+        for _ in range(4 * per_table):
+            rows = np.array([[rng.random() < 0.2 for _ in range(a.size)] for _ in dual.closed])
+            yield total, dataclasses.replace(dual, closed=rows)
+
+
+@pytest.mark.parametrize("block", [frames.QUASI_BLOCK_CELLS, 1, 50])
+def test_quasimorphism_witness_matches_element_loop(monkeypatch, block):
+    monkeypatch.setattr(frames, "QUASI_BLOCK_CELLS", block)
+    broken = Counter()
+    for gf, dual in _corrupted_duals(random.Random(3), per_table=6):
+        got = quasimorphism_check(gf, dual).violations
+        assert got == loop_quasimorphism(gf, dual)
+        broken.update(law for law, _ in got)
+    assert all(broken[law] >= 3 for law in ("meet", "join", "prod", "lres", "rres", "star")), broken
 
 
 def test_embedding_on_algebra_frames():

@@ -28,7 +28,6 @@ from actlat.models import (
     rule_models,
     sequent_inequation,
     soundness_audit,
-    star_by_powers,
     three_chain,
     truncated_words,
     two_chain,
@@ -38,7 +37,8 @@ from actlat.rules import (Inequation, Quasiequation, RuleSet, builtin_rules,
                           example_structural_rules, q_a_of, q_of)
 from actlat.syntax import Prod, Sequent, Star, Var, parse_formula, parse_sequent, variables
 
-from tests.helpers import ATOMS, formulas, random_formula, reference_counterexample
+from tests.helpers import (ATOMS, formulas, random_formula, reference_counterexample,
+                           star_by_powers)
 
 EX = example_structural_rules()
 
@@ -137,14 +137,46 @@ def test_star_by_powers_matches_tables():
             assert star_by_powers(a, x) == a.star[x]
 
 
+def test_star_continuity_reports_the_first_x_of_the_scalar_walk():
+    # copies with one broken star entry, and with one broken product or join
+    # entry, which changes the powers of some elements or their join
+    def first_x(a):
+        return next(((x,) for x in range(a.size) if star_by_powers(a, x) != a.star[x]), None)
+
+    def reported(a):
+        found = [v.witness for v in validate_algebra(a).violations
+                 if v.law == "star is the join of the powers"]
+        return found[0] if found else None
+
+    rng = random.Random(7)
+    cases = 0
+    for a in library().values():
+        assert reported(a) is first_x(a) is None
+        for _ in range(6):
+            x, y, z = (rng.randrange(a.size) for _ in range(3))
+            star, prod, join = a.star.copy(), a.prod.copy(), a.join.copy()
+            star[x], prod[x, y], join[x, y] = z, z, z
+            for broken in (dataclasses.replace(a, star=star), dataclasses.replace(a, prod=prod),
+                           dataclasses.replace(a, join=join)):
+                assert reported(broken) == first_x(broken)
+                cases += first_x(broken) is not None
+    assert cases >= 20
+
+
 def test_algebra_without_residuals_rejected():
     # on the chain 0 < 1 < 2, x . y = max(x, y) has unit 0, but no y gives
     # 1 . y <= 0, so 1 \ 0 does not exist
     i = np.arange(3)
-    high = np.maximum.outer(i, i)
-    with pytest.raises(ModelError, match=r"missing left residual 1 \\ 0"):
-        _algebra("max_chain", ("0", "1", "2"), i[:, None] <= i[None, :],
-                 np.minimum.outer(i, i), high, high, one=0, zero=0)
+    chain, low, high = i[:, None] <= i[None, :], np.minimum.outer(i, i), np.maximum.outer(i, i)
+    with pytest.raises(ModelError) as err:
+        _algebra("max_chain", ("0", "1", "2"), chain, low, high, high, one=0, zero=0)
+    assert str(err.value) == "max_chain: missing left residual 1 \\ 0"
+    # x . y = y has every left residual (x \ z = z), but x . 1 = 1 for all x,
+    # so 0 / 1 does not exist, while x . 0 = 0 gives 0 / 0 = 2
+    with pytest.raises(ModelError) as err:
+        _algebra("right_chain", ("0", "1", "2"), chain, low, high, np.tile(i, (3, 1)),
+                 one=0, zero=0)
+    assert str(err.value) == "right_chain: missing right residual 0 / 1"
 
 
 def test_truncated_words_tables_pinned():

@@ -316,6 +316,13 @@ def test_shape_table_stays_within_its_bound():
     for n in (*range(10), 100, 1_000, 10_000):
         assert len(omega.ancestry(n)) == n + 2
         assert len(rules._SHAPES) <= rules.SHAPE_CAP
+    # child 1 of lresL holds one pair per position of Gamma and Sigma and 2
+    # more, at most 44 here; omega child n holds n + 2, tabled only below
+    # SHAPE_CHILD_CAP
+    per_entry = max(44, rules.SHAPE_CHILD_CAP + 1)
+    stored = sum(len(fact) for key, (_, fact) in rules._SHAPES.items() if key[0] != "layout")
+    assert 0 < stored <= rules.SHAPE_CAP * per_entry
+    assert max(key[0] for key in rules._SHAPES if key[0] != "layout") == 9
     rules._SHAPES.clear()
 
 
@@ -359,6 +366,29 @@ def test_ruleset_resolution():
     assert rs.resolve("*L").name == "starL"
     assert rs.resolve("meetR").name == "meetR"
     assert rs.resolve("Cut").name == "Cut"
+
+
+def test_resolve_keeps_the_precedence_of_aliases_then_user_builtin_and_example_rules():
+    [rule] = parse_rule_file("rule C:\n" + EXCHANGE)
+
+    def reference(rs, name):
+        name = rules.RULE_ALIASES.get(name, name)
+        for table in (rs.user, rs.builtin, rs.examples):
+            if name in table:
+                return table[name]
+        raise RuleError(f"unknown rule {name!r}")
+
+    for rs in (RuleSet(), RuleSet([rule])):
+        for name in (*rules.RULE_ALIASES, *B, *EX, "nope", "*l"):
+            try:
+                want = reference(rs, name)
+            except RuleError as err:
+                with pytest.raises(RuleError) as got:
+                    rs.resolve(name)
+                assert str(got.value) == str(err)
+            else:
+                assert rs.resolve(name) is want
+    assert RuleSet([rule]).resolve("C") is rule
 
 
 EXCHANGE = "  G, a, b, D |- g\n  ----\n  G, b, a, D |- g\n"
