@@ -163,20 +163,23 @@ def test_star_continuity_reports_the_first_x_of_the_scalar_walk():
     assert cases >= 20
 
 
-def test_algebra_without_residuals_rejected():
+def test_algebra_without_residuals_rejected(monkeypatch):
     # on the chain 0 < 1 < 2, x . y = max(x, y) has unit 0, but no y gives
-    # 1 . y <= 0, so 1 \ 0 does not exist
+    # 1 . y <= 0, so 1 \ 0 does not exist; x . y = y has every left residual
+    # (x \ z = z), but x . 1 = 1 for all x, so 0 / 1 does not exist, while
+    # x . 0 = 0 gives 0 / 0 = 2.  With 9-cell blocks, each block holds one
+    # fixed factor, so the failing one is found in a later block.
     i = np.arange(3)
     chain, low, high = i[:, None] <= i[None, :], np.minimum.outer(i, i), np.maximum.outer(i, i)
-    with pytest.raises(ModelError) as err:
-        _algebra("max_chain", ("0", "1", "2"), chain, low, high, high, one=0, zero=0)
-    assert str(err.value) == "max_chain: missing left residual 1 \\ 0"
-    # x . y = y has every left residual (x \ z = z), but x . 1 = 1 for all x,
-    # so 0 / 1 does not exist, while x . 0 = 0 gives 0 / 0 = 2
-    with pytest.raises(ModelError) as err:
-        _algebra("right_chain", ("0", "1", "2"), chain, low, high, np.tile(i, (3, 1)),
-                 one=0, zero=0)
-    assert str(err.value) == "right_chain: missing right residual 0 / 1"
+    for cells in (models._BLOCK_CELLS, 9):
+        monkeypatch.setattr(models, "_BLOCK_CELLS", cells)
+        with pytest.raises(ModelError) as err:
+            _algebra("max_chain", ("0", "1", "2"), chain, low, high, high, one=0, zero=0)
+        assert str(err.value) == "max_chain: missing left residual 1 \\ 0"
+        with pytest.raises(ModelError) as err:
+            _algebra("right_chain", ("0", "1", "2"), chain, low, high, np.tile(i, (3, 1)),
+                     one=0, zero=0)
+        assert str(err.value) == "right_chain: missing right residual 0 / 1"
 
 
 def test_truncated_words_tables_pinned():
