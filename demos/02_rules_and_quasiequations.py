@@ -4,7 +4,6 @@ from actlat import (
     Instantiation,
     RuleSet,
     Var,
-    analytic_qe_to_equation,
     classify,
     example_structural_rules,
     instantiate,
@@ -12,6 +11,7 @@ from actlat import (
     parse_sequent,
     q_a_of,
     q_of,
+    qe_to_equation,
 )
 
 rules = RuleSet()
@@ -35,10 +35,12 @@ for name in ("C", "Wk", "Cut", "c", "e"):
     print(name, classify(ex[name]))
 
 # Every structural rule reads as a quasiequation over variable products;
-# analytic rules additionally have a context-free form and an equivalent
-# single equation.
+# analytic rules additionally have a context-free form.  A quasiequation
+# whose succedent variable is every right side and occurs nowhere else has
+# an equivalent single equation, with one variable fewer.
 print("q(Cut) =", q_of(ex["Cut"]))
 print("q_a(C) =", q_a_of(ex["C"]))
-print("equation of q_a(C):", analytic_qe_to_equation(q_a_of(ex["C"])))
+print("equation of q_a(C):", qe_to_equation(q_a_of(ex["C"])))
 print("q_a(Wk) =", q_a_of(ex["Wk"]))
-print("equation of q_a(Wk):", analytic_qe_to_equation(q_a_of(ex["Wk"])))
+print("equation of q_a(Wk):", qe_to_equation(q_a_of(ex["Wk"])))
+print("equation of q(e):", qe_to_equation(q_of(ex["e"])))

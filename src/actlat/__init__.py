@@ -32,7 +32,6 @@ from .rules import (
     SchematicRule,
     SVar,
     ancestry,
-    analytic_qe_to_equation,
     builtin_rules,
     classify,
     example_structural_rules,
@@ -41,6 +40,7 @@ from .rules import (
     parse_rule_file,
     q_a_of,
     q_of,
+    qe_to_equation,
     t_term,
 )
 from .proof_core import (

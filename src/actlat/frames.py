@@ -7,27 +7,24 @@ closed sets, with the induced operations, are the dual algebra, which is a
 complete residuated lattice and (for star frames) a star-continuous action
 lattice.
 
-A subset of a sort is a numpy bool row over that sort, and a family of
-subsets is a 2-D array of such rows.  Polars, closures, the order and the
-residuals are subset tests between such rows, counted by :func:`_within` in
-one float32 matrix product, which runs on BLAS where a bool product does not;
-float32 counts these exactly, as no count exceeds a row's length.  The basic
-closed sets are the columns of the relation (one per element of the second
-sort); every closed set is an intersection of basic ones, so the closed sets
-are enumerated by intersecting rows with the basics until no new row appears.
-Each row is keyed by its packed bits (:func:`_keys`), so the distinct rows
-are a unique over keys, and a set already known to be closed (a meet, a
-residual of a nuclear frame) is found by an exact key lookup, not by a
-:func:`_within` product; joins are read off the order.
-
-The Gentzen-frame laws are likewise checked over whole tables, not element by
-element; a law that quantifies over two related pairs, such as (.R), counts
-its breaks per algebra element with one float32 product (:func:`_broken_rows`).
+A subset of a sort is a row of packed bits, 64 elements a uint64 word
+(:func:`models.pack`), and a family of subsets an array of such rows.  Every
+subset test is word-wise, (X & ~Y) == 0 (:func:`models.outside`), in blocks
+of bounded size: polars, closures, the order and residuals of the dual, and
+the Gentzen-frame laws over triples, each a test of rows per pair.  The basic
+closed sets are the columns of the relation; every closed set is an
+intersection of basic ones, so the closed sets are enumerated by intersecting
+rows with the basics until no new row appears.  A row's words are its key
+(:func:`_keys`), so the distinct rows are a unique over keys, and a set known
+to be closed (a meet, a residual of a nuclear frame) is found by its key.
+(.R), (\\L) and (/L) quantify over two related pairs; :func:`_broken_rows`
+counts their breaks per algebra element with one matrix product on BLAS.
 
 Frames, Gentzen frames and dual algebras are immutable values, as models are:
 frozen dataclasses over read-only tables.  Each fact derived from one (a
-model's frame, a Gentzen frame's star-Gentzen report, a frame's dual) is
-computed once and kept on it, so :func:`macneille` reuses an audit's work.
+model's frame, a frame's nuclear report and dual, a Gentzen frame's
+star-Gentzen report) is computed once and kept on it, so :func:`macneille`
+reuses an audit's work.
 """
 
 from __future__ import annotations
@@ -37,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import (FiniteActionLattice, _open_grids, holds_quasieq, kept, read_only, star_table,
-                     validate_algebra)
+from .models import (FiniteActionLattice, _open_grids, holds_quasieq, kept, outside, pack,
+                     read_only, star_table, subset_law, validate_algebra)
 from .rules import Quasiequation, is_analytic_quasiequation
 from .syntax import Formula, One, Prod, Var
 
@@ -89,7 +86,11 @@ class FrameReport:
 
 
 def check_nuclear(f: ResiduatedFrame) -> FrameReport:
-    """x.y N z iff y N x\\z iff x N z/y, over all triples."""
+    """x.y N z iff y N x\\z iff x N z/y, over all triples, once per frame."""
+    return FrameReport(list(kept(f, "_nuclear", _check_nuclear).violations))
+
+
+def _check_nuclear(f: ResiduatedFrame) -> FrameReport:
     report = FrameReport()
     lhs = f.n_rel[f.op]
     via_l = f.n_rel[:, f.lres_w].transpose(1, 0, 2)
@@ -101,24 +102,16 @@ def check_nuclear(f: ResiduatedFrame) -> FrameReport:
     return report
 
 
-def _within(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Entry [..., j] is true when that row of xs is a subset of row j of ys.
-    One float32 product counts the members of each row outside row j; the
-    count is exact, being at most the row length, far below 2**24."""
-    out = xs.reshape(-1, xs.shape[-1]).astype(np.float32) @ (~ys).T.astype(np.float32)
-    return (out == 0).reshape(xs.shape[:-1] + ys.shape[:1])
-
-
 def polar_right(f: ResiduatedFrame, xs: np.ndarray) -> np.ndarray:
     """For each row of xs (a subset of W), the elements of W' related to all
-    of it: the columns of the relation that contain it, by :func:`_within`."""
-    return _within(xs, f.n_rel.T)
+    of it: the columns of the relation that contain it."""
+    return ~outside(pack(f.n_rel.T), pack(xs)[..., None, :])
 
 
 def polar_left(f: ResiduatedFrame, zs: np.ndarray) -> np.ndarray:
     """For each row of zs (a subset of W'), the elements of W related to all
-    of it: the rows of the relation that contain it, by :func:`_within`."""
-    return _within(zs, f.n_rel)
+    of it: the rows of the relation that contain it."""
+    return ~outside(pack(f.n_rel), pack(zs)[..., None, :])
 
 
 def gamma(f: ResiduatedFrame, xs: np.ndarray) -> np.ndarray:
@@ -133,25 +126,27 @@ def set_product(f: ResiduatedFrame, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
     return out
 
 
-def _keys(rows: np.ndarray) -> np.ndarray:
-    """One key per row, ordered as the binary number whose bit x is column x:
-    the row's bits packed 8 columns a byte, low column first, and the bytes
-    read from the last, compared as one raw byte string."""
-    packed = np.packbits(rows.reshape(-1, rows.shape[-1]), axis=1, bitorder="little")
-    keys = np.ascontiguousarray(packed[:, ::-1]).view(np.dtype((np.void, packed.shape[1])))
-    return keys.reshape(rows.shape[:-1])
+def _keys(words: np.ndarray) -> np.ndarray:
+    """One key per packed row, ordered as the binary number whose bit x is
+    column x: the row's one word, or its little-endian bytes read from the
+    last, compared as one raw byte string."""
+    if words.shape[-1] == 1:
+        return words[..., 0]
+    flat = words.reshape(-1, words.shape[-1]).view(np.uint8)[:, ::-1]
+    keys = np.ascontiguousarray(flat).view(np.dtype((np.void, flat.shape[1])))
+    return keys.reshape(words.shape[:-1])
 
 
-def _distinct(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows in the order of their :func:`_keys`, so a subset
-    comes before its supersets."""
-    return rows[np.unique(_keys(rows), return_index=True)[1]]
+def _distinct(words: np.ndarray) -> np.ndarray:
+    """The distinct packed rows in the order of their :func:`_keys`, so a
+    subset comes before its supersets."""
+    return words[np.unique(_keys(words), return_index=True)[1]]
 
 
 def _lookup(keys: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """Index of each row of sets among the closed sets with the given sorted
-    keys; -1 where a row is not closed.  The whole sort is closed and has the
-    greatest key, so every row lands on some index."""
+    """Index of each packed row of sets among the closed sets with the given
+    sorted keys; -1 where a row is not closed.  The whole sort is closed and
+    has the greatest key, so every row lands on some index."""
     probe = _keys(sets)
     found = np.searchsorted(keys, probe)
     return np.where(keys[found] == probe, found, -1)
@@ -159,9 +154,8 @@ def _lookup(keys: np.ndarray, sets: np.ndarray) -> np.ndarray:
 
 def _locate(closed: np.ndarray, sets: np.ndarray) -> np.ndarray:
     """Index of the closure of each row of sets: the least closed set above
-    it (by :func:`_within`), which comes first among them because it is a
-    subset of all of them."""
-    return _within(sets, closed).argmax(axis=-1)
+    it, which comes first among them because it is a subset of all of them."""
+    return (~outside(pack(closed), pack(sets)[..., None, :])).argmax(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -203,33 +197,34 @@ def _dual_algebra(f: ResiduatedFrame) -> DualAlgebra:
         raise FrameError(f"frame is not nuclear: {nuclear.violations[0]}")
     start = time.perf_counter()
     n = f.w_size
-    basics = f.n_rel.T
-    closed = np.ones((1, n), dtype=bool)
+    basics = pack(f.n_rel.T)
+    bits = pack(np.ones((1, n), dtype=bool))
     rounds = 0
     while True:
         rounds += 1
-        meets = (closed[:, None, :] & basics[None, :, :]).reshape(-1, n)
-        grown = _distinct(np.concatenate([closed, meets]))
+        meets = (bits[:, None, :] & basics[None, :, :]).reshape(-1, bits.shape[1])
+        grown = _distinct(np.concatenate([bits, meets]))
         if len(grown) > CLOSED_SET_CAP:
             raise FrameError(f"more than {CLOSED_SET_CAP} closed sets")
-        if len(grown) == len(closed):
+        if len(grown) == len(bits):
             break
-        closed = grown
-    k = len(closed)
+        bits = grown
+    k = len(bits)
+    closed = np.unpackbits(bits.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
     enumerated = time.perf_counter()
-    keys = _keys(closed)
+    keys = _keys(bits)
 
-    le = _within(closed, closed)
+    le = ~outside(bits[None, :], bits[:, None])
     # an intersection of closed sets is closed, so it is found by its key; a
     # join is the first closed set above both, as :func:`_locate` reads it
-    meet = _lookup(keys, closed[:, None, :] & closed[None, :, :])
+    meet = _lookup(keys, bits[:, None] & bits[None, :])
     join = (le[:, None, :] & le[None, :, :]).argmax(axis=-1)
 
     def residual(op: np.ndarray) -> np.ndarray:
-        # under[i, j, w]: every x in X_i has op[x, w] in X_j; row (j, w) of
-        # closed[:, op.T] is {x : op[x, w] in X_j}
-        under = _within(closed, closed[:, op.T].reshape(-1, n)).reshape(k, k, n)
-        found = _lookup(keys, under)
+        # under[i, j, w]: X_i is inside {x : op[x, w] in X_j}, the packed
+        # row (j, w) of closed[:, op.T]
+        under = ~outside(pack(closed.take(op.T, axis=1)), bits[:, None, None])
+        found = _lookup(keys, pack(under))
         if (found < 0).any():
             raise FrameError("a residual landed outside the closed sets; frame is not nuclear")
         return found
@@ -237,15 +232,17 @@ def _dual_algebra(f: ResiduatedFrame) -> DualAlgebra:
     # X \ Y = {w : X . {w} <= Y}, Y / X = {w : {w} . X <= Y}
     lres, rres = residual(f.op), residual(f.op.T).T
     # prod[i, j]: the first c with X_i <= X_c / X_j
-    prod = le[:, rres.T].argmax(axis=-1)
+    prod = le.take(rres.T, axis=1).argmax(axis=-1)
 
     eps = np.zeros(n, dtype=bool)
     eps[f.eps] = True
     one = int(_locate(closed, eps))
+    rows, members = np.nonzero(closed)  # each closed set's name lists its members
+    names = [f.w_names[x] for x in members.tolist()]
+    cuts = np.searchsorted(rows, np.arange(k + 1)).tolist()
     algebra = FiniteActionLattice(
         name=f"{f.name}+",
-        elements=tuple("{" + ",".join(f.w_names[i] for i in np.flatnonzero(m)) + "}"
-                       for m in closed),
+        elements=tuple("{" + ",".join(names[lo:hi]) + "}" for lo, hi in zip(cuts, cuts[1:])),
         le=le, meet=meet, join=join, prod=prod, lres=lres, rres=rres,
         star=star_table(join, prod, one), zero=0, one=one,
     )
@@ -283,12 +280,6 @@ def _frame_of_algebra(a: FiniteActionLattice) -> GentzenFrame:
     return GentzenFrame(frame, a, ident, ident)
 
 
-def _quantify_pairs(cond, conseq, report, law):
-    bad = cond & ~conseq
-    if bad.any():
-        report.add(law, tuple(int(v) for v in np.argwhere(bad)[0]))
-
-
 def _broken_rows(P, Q, f, g, R) -> np.ndarray:
     """Entry a is true when some x with P[a, x] and some (b, y) with Q[b, y]
     have R[f[a, b], g[x, y]] false.  Per block of rows a, one float32 product
@@ -322,21 +313,22 @@ def _first_break(P, Q, f, g, R):
 def check_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
     """The interaction laws between the relation and the algebra operations
     (identity, the two-sided rules for every connective, unit laws, and
-    optionally cut), each checked over its whole table of element tuples.
-    (.R), (\\L) and (/L) find the broken algebra elements with
-    :func:`_broken_rows` and read the first witness off the first of them."""
+    optionally cut), each checked over its whole table of element tuples:
+    a law over triples tests packed rows of N (``Nb``) or of its transpose
+    (``Cb``) per pair.  (.R), (\\L) and (/L) find the broken algebra elements
+    with :func:`_broken_rows` and read the first witness off the first one."""
     f, a = gf.frame, gf.algebra
     report = FrameReport()
     N = f.n_rel
     w_of, wp_of = gf.to_w, gf.to_wp
+    Nb, Cb = pack(N), pack(N.T)
+    Nw, C = Nb[w_of], Cb[wp_of]
     # (Id)
     if not N[w_of, wp_of].all():
         report.add("(Id)", (int(np.flatnonzero(~N[w_of, wp_of])[0]),))
     # (Cut): x N a and a N z implies x N z
     if with_cut:
-        cond = N[:, wp_of][:, :, None] & N[w_of, :][None, :, :]
-        conseq = N[:, None, :]
-        _quantify_pairs(cond, np.broadcast_to(conseq, cond.shape), report, "(Cut)")
+        subset_law(report, "(Cut)", Nb[:, None], Nw[None, :], where=N[:, wp_of])
     # (1L): eps N z -> 1 N z ; (1R): eps N 1
     one_l = ~N[f.eps, :] | N[w_of[a.one], :]
     if not one_l.all():
@@ -344,9 +336,7 @@ def check_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
     if not N[f.eps, wp_of[a.one]]:
         report.add("(1R)", ())
     # (.L): a o b N z -> a.b N z
-    cond = N[f.op[w_of[:, None], w_of[None, :]], :]
-    conseq = N[w_of[a.prod], :]
-    _quantify_pairs(cond, conseq, report, "(.L)")
+    subset_law(report, "(.L)", Nw[a.prod], Nb[f.op[np.ix_(w_of, w_of)]])
     # (.R): x N a and y N b -> x o y N a.b
     B = N[:, wp_of].T
     if found := _first_break(B, B, a.prod, f.op, B):
@@ -354,21 +344,15 @@ def check_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
         xi, y, bi = (int(v) for v in np.argwhere(bad)[0])
         report.add("(.R)", (int(xs[xi]), y, ai, bi))
     # (^L0)/(^L1): a_i N z -> a0 ^ a1 N z
-    base, conseq = N[w_of, :], N[w_of[a.meet], :]
-    for cond, law in ((base[:, None, :], "(^L0)"), (base[None, :, :], "(^L1)")):
-        _quantify_pairs(np.broadcast_to(cond, conseq.shape), conseq, report, law)
+    subset_law(report, "(^L0)", Nw[a.meet], Nw[:, None])
+    subset_law(report, "(^L1)", Nw[a.meet], Nw[None, :])
     # (^R): x N a and x N b -> x N a ^ b
-    cond = N[:, wp_of][:, :, None] & N[:, wp_of][:, None, :]
-    conseq = N[:, wp_of[a.meet]]
-    _quantify_pairs(cond, conseq, report, "(^R)")
+    subset_law(report, "(^R)", C[a.meet], C[:, None], C[None, :], member_first=True)
     # (vL): a N z and b N z -> a v b N z
-    cond = N[w_of][:, None, :] & N[w_of][None, :, :]
-    conseq = N[w_of[a.join], :]
-    _quantify_pairs(cond, conseq, report, "(vL)")
+    subset_law(report, "(vL)", Nw[a.join], Nw[:, None], Nw[None, :])
     # (vR0)/(vR1): x N a_i -> x N a0 v a1
-    base, conseq = N[:, wp_of], N[:, wp_of[a.join]]
-    for cond, law in ((base[:, :, None], "(vR0)"), (base[:, None, :], "(vR1)")):
-        _quantify_pairs(np.broadcast_to(cond, conseq.shape), conseq, report, law)
+    subset_law(report, "(vR0)", C[a.join], C[:, None], member_first=True)
+    subset_law(report, "(vR1)", C[a.join], C[None, :], member_first=True)
     # (\L): x N a and b N z -> a\b N x lres z   (a, b algebra; x in W, z in W')
     # (\R): x N a \ b (witness) -> x N a\b
     # (/L): x N a and b N z -> b/a N z rres x, and (/R): x N b / a (witness)
@@ -379,9 +363,7 @@ def check_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
             ai, xs, bad = found
             bi, xi, z = (int(v) for v in np.argwhere(bad.transpose(2, 0, 1))[0])
             report.add(f"({side}L)", (ai, bi, int(xs[xi]), z))
-        cond = N.T[wit[w_of[:, None], wp_of[None, :]]]
-        conseq = N.T[wp_of[alg_res]]
-        _quantify_pairs(cond, conseq, report, f"({side}R)")
+        subset_law(report, f"({side}R)", C[alg_res], Cb[wit[np.ix_(w_of, wp_of)]])
     return report
 
 
@@ -396,25 +378,23 @@ def check_star_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
 def _star_gentzen(gf: GentzenFrame, with_cut: bool) -> FrameReport:
     report = check_gentzen(gf, with_cut)
     f, a = gf.frame, gf.algebra
-    N = f.n_rel
+    N, Nb = f.n_rel, pack(f.n_rel)
     w_of, wp_of = gf.to_w, gf.to_wp
     # (0L): x N 0 -> x N z for all z
     if f.zero_wp is None:
         report.add("(0L)", ("frame has no zero constant",))
     else:
-        cond = N[:, wp_of[a.zero]][:, None]
-        conseq = N
-        bad = np.broadcast_to(cond, N.shape) & ~conseq
-        if bad.any():
-            report.add("(0L)", tuple(int(v) for v in np.argwhere(bad)[0]))
+        every = pack(np.ones((1, f.wp_size), dtype=bool))
+        subset_law(report, "(0L)", Nb, every, where=N[:, wp_of[a.zero]])
     # (*R0): eps N a*
     star_wp = wp_of[a.star]
     if not N[f.eps, star_wp].all():
         report.add("(*R0)", (int(np.flatnonzero(~N[f.eps, star_wp])[0]),))
-    # (*R1): x N a and y N a* -> x o y N a*
-    cond = N[:, wp_of].T[:, :, None] & N[:, star_wp].T[:, None, :]
-    conseq = N[f.op[None, :, :], star_wp[:, None, None]]
-    _quantify_pairs(cond, conseq, report, "(*R1)")
+    # (*R1): x N a and y N a* -> x o y N a*; over the distinct stars s, the
+    # packed row (s, x) of after is {y : x o y N s}
+    stars = np.flatnonzero(np.bincount(star_wp, minlength=f.wp_size))
+    after = pack(N.T[stars].take(f.op, axis=1))[np.searchsorted(stars, star_wp)]
+    subset_law(report, "(*R1)", after, pack(N.T[star_wp])[:, None], where=N[:, wp_of].T)
     # (*L): (a^(n) N z for all n) -> a* N z, over the powers of all elements
     # at once, until every element's next power is one it has had
     rows, power = np.arange(a.size), np.full(a.size, f.eps)
@@ -424,7 +404,7 @@ def _star_gentzen(gf: GentzenFrame, with_cut: bool) -> FrameReport:
         seen[rows, power] = True
         holds_all &= N[power]
         power = f.op[power, w_of]
-    _quantify_pairs(holds_all, N[w_of[a.star]], report, "(*L)")
+    subset_law(report, "(*L)", Nb[w_of[a.star]], pack(holds_all))
     return report
 
 
@@ -435,7 +415,7 @@ def quasimorphism_check(gf: GentzenFrame, dual: DualAlgebra) -> FrameReport:
     f, a = gf.frame, gf.algebra
     alg = dual.algebra
     # members[ai, i]: closed set i belongs to the image of ai
-    inside = _within(dual.closed, f.n_rel[:, gf.to_wp].T)
+    inside = ~outside(pack(f.n_rel[:, gf.to_wp].T), pack(dual.closed)[:, None])
     members = dual.closed[:, gf.to_w].T & inside.T
     if not members[a.one, alg.one]:
         report.add("unit membership", (int(alg.one),))

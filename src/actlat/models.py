@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
-from .rules import Inequation, Quasiequation, classify, q_a_of, q_of
+from .rules import Inequation, Quasiequation, classify, q_a_of, q_of, qe_to_equation
 from .syntax import (
     Formula,
     Join,
@@ -48,6 +49,7 @@ from .syntax import (
 
 _GRID_LIMIT = 4_000_000   # beyond VAR_CAP variables, grids above this are refused
 _BLOCK_CELLS = 1 << 16    # cells per block of the query kernel and the residual search
+BIT_BLOCK_BYTES = 1 << 18  # bytes per temporary of a packed subset test
 VAR_CAP = 4
 
 
@@ -68,6 +70,50 @@ def kept(obj, key: str, make, *args):
     if key not in memo:
         memo[key] = make(obj, *args)
     return memo[key]
+
+
+def pack(rows: np.ndarray) -> np.ndarray:
+    """Bool rows as packed bits, the form of every subset test: column x is
+    bit x % 64 of little-endian uint64 word x // 64; padding bits are 0."""
+    pad = -rows.shape[-1] % 64
+    rows = np.concatenate((rows, np.zeros(rows.shape[:-1] + (pad,), dtype=bool)), axis=-1) \
+        if pad else np.ascontiguousarray(rows)
+    return np.packbits(rows, axis=-1, bitorder="little").view("<u8")
+
+
+def outside(ys: np.ndarray, *xs: np.ndarray) -> np.ndarray:
+    """Where the meet of the packed rows xs has a member outside the packed
+    row ys, over the leading axes they broadcast to (at least one), one word
+    at a time in blocks of the first axis of at most BIT_BLOCK_BYTES per
+    temporary.  The padding bits of ~ys are set, those of xs are not."""
+    shape = np.broadcast(ys, *xs).shape
+    step = max(1, BIT_BLOCK_BYTES // max(8, 8 * math.prod(shape[1:-1])))
+    if step < shape[0]:  # by blocks; an operand short of the first axis is used whole
+        cut = [t.ndim == len(shape) and len(t) > 1 for t in (ys, *xs)]
+        return np.concatenate([outside(*(t[lo:lo + step] if c else t for t, c in zip((ys, *xs), cut)))
+                               for lo in range(0, shape[0], step)])
+    for w in range(shape[-1]):
+        part = reduce(np.bitwise_and, [x[..., w] for x in xs], ~ys[..., w])
+        out = part if w == 0 else out | part
+    return out != 0
+
+
+def subset_law(report, law: str, ys: np.ndarray, *xs: np.ndarray, where=None, member_first=False):
+    """Report law at its first break, an index where ``where`` holds and the
+    meet of xs is not inside ys (:func:`outside`): the first such index and
+    its least member outside ys, or with member_first the least such member
+    at any of them and its first index, as (member, *index)."""
+    bad = outside(ys, *xs)
+    if where is not None:
+        bad &= where
+    if np.count_nonzero(bad):
+        at, shape = np.nonzero(bad), bad.shape + ys.shape[-1:]
+        part = reduce(np.bitwise_and, (np.broadcast_to(x, shape)[at] for x in xs),
+                      ~np.broadcast_to(ys, shape)[at])
+        member = np.unpackbits(part.view(np.uint8), axis=-1, bitorder="little").argmax(axis=-1)
+        i = int(member.argmin()) if member_first else 0
+        index = tuple(int(v[i]) for v in at)
+        report.add(law, (int(member[i]),) + index if member_first else index + (int(member[i]),))
 
 
 @dataclass(frozen=True)
@@ -149,24 +195,19 @@ def _validate_algebra(a: FiniteActionLattice) -> AlgebraReport:
     anti = ~(le & le.T) | np.eye(n, dtype=bool)
     if not anti.all():
         report.add("antisymmetry", _first_bad(anti))
-    trans = ~(le[:, :, None] & le[None, :, :]) | le[:, None, :]
-    if not trans.all():
-        report.add("transitivity", _first_bad(trans))
+    up, down = pack(le), pack(le.T)  # laws over triples as row tests of these
+    subset_law(report, "transitivity", up[:, None], up[None, :], where=le)
     # meet is the greatest lower bound, join the least upper bound
     m = a.meet
     lower = le[m, np.arange(n)[None, :]] & le[m, np.arange(n)[:, None]]
     if not lower.all():
         report.add("meet is a lower bound", _first_bad(lower))
-    greatest = ~(le[:, :, None] & le[:, None, :]) | le[:, m]
-    if not greatest.all():
-        report.add("meet is greatest", _first_bad(greatest))
+    subset_law(report, "meet is greatest", down[m], down[:, None], down[None, :], member_first=True)
     j = a.join
     upper = le[np.arange(n)[:, None], j] & le[np.arange(n)[None, :], j]
     if not upper.all():
         report.add("join is an upper bound", _first_bad(upper))
-    least = ~(le[:, None, :] & le[None, :, :]) | le[j, :]
-    if not least.all():
-        report.add("join is least", _first_bad(least))
+    subset_law(report, "join is least", up[j], up[:, None], up[None, :])
     # monoid
     p = a.prod
     for x in range(n):  # (x.y).z == x.(y.z), one left factor x at a time
@@ -548,9 +589,12 @@ def rule_models(models, rules) -> tuple[list[FiniteActionLattice], list[str], li
     """The models in which every given rule is sound, then the names of those
     where one fails, then of those its query cannot decide (a ModelError).
     An analytic rule is judged by :func:`q_a_of`, any other structural rule
-    by :func:`q_of`; a rule that is not structural leaves no model."""
+    by the equation form of :func:`q_of` (one variable fewer), or by q_of
+    itself when it has none; a rule that is not structural leaves no model."""
     structural = all(classify(r).structural for r in rules)
     qs = [q_a_of(r) if classify(r).analytic else q_of(r) for r in rules] if structural else []
+    qs = [q if classify(r).analytic or (eq := qe_to_equation(q)) is None else Quasiequation((), eq)
+          for r, q in zip(rules, qs)]
     sound, skipped, undecided = [], [], []
     for a in models:
         verdict = structural

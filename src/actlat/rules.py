@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from types import MappingProxyType
 from typing import Sequence
 
@@ -36,6 +36,7 @@ from .syntax import (
     parse_formula,
     power_formula,
     print_formula,
+    variables,
 )
 
 
@@ -671,21 +672,16 @@ def parse_quasiequation(text: str) -> Quasiequation:
     return Quasiequation(premises, parse_inequation(conc_text.strip()))
 
 
-class EmptyJoinError(ValueError):
-    pass
-
-
-def analytic_qe_to_equation(q: Quasiequation) -> Inequation:
-    """Equation form of an analytic quasiequation: conclusion left side below
-    the join of the premise left sides.  Rejected for zero premises (the
-    empty join is not expressible)."""
-    if not is_analytic_quasiequation(q):
-        raise ClassificationError("not an analytic quasiequation")
-    if not q.premises:
-        raise EmptyJoinError("analytic quasiequation with no premises has no equation form")
-    rhs: Formula = q.premises[0].lhs
-    for p in q.premises[1:]:
-        rhs = Join(rhs, p.lhs)
+def qe_to_equation(q: Quasiequation) -> Inequation | None:
+    """The equation form of a quasiequation whose right sides are all one
+    variable z that occurs nowhere else, or None: (t1 <= z & ... & tk <= z)
+    => t <= z holds for every z exactly when t <= t1 | ... | tk, the join
+    being least; with no premises, t <= 0."""
+    z = q.conclusion.rhs
+    if not isinstance(z, Var) or any(p.rhs != z or z.name in variables(p.lhs) for p in q.premises) \
+            or z.name in variables(q.conclusion.lhs):
+        return None
+    rhs = reduce(Join, (p.lhs for p in q.premises)) if q.premises else Zero()
     return Inequation(q.conclusion.lhs, rhs)
 
 

@@ -105,11 +105,12 @@ def lexsort_distinct(rows: np.ndarray) -> np.ndarray:
 def loop_quasimorphism(gf, dual) -> list:
     """The violations of ``quasimorphism_check``, each operation law checked
     one algebra element at a time: the reference for the whole-table check."""
-    from actlat.frames import _locate, _within
+    from actlat.frames import _locate
+    from actlat.models import outside, pack
 
     found = []
     f, a, alg = gf.frame, gf.algebra, dual.algebra
-    inside = _within(dual.closed, f.n_rel[:, gf.to_wp].T)
+    inside = ~outside(pack(f.n_rel[:, gf.to_wp].T), pack(dual.closed)[:, None])
     members = dual.closed[:, gf.to_w].T & inside.T
     if not members[a.one, alg.one]:
         found.append(("unit membership", (int(alg.one),)))
@@ -193,3 +194,95 @@ def reference_shape(instance, child_indices):
                 if co.kind == po.kind and co.name == po.name and co.offset == po.offset:
                     pairs.add(((i, q), q2))
     return (c_origins, c_rhs, c_starts), principal, frozenset(pairs)
+
+
+def float32_within(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Entry [..., j] is true when that row of xs is a subset of row j of ys,
+    by one float32 product counting the members of each row outside row j:
+    the former subset test of ``actlat.frames``, the reference for its
+    packed-bit test."""
+    out = xs.reshape(-1, xs.shape[-1]).astype(np.float32) @ (~ys).T.astype(np.float32)
+    return (out == 0).reshape(xs.shape[:-1] + ys.shape[:1])
+
+
+def _first_break(report: list, law: str, cond, conseq) -> None:
+    bad = cond & ~conseq
+    if bad.any():
+        report.append((law, tuple(int(v) for v in np.argwhere(bad)[0])))
+
+
+def broadcast_gentzen_laws(gf, star: bool, with_cut: bool = True) -> list:
+    """The violations of the Gentzen-frame laws that ``actlat.frames`` checks
+    as subset tests of packed rows, each at its first witness, found with
+    boolean broadcasts over all element triples: the reference for them."""
+    f, a = gf.frame, gf.algebra
+    N, w_of, wp_of = f.n_rel, gf.to_w, gf.to_wp
+    found = []
+    if with_cut:
+        cond = N[:, wp_of][:, :, None] & N[w_of, :][None, :, :]
+        _first_break(found, "(Cut)", cond, np.broadcast_to(N[:, None, :], cond.shape))
+    _first_break(found, "(.L)", N[f.op[w_of[:, None], w_of[None, :]], :], N[w_of[a.prod], :])
+    base, conseq = N[w_of, :], N[w_of[a.meet], :]
+    for cond, law in ((base[:, None, :], "(^L0)"), (base[None, :, :], "(^L1)")):
+        _first_break(found, law, np.broadcast_to(cond, conseq.shape), conseq)
+    _first_break(found, "(^R)", N[:, wp_of][:, :, None] & N[:, wp_of][:, None, :],
+                 N[:, wp_of[a.meet]])
+    _first_break(found, "(vL)", N[w_of][:, None, :] & N[w_of][None, :, :], N[w_of[a.join], :])
+    base, conseq = N[:, wp_of], N[:, wp_of[a.join]]
+    for cond, law in ((base[:, :, None], "(vR0)"), (base[:, None, :], "(vR1)")):
+        _first_break(found, law, np.broadcast_to(cond, conseq.shape), conseq)
+    for side, alg_res, wit in (("\\", a.lres, f.lres_w), ("/", a.rres.T, f.rres_w.T)):
+        _first_break(found, f"({side}R)", N.T[wit[w_of[:, None], wp_of[None, :]]],
+                     N.T[wp_of[alg_res]])
+    if not star:
+        return found
+    if f.zero_wp is not None:
+        _first_break(found, "(0L)", np.broadcast_to(N[:, wp_of[a.zero]][:, None], N.shape), N)
+    star_wp = wp_of[a.star]
+    _first_break(found, "(*R1)", N[:, wp_of].T[:, :, None] & N[:, star_wp].T[:, None, :],
+                 N[f.op[None, :, :], star_wp[:, None, None]])
+    return found + [law for law in loop_gentzen_laws(gf, star=True) if law[0] == "(*L)"]
+
+
+def broadcast_order_laws(a) -> list:
+    """The transitivity, greatest-meet and least-join violations of a model,
+    each at its first witness, found with boolean broadcasts over all element
+    triples: the reference for the row tests of ``validate_algebra``."""
+    le, found = a.le, []
+    _first_break(found, "transitivity", le[:, :, None] & le[None, :, :], le[:, None, :])
+    _first_break(found, "meet is greatest", le[:, :, None] & le[:, None, :], le[:, a.meet])
+    _first_break(found, "join is least", le[:, None, :] & le[None, :, :], le[a.join, :])
+    return found
+
+
+def reference_dual(f) -> dict | None:
+    """The closed sets of a frame and the tables of its dual algebra, as the
+    former ``actlat.frames.dual_algebra`` built them: bool rows, subset tests
+    by :func:`float32_within`, closed sets found by a dict of their rows.
+    None when a residual lands outside the closed sets."""
+    n = f.w_size
+    closed = np.ones((1, n), dtype=bool)
+    while True:
+        grown = lexsort_distinct(np.concatenate(
+            [closed, (closed[:, None, :] & f.n_rel.T[None, :, :]).reshape(-1, n)]))
+        if len(grown) == len(closed):
+            break
+        closed = grown
+    k = len(closed)
+    index = {row.tobytes(): i for i, row in enumerate(closed)}
+
+    def lookup(rows):
+        return np.array([index.get(r.tobytes(), -1) for r in rows.reshape(-1, n)]).reshape(rows.shape[:-1])
+
+    le = float32_within(closed, closed)
+    out = {"closed": closed, "le": le, "meet": lookup(closed[:, None, :] & closed[None, :, :]),
+           "join": (le[:, None, :] & le[None, :, :]).argmax(axis=-1)}
+    for name, op in (("lres", f.op), ("rres", f.op.T)):
+        found = lookup(float32_within(closed, closed[:, op.T].reshape(-1, n)).reshape(k, k, n))
+        if (found < 0).any():
+            return None
+        out[name] = found if name == "lres" else found.T
+    out["prod"] = le[:, out["rres"].T].argmax(axis=-1)
+    out["elements"] = tuple("{" + ",".join(f.w_names[i] for i in np.flatnonzero(m)) + "}"
+                            for m in closed)
+    return out

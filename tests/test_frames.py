@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from actlat import frames
+from actlat import frames, models
 from actlat.frames import (
     FrameError,
     ResiduatedFrame,
@@ -30,6 +30,8 @@ from actlat.frames import (
 )
 from actlat.models import (
     library,
+    outside,
+    pack,
     rel_algebra,
     three_chain,
     truncated_words,
@@ -38,7 +40,8 @@ from actlat.models import (
     holds_quasieq,
 )
 from actlat.rules import example_structural_rules, q_a_of
-from tests.helpers import lexsort_distinct, loop_gentzen_laws, loop_quasimorphism
+from tests.helpers import (broadcast_gentzen_laws, broadcast_order_laws, float32_within,
+                           lexsort_distinct, loop_gentzen_laws, loop_quasimorphism, reference_dual)
 
 EX = example_structural_rules()
 
@@ -130,12 +133,33 @@ def test_subset_kernel_matches_set_comprehension(case):
 def test_locate_finds_least_closed_superset(case):
     f, xs, _ = case
     every = np.array([[(i >> x) & 1 for x in range(f.w_size)] for i in range(2 ** f.w_size)], dtype=bool)
-    closed = _distinct(gamma(f, every))
+    closed = lexsort_distinct(gamma(f, every))
     found = _locate(closed, xs)
     for row, i in zip(xs, found):
         supersets = [c for c in closed if not (row & ~c).any()]
         assert not (row & ~closed[i]).any()
         assert all(not (closed[i] & ~c).any() for c in supersets)
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 63, 64, 65, 127, 128, 130])
+def test_packed_subset_test_matches_set_inclusion(monkeypatch, width):
+    # the padding bits of a packed row are 0, so the complemented padding of
+    # ~ys never counts; checked across word boundaries, with empty and full rows
+    rng = np.random.default_rng(width)
+    rows = np.concatenate([np.zeros((1, width), dtype=bool), np.ones((1, width), dtype=bool),
+                           rng.random((5, width)) < 0.5, rng.random((5, width)) < 0.95])
+    sets = [set(np.flatnonzero(row).tolist()) for row in rows]
+    bits = pack(rows)
+    unpacked = np.unpackbits(bits.view(np.uint8), axis=1, bitorder="little")
+    assert bits.shape == (len(rows), -(-width // 64)) and bits.dtype == np.dtype("<u8")
+    assert (unpacked[:, :width] == rows).all() and not unpacked[:, width:].any()
+    # the whole table in one block, one row a block, a few rows a block
+    for block in (models.BIT_BLOCK_BYTES, 8, 8 * 3 * len(rows)):
+        monkeypatch.setattr(models, "BIT_BLOCK_BYTES", block)
+        assert (~outside(bits[None, :], bits[:, None])).tolist() == [[x <= y for y in sets] for x in sets]
+        assert (~outside(bits[None, None, :], bits[:, None, None], bits[None, :, None])).tolist() == \
+            [[[x & y <= z for z in sets] for y in sets] for x in sets]
+    assert np.array_equal(~outside(bits[None, :], bits[:, None]), float32_within(rows, rows))
 
 
 def test_nucleus_law():
@@ -230,7 +254,7 @@ def test_distinct_keeps_the_lexsort_order(width, count, density, seed):
     rng = np.random.default_rng(seed)
     rows = rng.random((count, width)) < density
     rows = np.concatenate([rows, rows[rng.integers(count, size=count)]])
-    assert np.array_equal(_distinct(rows), lexsort_distinct(rows))
+    assert np.array_equal(_distinct(pack(rows)), pack(lexsort_distinct(rows)))
 
 
 def test_dual_algebra_closed_set_cap(monkeypatch):
@@ -534,9 +558,10 @@ def test_changing_a_returned_report_changes_no_later_one():
 
 def test_macneille_reuses_the_audit(monkeypatch):
     # the audit steps of the semantics benchmark workload, then the completion:
-    # the closed sets are enumerated and the star-Gentzen laws checked once
+    # the closed sets are enumerated and the nuclear and star-Gentzen laws
+    # checked once
     calls = Counter()
-    for name in ("_dual_algebra", "_star_gentzen"):
+    for name in ("_dual_algebra", "_star_gentzen", "_check_nuclear"):
         def counted(*args, _name=name, _worker=getattr(frames, name)):
             calls[_name] += 1
             return _worker(*args)
@@ -555,7 +580,79 @@ def test_macneille_reuses_the_audit(monkeypatch):
         assert all(verify_transfer(gf.frame, q, dual).ok for q in qes)
         done = macneille(a)
         assert done.gentzen is gf and done.dual is dual and done.is_isomorphism
-        assert calls == {"_dual_algebra": 1, "_star_gentzen": 1}
+        assert calls == {"_dual_algebra": 1, "_star_gentzen": 1, "_check_nuclear": 1}
         # a model built anew shares nothing with the last one
         assert macneille(build()).dual is not dual
-        assert calls == {"_dual_algebra": 2, "_star_gentzen": 2}
+        assert calls == {"_dual_algebra": 2, "_star_gentzen": 2, "_check_nuclear": 2}
+
+
+# ---------------------------------------------------------------------------
+# Parity with the former float32 products and boolean broadcasts (kept in
+# tests/helpers.py) on the library, the semantics benchmark models and
+# copies with one table entry changed.
+
+SEMANTICS_MODELS = [two_chain(), three_chain(), rel_algebra(1), rel_algebra(2),
+                    truncated_words(3, "a"), truncated_words(5, "a"), truncated_words(6, "a")]
+PARITY_MODELS = list(library().values()) + SEMANTICS_MODELS
+
+
+def test_packed_gentzen_laws_match_the_broadcast_forms():
+    rewritten = {"(Cut)", "(.L)", "(^L0)", "(^L1)", "(^R)", "(vL)", "(vR0)", "(vR1)", "(\\R)",
+                 "(/R)", "(0L)", "(*R1)", "(*L)"}
+    broken = Counter()
+    gfs = [frame_of_algebra(a) for a in PARITY_MODELS]
+    for gf in gfs + list(_corrupted_frames(random.Random(21), per_table=4)):
+        for star, cut in ((True, True), (False, False)):
+            got = (check_star_gentzen(gf) if star else check_gentzen(gf, with_cut=False)).violations
+            want = broadcast_gentzen_laws(gf, star, cut)
+            assert [v for v in got if v[0] in rewritten] == want
+            broken.update(law for law, _ in want)
+    assert all(broken[law] >= 3 for law in rewritten), broken
+
+
+def _corrupted_models(rng: random.Random, per_table: int):
+    """Models with one entry of le, meet or join changed."""
+    for a in (three_chain(), rel_algebra(2), truncated_words(3, "a"), truncated_words(5, "a")):
+        for table in ("le", "meet", "join"):
+            for _ in range(per_table):
+                t = getattr(a, table).copy()
+                entry = (rng.randrange(a.size), rng.randrange(a.size))
+                t[entry] = not t[entry] if t.dtype == bool else \
+                    rng.choice([v for v in range(a.size) if v != t[entry]])
+                yield dataclasses.replace(a, **{table: t})
+
+
+def test_packed_order_laws_match_the_broadcast_forms():
+    laws = {"transitivity", "meet is greatest", "join is least"}
+    broken = Counter()
+    for a in PARITY_MODELS + list(_corrupted_models(random.Random(22), per_table=8)):
+        got = [(v.law, v.witness) for v in validate_algebra(a).violations if v.law in laws]
+        assert got == broadcast_order_laws(a)
+        broken.update(law for law, _ in got)
+    assert all(broken[law] >= 3 for law in laws), broken
+
+
+def test_dual_tables_match_the_float32_reference(monkeypatch):
+    # with the nuclear check passed over, a corrupted frame gets its tables
+    # too, or the residual error where the reference finds no closed set
+    monkeypatch.setattr(frames, "check_nuclear", lambda f: frames.FrameReport())
+    frames_ = [frame_of_algebra(a).frame for a in PARITY_MODELS]
+    frames_ += [gf.frame for gf in _corrupted_frames(random.Random(23), per_table=2)]
+    outcomes = Counter()
+    for f in frames_:
+        want = reference_dual(f)
+        try:
+            dual = dual_algebra(f)
+        except FrameError:
+            assert want is None
+            outcomes["raised"] += 1
+            continue
+        alg = dual.algebra
+        got = {"closed": dual.closed, "elements": alg.elements,
+               **{t: getattr(alg, t) for t in ("le", "meet", "join", "lres", "rres", "prod")}}
+        assert want is not None and set(got) == set(want)
+        for name, table in want.items():
+            assert np.array_equal(got[name], table), (f.name, name)
+        outcomes["tables"] += 1
+    assert outcomes["raised"] >= 5 and outcomes["tables"] >= len(PARITY_MODELS) + 5, outcomes
+

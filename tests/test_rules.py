@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from actlat import rules
 from actlat.rules import (
     ClassificationError,
-    EmptyJoinError,
     FVar,
     Instantiation,
     MetaSequent,
@@ -16,7 +15,6 @@ from actlat.rules import (
     SchematicRule,
     SVar,
     ancestry,
-    analytic_qe_to_equation,
     builtin_rules,
     classify,
     example_structural_rules,
@@ -27,6 +25,7 @@ from actlat.rules import (
     principal_position,
     q_a_of,
     q_of,
+    qe_to_equation,
     t_term,
 )
 from actlat.syntax import (
@@ -219,9 +218,9 @@ def test_q_a_rejects_non_analytic():
 
 
 def test_equation_form():
-    eq_c = analytic_qe_to_equation(q_a_of(EX["C"]))
+    eq_c = qe_to_equation(q_a_of(EX["C"]))
     assert str(eq_c.lhs) == "x" and str(eq_c.rhs) == "x . x"
-    eq_wk = analytic_qe_to_equation(q_a_of(EX["Wk"]))
+    eq_wk = qe_to_equation(q_a_of(EX["Wk"]))
     assert str(eq_wk.lhs) == "x" and str(eq_wk.rhs) == "1"
 
 
@@ -234,20 +233,28 @@ def test_equation_form_two_premises():
         ),
         MetaSequent((SVar("Gamma"), SVar("Pi"), SVar("Delta")), FVar("b")),
     )
-    eq = analytic_qe_to_equation(q_a_of(rule))
+    eq = qe_to_equation(q_a_of(rule))
     assert str(eq.lhs) == "x"
     assert str(eq.rhs) == "x | x . x"
 
 
-def test_equation_form_rejects_empty_join():
+def test_equation_form_of_no_premises_is_below_zero():
+    # the empty join is 0: () => x <= y holds for every y exactly when x <= 0
     rule = SchematicRule(
         "E0",
         (),
         MetaSequent((SVar("Gamma"), SVar("Pi"), SVar("Delta")), FVar("b")),
     )
     assert classify(rule).analytic
-    with pytest.raises(EmptyJoinError):
-        analytic_qe_to_equation(q_a_of(rule))
+    assert str(qe_to_equation(q_a_of(rule))) == "x <= 0"
+
+
+def test_equation_form_of_rules_that_are_not_analytic():
+    # the succedent variable of q_of(e) and q_of(c) is every right side and
+    # nothing else, so it goes; cut's premises have different right sides
+    assert str(qe_to_equation(q_of(EX["e"]))) == "x.z.y.w <= x.y.z.w"
+    assert str(qe_to_equation(q_of(EX["c"]))) == "x.y.z <= x.y.y.z"
+    assert qe_to_equation(q_of(EX["Cut"])) is None
 
 
 def test_ancestry_meetL0():
