@@ -321,7 +321,7 @@ def cmd_models(args) -> int:
     with open(args.seqs, "r", encoding="utf-8") as fh:
         sequents = parse_sequent_file(fh.read())
     report = soundness_audit(sequents, models, _load_user_rules(args.rules))
-    payload = {"checked": report.checked, "ok": report.ok,
+    payload = {"checked": report.checked, "valuations": report.valuations, "ok": report.ok,
                "skipped_models": report.skipped_models,
                "undecided_models": report.undecided_models,
                "violations": [str(v) for v in report.violations]}

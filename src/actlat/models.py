@@ -18,7 +18,9 @@ once plain and once times n, so a binary connective (and the order) costs
 one add of the times-n left operand to the right one and one flat ``take``.
 The grid is walked in blocks of the first variable of at most 64K cells, so
 index arrays stay small; within a block, and across one proof search's
-pruning queries, each subformula is evaluated once.
+pruning queries, each subformula is evaluated once.  A sequent is decided on
+a grid where each variable its shape allows ranges over the join- or the
+meet-irreducibles only; a failing one walks the whole grid for its witness.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -429,6 +432,7 @@ class _Tables(dict):
         super().__init__({kind: (self.dtype.type(v), self.dtype.type(v * n))
                           for kind, v in ((Zero, a.zero), (One, a.one))})
         self.le = a.le.astype(bool).ravel()
+        self.whole = (np.arange(n), *_pair(np.arange(n), n, self.dtype))  # the range of every element
 
     def __missing__(self, kind) -> tuple:
         pair = self[kind] = _pair(self.source[kind], self.n, self.dtype)
@@ -439,15 +443,23 @@ def _pair(table: np.ndarray, n: int, dtype: np.dtype) -> tuple:
     return table.astype(dtype).ravel(), (table * n).astype(dtype).ravel()
 
 
-@lru_cache(maxsize=64)
-def _open_grids(n: int, k: int) -> tuple:
-    """Open grids of k variables over n elements, each as its (plain,
-    times-n) pair in the dtype of an n-element model's tables.  Shared by
-    every such model, so they are read-only."""
-    plain, times_n = _pair(np.arange(n), n, np.min_scalar_type(n * n - 1))
-    plain.flags.writeable = times_n.flags.writeable = False
-    shapes = [(1,) * i + (-1,) + (1,) * (k - 1 - i) for i in range(k)]
-    return tuple((plain.reshape(shape), times_n.reshape(shape)) for shape in shapes)
+def _ranges(a: FiniteActionLattice) -> dict:
+    """A variable's range for each :func:`_polarity_reduction` kind, as its
+    values, ascending, and their (plain, times-n) pair.  x != 0 is join-
+    irreducible exactly when the elements strictly below it have a greatest
+    one: some y < x has one element fewer below it than x has."""
+    lt, down, up = a.le & ~np.eye(a.size, dtype=bool), a.le.sum(axis=0), a.le.sum(axis=1)
+    joins = (lt & (down[:, None] == down - 1)).any(axis=0) | (np.arange(a.size) == a.zero)
+    meets = (lt & (up == up[:, None] - 1)).any(axis=1) | (down == a.size)
+    return {"": a.tables.whole, **{kind: (v, *_pair(v, a.size, a.tables.dtype)) for kind, v in
+                                  (("J", np.flatnonzero(joins)), ("M", np.flatnonzero(meets)))}}
+
+
+def _grids(ranges: dict) -> dict:
+    """Each variable's (plain, times-n) pair over its range, on its own axis of the grid."""
+    shapes = [(-1,) + (1,) * j for j in reversed(range(len(ranges)))]  # leading axes broadcast
+    return {x: (plain.reshape(shape), times_n.reshape(shape))
+            for (x, (_, plain, times_n)), shape in zip(ranges.items(), shapes)}
 
 
 class Evaluator:
@@ -498,36 +510,38 @@ def evaluator(a: FiniteActionLattice, s: Sequent) -> Evaluator | None:
     names = _names(*s.antecedent, s.succedent)
     if a.size ** len(names) > _BLOCK_CELLS:
         return None
-    return Evaluator(a.tables, dict(zip(names, _open_grids(a.size, len(names)))))
+    return Evaluator(a.tables, _grids(dict.fromkeys(names, a.tables.whole)))
 
 
-def _check_all_valuations(a: FiniteActionLattice, names: list[str], predicate) -> tuple | None:
-    """Run a vectorized predicate of an :class:`Evaluator` over all
-    valuations of the named variables; returns the first failing valuation
-    or None.  The grid is walked in blocks of the first variable, each of at
-    most _BLOCK_CELLS cells (one value, when the other variables alone
+def _check_all_valuations(a: FiniteActionLattice, ranges: dict, predicate) -> tuple:
+    """Run a vectorized predicate of an :class:`Evaluator` over the grid of
+    the variables' ranges (:func:`_ranges`; all elements for the whole grid,
+    which the cap judges); returns the first failing valuation or None, and
+    the valuations evaluated.  The grid is walked in blocks of the first
+    variable of at most _BLOCK_CELLS cells (one value, when the others alone
     exceed that), in increasing order, each with a fresh evaluator."""
-    n, k = a.size, len(names)
+    n, k = a.size, len(ranges)
     if k > VAR_CAP and n ** k > _GRID_LIMIT:
         raise ModelError(
             f"validity query over {k} variables on a carrier of size {n} "
             f"exceeds the exhaustive budget (cap {VAR_CAP} variables)"
         )
-    grids = dict(zip(names, _open_grids(n, k)))
-    if not names:
-        return None if predicate(Evaluator(a.tables, grids)).all() else ()
-    first = names[0]
-    plain, times_n = grids[first]
-    step = max(1, _BLOCK_CELLS // n ** (k - 1))
-    for lo in range(0, n, step):
+    grids = _grids(ranges)
+    if not ranges:
+        return (None if predicate(Evaluator(a.tables, grids)).all() else ()), 1
+    first, sizes = next(iter(ranges)), [len(r[0]) for r in ranges.values()]
+    (plain, times_n), rest = grids[first], math.prod(sizes[1:])
+    step = max(1, _BLOCK_CELLS // rest)
+    for lo in range(0, sizes[0], step):
         block = {**grids, first: (plain[lo:lo + step], times_n[lo:lo + step])}
         ok = predicate(Evaluator(a.tables, block))
         if not ok.all():
-            shape = (min(step, n - lo),) + (n,) * (k - 1)
+            shape = (min(step, sizes[0] - lo), *sizes[1:])
             idx = np.argwhere(~np.broadcast_to(ok, shape))[0]
             idx[0] += lo
-            return tuple(zip(names, map(int, idx)))
-    return None
+            witness = tuple((x, int(r[0][i])) for (x, r), i in zip(ranges.items(), idx))
+            return witness, (lo + shape[0]) * rest
+    return None, sizes[0] * rest
 
 
 def sequent_inequation(s: Sequent) -> Inequation:
@@ -551,8 +565,62 @@ def holds_sequent(a: FiniteActionLattice | Evaluator, s: Sequent) -> bool:
 
 
 def find_sequent_counterexample(a: FiniteActionLattice, s: Sequent):
-    names = _names(*s.antecedent, s.succedent)
-    return _check_all_valuations(a, names, lambda ev: ev.sequent(s))
+    return _sequent_counterexample(a, s)[0]
+
+
+_EDGES = {Prod: "jj", Join: "jj", Meet: "mm", LRes: "dm", RRes: "md"}  # (left, right) operand
+
+
+def _polarity_reduction(s: Sequent) -> dict[str, str]:
+    """Per variable x of s, in sorted order: "J" when s holds in a finite
+    action lattice L if it does for x in J(L) + {0} (join-irreducibles and
+    bottom), "M" for x in M(L) + {top}, "" for neither.  An occurrence's path
+    from its formula's root takes j into an operand of product or join, m of
+    meet or a numerator, d a denominator (negative under an odd number of
+    d's), s a star body.  With A(x) the antecedent's product and S(x) the
+    succedent: x != 0 is the join of the nonempty J(x) below it, x != top
+    the meet of the nonempty M(x) above it, and by the adjunctions j edges
+    keep nonempty joins, m edges nonempty meets, d edges turn joins into
+    meets.  (J1) x at most once in the antecedent, by j edges, only positive
+    in the succedent: A(x) = join A(J(x)), A(j) <= S(j) <= S(x).  (J2) x
+    only negative in the antecedent, once in the succedent, by m..m d j..j:
+    S(x) = meet S(J(x)), A(x) <= A(j) <= S(j).  (M) x only positive in the
+    antecedent, at most once in the succedent, by m edges: S(x) = meet
+    S(M(x)), A(x) <= A(m) <= S(m).  So failures move into the reduced grid."""
+    paths: dict[str, tuple[list, list]] = {}  # x -> paths in the antecedent, the succedent
+    stack = [(f, "", 0) for f in s.antecedent] + [(s.succedent, "", 1)]
+    while stack:
+        f, path, side = stack.pop()
+        if type(f) is Var:
+            paths.setdefault(f.name, ([], []))[side].append(path)
+        elif type(f) is Star:
+            stack.append((f.body, path + "s", side))
+        elif type(f) in _EDGES:
+            left, right = _EDGES[type(f)]
+            stack += [(f.left, path + left, side), (f.right, path + right, side)]
+    out = {}
+    for x, (xa, xs) in sorted(paths.items()):
+        neg_a, neg_s = [p.count("d") % 2 for p in xa], [p.count("d") % 2 for p in xs]
+        j1 = len(xa) <= 1 and not "".join(xa).strip("j") and not any(neg_s)
+        j2 = all(neg_a) and len(xs) == 1 and re.fullmatch("m*dj*", xs[0])
+        m = not any(neg_a) and len(xs) <= 1 and not "".join(xs).strip("m")
+        out[x] = "J" if j1 or j2 else "M" if m else ""
+    return out
+
+
+def _sequent_counterexample(a: FiniteActionLattice, s: Sequent) -> tuple:
+    """The first failing valuation of s in a, or None, and the valuations
+    evaluated: validity is decided on the grid :func:`_polarity_reduction`
+    shrinks (exact in action lattices), a failure walks the whole grid."""
+    ranges = kept(a, "_ranges", _ranges)
+    reduced = {x: ranges[kind] for x, kind in kept(s, "_polarity", _polarity_reduction).items()}
+    evaluated = 0
+    if any(len(r[0]) < a.size for r in reduced.values()):
+        witness, evaluated = _check_all_valuations(a, reduced, lambda ev: ev.sequent(s))
+        if witness is None:
+            return None, evaluated
+    witness, more = _check_all_valuations(a, dict.fromkeys(reduced, ranges[""]), lambda ev: ev.sequent(s))
+    return witness, evaluated + more
 
 
 def holds_quasieq(a: FiniteActionLattice, q: Quasiequation) -> bool:
@@ -568,7 +636,7 @@ def find_quasieq_counterexample(a: FiniteActionLattice, q: Quasiequation):
             ok = ok | ~ev.holds(p)
         return ok
 
-    return _check_all_valuations(a, names, predicate)
+    return _check_all_valuations(a, dict.fromkeys(names, a.tables.whole), predicate)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +683,7 @@ def rule_models(models, rules) -> tuple[list[FiniteActionLattice], list[str], li
 @dataclass
 class AuditReport:
     checked: int = 0
+    valuations: int = 0     # valuations evaluated, over reduced and whole grids
     skipped_models: list[str] = field(default_factory=list)
     undecided_models: list[str] = field(default_factory=list)
     violations: list[AuditViolation] = field(default_factory=list)
@@ -632,8 +701,9 @@ def soundness_audit(sequents, models, rules=()) -> AuditReport:
     sound, report.skipped_models, report.undecided_models = rule_models(models, rules)
     for a in sound:
         for s in sequents:
-            witness = find_sequent_counterexample(a, s)
+            witness, valuations = _sequent_counterexample(a, s)
             report.checked += 1
+            report.valuations += valuations
             if witness is not None:
                 report.violations.append(AuditViolation(a.name, s, witness))
     return report

@@ -230,6 +230,7 @@ def test_models_audit_accepts_a_rule_that_is_not_analytic(tmp_path, capsys):
     assert main(["--json", "models", "audit", "--seqs", str(seqs), "--rules", str(rules)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert (out["skipped_models"], out["undecided_models"]) == (["rel2", "trunc_words"], [])
+    assert out["valuations"] == 2 * 2 + 3 * 3 + 2 * 2  # the chains two_chain, three_chain, rel1
 
 
 def test_frames_commands(capsys):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -7,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from actlat import models
 from actlat.corpus import random_analytic_quasiequations, random_analytic_rule
@@ -370,15 +371,127 @@ def test_blocked_queries_match_whole_grid_reference():
 
 
 def test_three_variable_query_memory():
+    # the star bodies keep every variable's whole range, so the 128^3 grid is
+    # walked in blocks; the reduced grid of the same law without stars is 8^3
     a = truncated_words()
-    s = parse_sequent("a . (b . c) |- (a . b) . c")
-    tracemalloc.start()
-    try:
-        assert find_sequent_counterexample(a, s) is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 << 20, peak
+    whole = parse_sequent("a* . (b* . c*) |- (a* . b*) . c*")
+    reduced = parse_sequent("a . (b . c) |- (a . b) . c")
+    peaks = []
+    for s in (whole, reduced):
+        tracemalloc.start()
+        try:
+            assert find_sequent_counterexample(a, s) is None
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 4 << 20, peaks
+    assert peaks[1] < min(64 << 10, peaks[0] // 16), peaks
+
+
+def test_audit_counts_the_valuations_it_evaluates():
+    a = truncated_words()
+    assert [soundness_audit([parse_sequent(text)], [a]).valuations for text in (
+        "a . (b . c) |- (a . b) . c",          # 8^3: join-irreducibles and 0
+        "a \\ b, b \\ c |- a \\ c",             # 8 . 128 . 8
+        "a* . (b* . c*) |- (a* . b*) . c*",    # no reduction
+    )] == [8 ** 3, 8 * 128 * 8, 128 ** 3]
+    # a failing reducible sequent pays for the reduced pass and then walks
+    # the whole grid up to the block of its first failing valuation
+    report = soundness_audit([parse_sequent("a |- b")], [a])
+    assert (report.valuations, report.violations[0].valuation) == \
+        (8 * 8 + 128 * 128, (("a", 1), ("b", 0)))
+    # over three variables a block holds 4 values of a, and a = 1 fails
+    report = soundness_audit([parse_sequent("a, b |- c")], [a])
+    assert (report.valuations, report.violations[0].valuation) == \
+        (8 ** 3 + 4 * 128 * 128, (("a", 1), ("b", 1), ("c", 0)))
+
+
+# Each variable's range under the polarity reduction: "J" for the
+# join-irreducibles and 0, "M" for the meet-irreducibles and the top.
+POLARITY_REDUCTIONS = [
+    ("a . (b . c) |- (a . b) . c", {"a": "J", "b": "J", "c": "J"}),     # J1
+    ("a | b, c |- (a | c) . b*", {"a": "J", "b": "J", "c": "J"}),        # J1, star in the succedent
+    ("a \\ c |- (1 / (a . b)) & c", {"a": "J", "b": "J", "c": "M"}),   # J2 on m d j; M
+    ("a & b |- a & 1", {"a": "M", "b": "M"}),                          # M
+    ("a \\ b, b \\ c |- a \\ c", {"a": "J", "b": "", "c": "M"}),        # b of mixed polarity
+    ("a, a |- a . a", {"a": ""}),                                      # twice in the antecedent
+    ("a* |- a | b", {"a": "", "b": "J"}),                              # under a star
+    ("a & b |- a . b", {"a": "", "b": ""}),                            # under a meet
+    ("b \\ c |- a . (b \\ c)", {"a": "J", "b": "", "c": ""}),           # denominator under a product
+    ("b \\ c |- (b \\ c) | a", {"a": "J", "b": "", "c": ""}),           # denominator under a join
+    ("|- 1 / 0", {}),
+]
+
+
+@pytest.mark.parametrize("text,kinds", POLARITY_REDUCTIONS, ids=[t for t, _ in POLARITY_REDUCTIONS])
+def test_polarity_reduction(text, kinds):
+    assert models._polarity_reduction(parse_sequent(text)) == kinds
+
+
+def test_irreducibles_of_the_library():
+    # J(L) + {0} and M(L) + {top}: a chain keeps every element, a powerset
+    # its atoms and 0, its coatoms and the top
+    sizes = {name: (len(r["J"][0]), len(r["M"][0])) for name, a in library().items()
+             for r in [models.kept(a, "_ranges", models._ranges)]}
+    assert sizes == {"two_chain": (2, 2), "three_chain": (3, 3), "rel1": (2, 2),
+                     "rel2": (5, 5), "trunc_words": (8, 8)}
+    r = models._ranges(rel_algebra(2))
+    assert r["J"][0].tolist() == [0, 1, 2, 4, 8] and r["M"][0].tolist() == [7, 11, 13, 14, 15]
+    assert [r[""][1].tolist(), r[""][2].tolist()] == [list(range(16)), list(range(0, 256, 16))]
+
+
+def _check_reduction(a, s) -> bool | None:
+    """Assert that s has the reference witness in a, and, where the polarity
+    reduction shrinks the grid, that the reduced grid gives the whole grid's
+    verdict, at a valuation where s fails when it fails.  Returns whether s
+    fails in a, or None where the grid is not shrunk."""
+    want = reference_counterexample(a, (), sequent_inequation(s))
+    assert find_sequent_counterexample(a, s) == want, (a.name, str(s))
+    ranges = models.kept(a, "_ranges", models._ranges)
+    reduced = {x: ranges[kind] for x, kind in models._polarity_reduction(s).items()}
+    if all(len(r[0]) == a.size for r in reduced.values()):
+        return None
+    witness, _ = models._check_all_valuations(a, reduced, lambda ev: ev.sequent(s))
+    assert (witness is None) == (want is None), (a.name, str(s))
+    if witness is not None:
+        ineq = sequent_inequation(s)
+        v = dict(witness)
+        assert not a.leq(eval_formula(a, v, ineq.lhs), eval_formula(a, v, ineq.rhs))
+    return want is not None
+
+
+@functools.cache
+def parity_models() -> list:
+    return [*kernel_models().values(), truncated_words(5, "a")]
+
+
+# Every model below 128 elements takes a sequent over a, b and c, every larger
+# one a sequent over b and c; the examples are reducible failing queries.
+@settings(max_examples=200, deadline=None)
+@given(QUERIES[True][0], QUERIES[False][0])
+@example(parse_sequent("a . b |- b . a"), parse_sequent("b |- c"))
+@example(parse_sequent("a \\ b, b \\ c |- a \\ (b & c)"), parse_sequent("c \\ b |- b \\ c"))
+def test_reduced_grid_decides_as_the_whole_grid(small, large):
+    for a in parity_models():
+        _check_reduction(a, small if a.size < 128 else large)
+
+
+def test_reduced_grid_sweep():
+    # seeded random sequents on the models where the reduction shrinks the
+    # grid (no chain: there every element is irreducible); trunc_words takes
+    # those over at most two variables
+    rng = random.Random(22)
+    models_ = [rel_algebra(2), truncated_words(5, "a"), truncated_words()]
+    counts = collections.Counter()
+    while counts["reducible"] < 2000:
+        s = Sequent(tuple(random_formula(rng, 5, 1) for _ in range(rng.randint(0, 3))),
+                    random_formula(rng, 5, 1))
+        for a in models_[:2] if len(models._names(*s.antecedent, s.succedent)) > 2 else models_:
+            fails = _check_reduction(a, s)
+            if fails is not None:
+                counts["reducible"] += 1
+                counts["failing"] += fails
+    assert counts["failing"] > 500, counts
 
 
 def test_holds_quasieq_contraction():
