@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import (FiniteActionLattice, holds_quasieq, kept, outside, pack,
+from .models import (FiniteActionLattice, _open_grids, holds_quasieq, kept, outside, pack,
                      read_only, star_table, subset_law, validate_algebra)
 from .rules import Quasiequation, is_analytic_quasiequation
 from .syntax import Formula, One, Prod, Var
@@ -526,7 +526,7 @@ def frame_q_counterexample(f: ResiduatedFrame, q: Quasiequation):
         return out
 
     k = len(names)
-    grids = {name: np.arange(n).reshape((-1,) + (1,) * (k - 1 - i)) for i, name in enumerate(names)}
+    grids = {name: plain for name, (plain, _) in zip(names, _open_grids(n, k))}
     # premise/conclusion values; broadcast against the bound variable axis
     concl_val = eval_word(concl, grids)
     ok = f.n_rel[concl_val][..., :]

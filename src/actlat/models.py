@@ -18,9 +18,7 @@ once plain and once times n, so a binary connective (and the order) costs
 one add of the times-n left operand to the right one and one flat ``take``.
 The grid is walked in blocks of the first variable of at most 64K cells, so
 index arrays stay small; within a block, and across one proof search's
-pruning queries, each subformula is evaluated once.  A sequent is decided on
-a grid where each variable its shape allows ranges over the join- or the
-meet-irreducibles only; a failing one walks the whole grid for its witness.
+pruning queries, each subformula is evaluated once.
 """
 
 from __future__ import annotations
@@ -28,9 +26,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import re
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -432,7 +429,6 @@ class _Tables(dict):
         super().__init__({kind: (self.dtype.type(v), self.dtype.type(v * n))
                           for kind, v in ((Zero, a.zero), (One, a.one))})
         self.le = a.le.astype(bool).ravel()
-        self.whole = (np.arange(n), *_pair(np.arange(n), n, self.dtype))  # the range of every element
 
     def __missing__(self, kind) -> tuple:
         pair = self[kind] = _pair(self.source[kind], self.n, self.dtype)
@@ -443,23 +439,28 @@ def _pair(table: np.ndarray, n: int, dtype: np.dtype) -> tuple:
     return table.astype(dtype).ravel(), (table * n).astype(dtype).ravel()
 
 
+@lru_cache(maxsize=64)
+def _open_grids(n: int, k: int) -> tuple:
+    """Open grids of k variables over n elements, each as its (plain,
+    times-n) pair in the dtype of an n-element model's tables.  Shared by
+    every such model, so they are read-only."""
+    plain, times_n = _pair(np.arange(n), n, np.min_scalar_type(n * n - 1))
+    plain.flags.writeable = times_n.flags.writeable = False
+    shapes = [(1,) * i + (-1,) + (1,) * (k - 1 - i) for i in range(k)]
+    return tuple((plain.reshape(shape), times_n.reshape(shape)) for shape in shapes)
+
+
 def _ranges(a: FiniteActionLattice) -> dict:
-    """A variable's range for each :func:`_polarity_reduction` kind, as its
-    values, ascending, and their (plain, times-n) pair.  x != 0 is join-
-    irreducible exactly when the elements strictly below it have a greatest
-    one: some y < x has one element fewer below it than x has."""
+    """The (plain, times-n) pairs of the ranges "J" and "M" of
+    :func:`_polarity_reduction`: x != 0 is join-irreducible exactly when
+    some y < x has one element fewer below it.  The lemmas need the laws, so
+    a model known to break them (its validation failed; :func:`model_from_json`
+    validates each model it reads) keeps every element in both ranges."""
     lt, down, up = a.le & ~np.eye(a.size, dtype=bool), a.le.sum(axis=0), a.le.sum(axis=1)
-    joins = (lt & (down[:, None] == down - 1)).any(axis=0) | (np.arange(a.size) == a.zero)
-    meets = (lt & (up == up[:, None] - 1)).any(axis=1) | (down == a.size)
-    return {"": a.tables.whole, **{kind: (v, *_pair(v, a.size, a.tables.dtype)) for kind, v in
-                                  (("J", np.flatnonzero(joins)), ("M", np.flatnonzero(meets)))}}
-
-
-def _grids(ranges: dict) -> dict:
-    """Each variable's (plain, times-n) pair over its range, on its own axis of the grid."""
-    shapes = [(-1,) + (1,) * j for j in reversed(range(len(ranges)))]  # leading axes broadcast
-    return {x: (plain.reshape(shape), times_n.reshape(shape))
-            for (x, (_, plain, times_n)), shape in zip(ranges.items(), shapes)}
+    lawless = "_validation" in a.__dict__ and not validate_algebra(a).ok
+    joins = lawless | (lt & (down[:, None] == down - 1)).any(axis=0) | (np.arange(a.size) == a.zero)
+    meets = lawless | (lt & (up == up[:, None] - 1)).any(axis=1) | (down == a.size)
+    return {kind: _pair(np.flatnonzero(v), a.size, a.tables.dtype) for kind, v in (("J", joins), ("M", meets))}
 
 
 class Evaluator:
@@ -510,26 +511,30 @@ def evaluator(a: FiniteActionLattice, s: Sequent) -> Evaluator | None:
     names = _names(*s.antecedent, s.succedent)
     if a.size ** len(names) > _BLOCK_CELLS:
         return None
-    return Evaluator(a.tables, _grids(dict.fromkeys(names, a.tables.whole)))
+    return Evaluator(a.tables, dict(zip(names, _open_grids(a.size, len(names)))))
 
 
-def _check_all_valuations(a: FiniteActionLattice, ranges: dict, predicate) -> tuple:
+def _check_all_valuations(a: FiniteActionLattice, kinds: dict, predicate) -> tuple:
     """Run a vectorized predicate of an :class:`Evaluator` over the grid of
-    the variables' ranges (:func:`_ranges`; all elements for the whole grid,
-    which the cap judges); returns the first failing valuation or None, and
-    the valuations evaluated.  The grid is walked in blocks of the first
-    variable of at most _BLOCK_CELLS cells (one value, when the others alone
-    exceed that), in increasing order, each with a fresh evaluator."""
-    n, k = a.size, len(ranges)
+    the variables' ranges: all elements for kind "", else the model's
+    :func:`_ranges` of that kind (the cap judges the whole grid); returns
+    the first failing valuation or None, and the valuations evaluated.  The
+    grid is walked in blocks of the first variable of at most _BLOCK_CELLS
+    cells (one value, when the others alone exceed that), in increasing
+    order, each with a fresh evaluator."""
+    n, k = a.size, len(kinds)
     if k > VAR_CAP and n ** k > _GRID_LIMIT:
         raise ModelError(
             f"validity query over {k} variables on a carrier of size {n} "
             f"exceeds the exhaustive budget (cap {VAR_CAP} variables)"
         )
-    grids = _grids(ranges)
-    if not ranges:
+    ranges = kept(a, "_ranges", _ranges) if any(kinds.values()) else {}
+    grids = {x: tuple(t.reshape((1,) * i + (-1,) + (1,) * (k - 1 - i)) for t in ranges[kind])
+             if kind else whole  # the shared open grid of all elements
+             for i, ((x, kind), whole) in enumerate(zip(kinds.items(), _open_grids(n, k)))}
+    if not kinds:
         return (None if predicate(Evaluator(a.tables, grids)).all() else ()), 1
-    first, sizes = next(iter(ranges)), [len(r[0]) for r in ranges.values()]
+    first, sizes = next(iter(grids)), [plain.size for plain, _ in grids.values()]
     (plain, times_n), rest = grids[first], math.prod(sizes[1:])
     step = max(1, _BLOCK_CELLS // rest)
     for lo in range(0, sizes[0], step):
@@ -539,7 +544,7 @@ def _check_all_valuations(a: FiniteActionLattice, ranges: dict, predicate) -> tu
             shape = (min(step, sizes[0] - lo), *sizes[1:])
             idx = np.argwhere(~np.broadcast_to(ok, shape))[0]
             idx[0] += lo
-            witness = tuple((x, int(r[0][i])) for (x, r), i in zip(ranges.items(), idx))
+            witness = tuple((x, int(g[0].flat[i])) for (x, g), i in zip(grids.items(), idx))
             return witness, (lo + shape[0]) * rest
     return None, sizes[0] * rest
 
@@ -568,25 +573,22 @@ def find_sequent_counterexample(a: FiniteActionLattice, s: Sequent):
     return _sequent_counterexample(a, s)[0]
 
 
-_EDGES = {Prod: "jj", Join: "jj", Meet: "mm", LRes: "dm", RRes: "md"}  # (left, right) operand
-
-
 def _polarity_reduction(s: Sequent) -> dict[str, str]:
     """Per variable x of s, in sorted order: "J" when s holds in a finite
     action lattice L if it does for x in J(L) + {0} (join-irreducibles and
     bottom), "M" for x in M(L) + {top}, "" for neither.  An occurrence's path
     from its formula's root takes j into an operand of product or join, m of
     meet or a numerator, d a denominator (negative under an odd number of
-    d's), s a star body.  With A(x) the antecedent's product and S(x) the
-    succedent: x != 0 is the join of the nonempty J(x) below it, x != top
-    the meet of the nonempty M(x) above it, and by the adjunctions j edges
-    keep nonempty joins, m edges nonempty meets, d edges turn joins into
-    meets.  (J1) x at most once in the antecedent, by j edges, only positive
-    in the succedent: A(x) = join A(J(x)), A(j) <= S(j) <= S(x).  (J2) x
-    only negative in the antecedent, once in the succedent, by m..m d j..j:
-    S(x) = meet S(J(x)), A(x) <= A(j) <= S(j).  (M) x only positive in the
-    antecedent, at most once in the succedent, by m edges: S(x) = meet
-    S(M(x)), A(x) <= A(m) <= S(m).  So failures move into the reduced grid."""
+    d's), s a star body.  x != 0 is the join of the nonempty J(x) below it,
+    x != top the meet of the nonempty M(x) above it; by the adjunctions j
+    edges keep nonempty joins, m edges nonempty meets, d edges turn joins
+    into meets.  With A(x) the antecedent's product and S(x) the succedent:
+    (J1) x at most once in A, by j edges, only positive in S: A(x) = join
+    A(J(x)), A(j) <= S(j) <= S(x).  (J2) x only negative in A, once in S, on
+    m..m d j..j: S(x) = meet S(J(x)), A(x) <= A(j) <= S(j).  (M) x only
+    positive in A, at most once in S, by m edges: S(x) = meet S(M(x)), A(x)
+    <= A(m) <= S(m).  So every failure has one in the reduced grid."""
+    edges = {Prod: "jj", Join: "jj", Meet: "mm", LRes: "dm", RRes: "md"}  # (left, right) operand
     paths: dict[str, tuple[list, list]] = {}  # x -> paths in the antecedent, the succedent
     stack = [(f, "", 0) for f in s.antecedent] + [(s.succedent, "", 1)]
     while stack:
@@ -595,31 +597,28 @@ def _polarity_reduction(s: Sequent) -> dict[str, str]:
             paths.setdefault(f.name, ([], []))[side].append(path)
         elif type(f) is Star:
             stack.append((f.body, path + "s", side))
-        elif type(f) in _EDGES:
-            left, right = _EDGES[type(f)]
+        elif type(f) in edges:
+            left, right = edges[type(f)]
             stack += [(f.left, path + left, side), (f.right, path + right, side)]
     out = {}
     for x, (xa, xs) in sorted(paths.items()):
         neg_a, neg_s = [p.count("d") % 2 for p in xa], [p.count("d") % 2 for p in xs]
         j1 = len(xa) <= 1 and not "".join(xa).strip("j") and not any(neg_s)
-        j2 = all(neg_a) and len(xs) == 1 and re.fullmatch("m*dj*", xs[0])
+        j2 = all(neg_a) and len(xs) == 1 and (t := xs[0].lstrip("m"))[:1] == "d" and not t[1:].strip("j")
         m = not any(neg_a) and len(xs) <= 1 and not "".join(xs).strip("m")
         out[x] = "J" if j1 or j2 else "M" if m else ""
     return out
 
 
 def _sequent_counterexample(a: FiniteActionLattice, s: Sequent) -> tuple:
-    """The first failing valuation of s in a, or None, and the valuations
-    evaluated: validity is decided on the grid :func:`_polarity_reduction`
-    shrinks (exact in action lattices), a failure walks the whole grid."""
-    ranges = kept(a, "_ranges", _ranges)
-    reduced = {x: ranges[kind] for x, kind in kept(s, "_polarity", _polarity_reduction).items()}
-    evaluated = 0
-    if any(len(r[0]) < a.size for r in reduced.values()):
-        witness, evaluated = _check_all_valuations(a, reduced, lambda ev: ev.sequent(s))
+    """The first failing valuation of s in a, or None, and the valuations evaluated: s is decided
+    on the grid :func:`_polarity_reduction` shrinks; a failure walks the whole grid."""
+    kinds, evaluated = _polarity_reduction(s), 0
+    if any(kind and kept(a, "_ranges", _ranges)[kind][0].size < a.size for kind in kinds.values()):
+        witness, evaluated = _check_all_valuations(a, kinds, lambda ev: ev.sequent(s))
         if witness is None:
             return None, evaluated
-    witness, more = _check_all_valuations(a, dict.fromkeys(reduced, ranges[""]), lambda ev: ev.sequent(s))
+    witness, more = _check_all_valuations(a, dict.fromkeys(kinds, ""), lambda ev: ev.sequent(s))
     return witness, evaluated + more
 
 
@@ -636,7 +635,7 @@ def find_quasieq_counterexample(a: FiniteActionLattice, q: Quasiequation):
             ok = ok | ~ev.holds(p)
         return ok
 
-    return _check_all_valuations(a, dict.fromkeys(names, a.tables.whole), predicate)[0]
+    return _check_all_valuations(a, dict.fromkeys(names, ""), predicate)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -757,6 +756,7 @@ def model_from_json(data: dict) -> FiniteActionLattice:
         if key != "le" and not (np.issubdtype(table.dtype, np.integer)
                                 and ((table >= 0) & (table < n)).all()):
             raise ModelError(f"model file: {key} names no element index 0..{n - 1}")
+    validate_algebra(a)  # kept on a: queries decide a model that breaks the laws on its whole grid
     return a
 
 

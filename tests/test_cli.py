@@ -233,6 +233,27 @@ def test_models_audit_accepts_a_rule_that_is_not_analytic(tmp_path, capsys):
     assert out["valuations"] == 2 * 2 + 3 * 3 + 2 * 2  # the chains two_chain, three_chain, rel1
 
 
+def test_model_file_breaking_the_laws_gets_its_whole_grid_witness(tmp_path, capsys):
+    # rel2 with one product entry raised to the top: the reduced grid of the
+    # polarity lemmas would call the sequent valid, the whole grid fails
+    from actlat.models import model_to_json, rel_algebra
+
+    data = model_to_json(rel_algebra(2))
+    data["prod"][3][12] = 15
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    seq = "a . (b | 0), 1 |- a . (0 \\ b)"
+    assert main(["models", "check-seq", "rel2", seq]) == 0
+    capsys.readouterr()
+    assert main(["--json", "models", "check-seq", str(path), seq]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["valuation"] == {"a": "{00,01}", "b": "{10,11}"}
+    seqs = tmp_path / "goals.txt"
+    seqs.write_text(seq + "\n")
+    assert main(["--json", "models", "audit", "--seqs", str(seqs), "--models", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["violations"]
+
+
 def test_frames_commands(capsys):
     assert main(["frames", "dual", "two_chain"]) == 0
     assert main(["frames", "gentzen-check", "three_chain"]) == 0

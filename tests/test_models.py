@@ -376,6 +376,7 @@ def test_three_variable_query_memory():
     a = truncated_words()
     whole = parse_sequent("a* . (b* . c*) |- (a* . b*) . c*")
     reduced = parse_sequent("a . (b . c) |- (a . b) . c")
+    find_sequent_counterexample(a, reduced)  # the model's tables and irreducibles, found once
     peaks = []
     for s in (whole, reduced):
         tracemalloc.start()
@@ -435,9 +436,31 @@ def test_irreducibles_of_the_library():
              for r in [models.kept(a, "_ranges", models._ranges)]}
     assert sizes == {"two_chain": (2, 2), "three_chain": (3, 3), "rel1": (2, 2),
                      "rel2": (5, 5), "trunc_words": (8, 8)}
-    r = models._ranges(rel_algebra(2))
+    r = models._ranges(rel_algebra(2))  # (plain, times-n) pairs
     assert r["J"][0].tolist() == [0, 1, 2, 4, 8] and r["M"][0].tolist() == [7, 11, 13, 14, 15]
-    assert [r[""][1].tolist(), r[""][2].tolist()] == [list(range(16)), list(range(0, 256, 16))]
+    assert r["J"][1].tolist() == [0, 16, 32, 64, 128]
+
+
+def _rel2_file_breaking_the_laws() -> dict:
+    # rel2 with the product of {00,01} and {10,11} raised to the top, which
+    # breaks associativity and residuation
+    data = model_to_json(rel_algebra(2))
+    data["prod"][3][12] = 15
+    return data
+
+
+def test_a_model_file_breaking_the_laws_is_decided_on_its_whole_grid():
+    # the reduced grid of a and b (5 x 5 irreducibles) misses the failure at
+    # a = 3, b = 12; the lemmas need the laws, and a model read from a file
+    # is validated, so it keeps every element
+    a = model_from_json(_rel2_file_breaking_the_laws())
+    assert not validate_algebra(a).ok
+    s = parse_sequent("a . (b | 0), 1 |- a . (0 \\ b)")
+    assert find_sequent_counterexample(rel_algebra(2), s) is None
+    want = reference_counterexample(a, (), sequent_inequation(s))
+    assert want == (("a", 3), ("b", 12))
+    assert find_sequent_counterexample(a, s) == want
+    assert soundness_audit([s], [a]).valuations == 16 * 16
 
 
 def _check_reduction(a, s) -> bool | None:
@@ -448,10 +471,10 @@ def _check_reduction(a, s) -> bool | None:
     want = reference_counterexample(a, (), sequent_inequation(s))
     assert find_sequent_counterexample(a, s) == want, (a.name, str(s))
     ranges = models.kept(a, "_ranges", models._ranges)
-    reduced = {x: ranges[kind] for x, kind in models._polarity_reduction(s).items()}
-    if all(len(r[0]) == a.size for r in reduced.values()):
+    kinds = models._polarity_reduction(s)
+    if all(ranges[kind][0].size == a.size for kind in kinds.values() if kind):
         return None
-    witness, _ = models._check_all_valuations(a, reduced, lambda ev: ev.sequent(s))
+    witness, _ = models._check_all_valuations(a, kinds, lambda ev: ev.sequent(s))
     assert (witness is None) == (want is None), (a.name, str(s))
     if witness is not None:
         ineq = sequent_inequation(s)
