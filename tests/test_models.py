@@ -441,19 +441,14 @@ def test_irreducibles_of_the_library():
     assert r["J"][1].tolist() == [0, 16, 32, 64, 128]
 
 
-def _rel2_file_breaking_the_laws() -> dict:
-    # rel2 with the product of {00,01} and {10,11} raised to the top, which
-    # breaks associativity and residuation
+def test_a_model_file_breaking_the_laws_is_decided_on_its_whole_grid():
+    # rel2 with the product of {00,01} and {10,11} raised to the top breaks
+    # associativity and residuation; the reduced grid of a and b (5 x 5
+    # irreducibles) would miss the failure at a = 3, b = 12, but a model read
+    # from a file is validated, and one that breaks the laws keeps every element
     data = model_to_json(rel_algebra(2))
     data["prod"][3][12] = 15
-    return data
-
-
-def test_a_model_file_breaking_the_laws_is_decided_on_its_whole_grid():
-    # the reduced grid of a and b (5 x 5 irreducibles) misses the failure at
-    # a = 3, b = 12; the lemmas need the laws, and a model read from a file
-    # is validated, so it keeps every element
-    a = model_from_json(_rel2_file_breaking_the_laws())
+    a = model_from_json(data)
     assert not validate_algebra(a).ok
     s = parse_sequent("a . (b | 0), 1 |- a . (0 \\ b)")
     assert find_sequent_counterexample(rel_algebra(2), s) is None
