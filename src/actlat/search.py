@@ -19,6 +19,24 @@ Instances are built one rule group at a time, as the search consumes them.  A
 sequent that can yield nothing more (visit-capped, or with no usable
 instance) is not entered again; its visits are only counted.
 
+A two-premise instance enumerates its second premise once per candidate of
+its first, with the same arguments each time.  Once such a call has yielded
+nothing, its effect is replayed rather than run again: every visit goes to
+a per-search log, and a replay adds the visits in the call's span of the log
+to their entries once more, appends them to the log and counts the call's
+expansions again.  This is exact because state only moves one way: visit
+counts grow, entries turn inert, and instances and their usability are
+settled once.  So the call would yield nothing again, and while no entry
+turns inert (an epoch counts those that do) it would take the same branches,
+making the same visits and counting the same expansions, unless a visit
+count reached VISIT_CAP or the expansions passed STEP_CAP on the way.  A
+replay that could do either is refused and the call runs, so the budgets run
+out at the same expansion as without replay.  The log holds one reference
+per visit, about one per expansion in the searches measured (some 2 MB for a
+search that spends all of STEP_CAP).  The first premise is still enumerated
+after the second is known to yield nothing: its visits count towards
+VISIT_CAP, so skipping them would change which goals the visit cap stops.
+
 The search is a semi-decision procedure: exhausted budgets yield an unknown
 result, never a refutation.  Refutation is a separate counter-valuation
 search in finite models.
@@ -73,6 +91,8 @@ class SearchStats:
     model_seconds: float = 0.0   # time spent in those searches
     candidates: int = 0      # complete candidate graphs checked
     visit_capped: int = 0    # sequents visited more than VISIT_CAP times
+    replayed: int = 0        # empty premise calls whose recorded effect was applied again
+    budget: str = ""         # what ended the search: VISIT_CAP, STEP_CAP, MAX_CANDIDATES or none
     seconds: float = 0.0
 
 
@@ -215,6 +235,31 @@ class _Entry:
     inert: bool = False   # later visits yield nothing: visit-capped, or no usable instance
 
 
+def _replay(log: list[_Entry], empty: tuple[int, int, int, int], epoch: int,
+            stats: SearchStats) -> bool:
+    """Apply again the effect of a call that yielded nothing: ``empty`` holds
+    the epoch it began and ended in, the span ``log[start:end]`` of its
+    visits and the expansions it counted.  Returns False, with no effect,
+    when running the call again could go otherwise: an entry turned inert
+    since (the epoch moved on), a visit count would reach VISIT_CAP, or the
+    expansions would pass STEP_CAP."""
+    at, start, end, steps = empty
+    if at != epoch or stats.expansions + steps > STEP_CAP:
+        return False
+    span = log[start:end]
+    for e in span:
+        e.visits += 1
+    for e in span:
+        if e.visits >= VISIT_CAP:
+            for e in span:
+                e.visits -= 1
+            return False
+    log += span
+    stats.expansions += steps
+    stats.replayed += 1
+    return True
+
+
 def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
           cfg: SearchConfig | None = None, rules: RuleSet | None = None) -> SearchResult:
     """Search for a cyclic proof of the goal.
@@ -233,6 +278,8 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
     # every sequent's variables are the goal's (cut formulas are goal
     # subformulas), so one evaluator per model serves the whole search
     pruning = [evaluator(m, goal) or m for m in rule_models([_two_chain()], user_rules)[0]]
+    log: list[_Entry] = []   # every visit in order, for the spans that _replay reads
+    epoch = 0                # the number of entries turned inert so far
 
     def entry(s: Sequent) -> _Entry:
         return table.get(s) or table.setdefault(s, _Entry(s, _expansions(s, groups, cut)))
@@ -261,10 +308,17 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
         exps.append(None)
         return exps[-1 - len(group)]
 
+    def retire(e: _Entry) -> None:
+        nonlocal epoch
+        if not e.inert:
+            e.inert = True
+            epoch += 1
+
     def pass_over(e: _Entry, depth: int) -> None:
         # a visit to an inert entry, which yields nothing: one with no usable
         # instance is never on a path, and each instance is one expansion
         e.visits += 1
+        log.append(e)
         if e.visits <= VISIT_CAP and depth > 0:
             stats.expansions += len(e.expansions)
             if stats.expansions > STEP_CAP:
@@ -277,8 +331,9 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
         # indexes the last one that applied starL.  Each frame passes its
         # children a path of its own, so none leaves entries behind.
         e.visits += 1
+        log.append(e)
         if e.visits >= VISIT_CAP:
-            e.inert = True
+            retire(e)
             if e.visits > VISIT_CAP:
                 return
         if e in path:
@@ -312,16 +367,23 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
                     yield _Cand(s, ri, (a,))
             elif len(premises) == 2:
                 p, q = premises
+                empty = None   # q's last call, when it yielded nothing and retired no entry
                 for a in candidates(p, depth, sub, star):
                     if q.inert:
                         pass_over(q, depth)
                         continue
+                    if empty and _replay(log, empty, epoch, stats):
+                        continue
+                    mark, steps, at, yielded = len(log), stats.expansions, epoch, False
                     for b in candidates(q, depth, sub, star):
+                        yielded = True
                         yield _Cand(s, ri, (a, b))
+                    empty = None if yielded or epoch != at else (
+                        at, mark, len(log), stats.expansions - steps)
             else:
                 yield from _combine(s, ri, premises, (), depth, sub, star)
         if not live:
-            e.inert = True
+            retire(e)
 
     def _combine(s, ri, premises, done, depth, path, last_star):
         if not premises:
@@ -343,14 +405,17 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
                     and _progresses(proof, rules)):
                 return SearchResult(True, proof, stats=stats)
             if stats.candidates >= MAX_CANDIDATES:
+                stats.budget = "MAX_CANDIDATES"
                 return SearchResult(False, None, "candidate budget exhausted", stats)
     except _StepsExhausted:
+        stats.budget = "STEP_CAP"
         return SearchResult(False, None, "step budget exhausted", stats)
     finally:
         stats.sequents = len(table)
         stats.visit_capped = sum(e.visits > VISIT_CAP for e in table.values())
         stats.seconds = perf_counter() - start
     if stats.visit_capped:
+        stats.budget = "VISIT_CAP"
         return SearchResult(False, None, f"visit cap reached: {stats.visit_capped} sequent(s) "
                             f"visited more than VISIT_CAP ({VISIT_CAP}) times", stats)
     return SearchResult(False, None, "search space exhausted within bounds", stats)

@@ -113,7 +113,7 @@ def test_translate_nested_families_round_trip(tmp_path, capsys):
 
 
 STATS_KEYS = {"expansions", "instances", "sequents", "model_queries", "model_seconds",
-              "candidates", "visit_capped", "seconds"}
+              "candidates", "visit_capped", "replayed", "budget", "seconds"}
 
 
 def test_prove_json_schema(capsys):

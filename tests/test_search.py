@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from actlat import models, progress, search
 from actlat.models import library, rel_algebra, soundness_audit, two_chain
 from actlat.progress import check_cyclic_progress
-from actlat.proof_core import ResourceLimit, check_cyclic_local
+from actlat.proof_core import ResourceLimit, check_cyclic_local, cyclic_to_json
 from actlat.rules import (RuleSet, builtin_rules, example_structural_rules, match_conclusion,
                           parse_rule_file, q_a_of)
 from actlat.search import SearchConfig, SearchResult, prove, refute
@@ -324,6 +325,65 @@ def test_search_stats_pinned(text, cfg, found, reason, expansions, model_queries
     assert (result.found, result.reason) == (found, reason)
     assert (stats.expansions, stats.model_queries, stats.candidates, stats.visit_capped) == \
         (expansions, model_queries, candidates, capped)
+
+
+def outcome(result: SearchResult) -> tuple:
+    """What a search gave, but for the timings and the replay count."""
+    stats = dataclasses.asdict(result.stats)
+    for key in ("seconds", "model_seconds", "replayed"):
+        del stats[key]
+    proof = cyclic_to_json(result.proof) if result.found else None
+    return result.found, result.reason, proof, stats
+
+
+# The two identities after the star goals replay spans that visit inert
+# premises.  Every cap below runs out while a replay would pass it, so the
+# empty call runs instead; 501, 2001 and 10008 run out inside a bulk count.
+@pytest.mark.parametrize("text, cfg, cap, budget, replays", [
+    ("(a | b)* |- a* | b*", None, None, "VISIT_CAP", True),
+    ("(a | b)* |- (a* . b)* . a*", None, None, "VISIT_CAP", True),
+    ("c* | (a / 0)** |- c* | (a / 0)**", None, None, "", True),
+    ("(((c | c) \\ 1) | 1)* |- (((c | c) \\ 1) | 1)*", None, None, "VISIT_CAP", True),
+    ("(a . b)*, a |- a . (b . a)*", None, None, "", False),
+    ("a* . a |- a . a*", SearchConfig(depth=12, with_cut=True), None, "MAX_CANDIDATES", False),
+    ("a* . b* |- (a . b)*", None, None, "", False),
+    *(("(a | b)* |- (a* . b)* . a*", None, cap, "STEP_CAP", False)
+      for cap in (500, 501, 2000, 2001, 10000, 10008)),
+])
+def test_replay_is_exact(monkeypatch, text, cfg, cap, budget, replays):
+    if cap is not None:
+        monkeypatch.setattr(search, "STEP_CAP", cap)
+    shipped = prove(seq(text), cfg=cfg)
+    monkeypatch.setattr(search, "_replay", lambda *args: False)
+    rerun = prove(seq(text), cfg=cfg)
+    assert outcome(shipped) == outcome(rerun)
+    assert shipped.stats.budget == budget
+    assert rerun.stats.replayed == 0
+    if replays:
+        assert shipped.stats.replayed > 0
+
+
+def test_replay_refuses_what_a_rerun_could_change(monkeypatch):
+    # a call that made the visits x, y, x and counted 4 expansions in epoch 2
+    monkeypatch.setattr(search, "VISIT_CAP", 5)
+    monkeypatch.setattr(search, "STEP_CAP", 11)
+    x, y = (search._Entry(seq(text), iter(())) for text in ("a |- a", "b |- b"))
+    log, empty = [x, y, x], (2, 0, 3, 4)
+    stats = search.SearchStats(expansions=7)
+    x.visits, y.visits = 1, 3
+
+    def state():
+        return x.visits, y.visits, log, stats.expansions, stats.replayed
+
+    assert not search._replay(log, empty, 3, stats)   # an entry turned inert since
+    y.visits = 4
+    assert not search._replay(log, empty, 2, stats)   # y would reach VISIT_CAP
+    assert state() == (1, 4, [x, y, x], 7, 0)
+    y.visits, stats.expansions = 3, 8
+    assert not search._replay(log, empty, 2, stats)   # 12 expansions pass STEP_CAP
+    stats.expansions = 7
+    assert search._replay(log, empty, 2, stats)
+    assert state() == (3, 4, [x, y, x] * 2, 11, 1)
 
 
 def test_instances_built_as_consumed():
