@@ -411,6 +411,7 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
         stats.budget = "STEP_CAP"
         return SearchResult(False, None, "step budget exhausted", stats)
     finally:
+        log.clear()   # the closures hold it in a cycle: free it before the next collection
         stats.sequents = len(table)
         stats.visit_capped = sum(e.visits > VISIT_CAP for e in table.values())
         stats.seconds = perf_counter() - start
