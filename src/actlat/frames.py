@@ -18,7 +18,8 @@ rows with the basics until no new row appears.  A row's words are its key
 (:func:`_keys`), so the distinct rows are a unique over keys, and a set known
 to be closed (a meet, a residual of a nuclear frame) is found by its key.
 (.R), (\\L) and (/L) quantify over two related pairs; :func:`_broken_rows`
-counts their breaks per algebra element with one matrix product on BLAS.
+tests them the same way, per pair of the first, the packed rows of the
+second relation against rows of the law.
 
 Frames, Gentzen frames and dual algebras are immutable values, as models are:
 frozen dataclasses over read-only tables.  Each fact derived from one (a
@@ -34,15 +35,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import models
 from .models import (FiniteActionLattice, _open_grids, holds_quasieq, kept, outside, pack,
-                     read_only, star_table, subset_law, validate_algebra)
+                     read_only, residuation_law, star_table, subset_law, validate_algebra)
 from .rules import Quasiequation, is_analytic_quasiequation
 from .syntax import Formula, One, Prod, Var
 
 CLOSED_SET_CAP = 4096
-# bytes per temporary of _broken_rows: the frame of a 128-element algebra is one block
-GENTZEN_BLOCK_BYTES = 1 << 23
 QUASI_BLOCK_CELLS = 1 << 16   # member pairs per block of quasimorphism_check
+BINARY_OPS = ("meet", "join", "prod", "lres", "rres")  # the tables the image maps must preserve
 
 
 class FrameError(ValueError):
@@ -92,13 +93,8 @@ def check_nuclear(f: ResiduatedFrame) -> FrameReport:
 
 def _check_nuclear(f: ResiduatedFrame) -> FrameReport:
     report = FrameReport()
-    lhs = f.n_rel[f.op]
-    via_l = f.n_rel[:, f.lres_w].transpose(1, 0, 2)
-    via_r = f.n_rel[:, f.rres_w.T]
-    if not (lhs == via_l).all():
-        report.add("x.y N z iff y N x\\z", tuple(int(v) for v in np.argwhere(lhs != via_l)[0]))
-    if not (lhs == via_r).all():
-        report.add("x.y N z iff x N z/y", tuple(int(v) for v in np.argwhere(lhs != via_r)[0]))
+    residuation_law(report, ("x.y N z iff y N x\\z", "x.y N z iff x N z/y"),
+                    f.n_rel, f.op, f.lres_w, f.rres_w)
     return report
 
 
@@ -282,20 +278,17 @@ def _frame_of_algebra(a: FiniteActionLattice) -> GentzenFrame:
 
 def _broken_rows(P, Q, f, g, R) -> np.ndarray:
     """Entry a is true when some x with P[a, x] and some (b, y) with Q[b, y]
-    have R[f[a, b], g[x, y]] false.  Per block of rows a, one float32 product
-    over b gives some[y, a, v] > 0 when some b has Q[b, y] and not R[f[a, b], v]
-    (a sum of non-negative terms is 0 only when every term is, so rounding
-    cannot hide a break), and one gather of rows (y, v) reads it at v = g[x, y]."""
-    (nb, ny), (nx, _), nv = Q.shape, g.shape, R.shape[1]
-    step = max(1, GENTZEN_BLOCK_BYTES // max(4 * max(nb, ny) * nv, nx * ny))
-    qt, misses = Q.T.astype(np.float32), (~R).astype(np.float32)
-    at = np.arange(ny) * nv + g
+    have R[f[a, b], g[x, y]] false: when, for some pair (a, x) with P[a, x],
+    some packed row b of Q is not inside the row (x, f[a, b]) of U, where
+    U[x, c] = {y : R[c, g[x, y]]}.  The pairs' rows of U are gathered in
+    blocks of at most BIT_BLOCK_BYTES."""
+    u, rows = pack(R.T[g].transpose(0, 2, 1)), pack(Q)
+    pa, px = np.nonzero(P)
+    step = max(1, models.BIT_BLOCK_BYTES // max(8, rows.nbytes))
     out = np.zeros(len(P), dtype=bool)
-    for lo in range(0, len(P), step):
-        block = f[lo:lo + step]
-        some = (qt @ misses[block.T].reshape(nb, -1)).reshape(ny, len(block), nv) > 0
-        rows = np.ascontiguousarray(some.transpose(0, 2, 1)).reshape(ny * nv, -1)
-        out[lo:lo + step] = (P[lo:lo + step].T & rows[at].any(axis=1)).any(axis=0)
+    for lo in range(0, len(pa), step):
+        a, x = pa[lo:lo + step], px[lo:lo + step]
+        out[a[outside(u[x[:, None], f[a]], rows).any(axis=1)]] = True
     return out
 
 
@@ -423,19 +416,13 @@ def quasimorphism_check(gf: GentzenFrame, dual: DualAlgebra) -> FrameReport:
         zero_set = int(_locate(dual.closed, f.n_rel[:, f.zero_wp]))
         if not members[a.zero, zero_set]:
             report.add("zero membership", (zero_set,))
-    ops = {
-        "meet": (a.meet, alg.meet),
-        "join": (a.join, alg.join),
-        "prod": (a.prod, alg.prod),
-        "lres": (a.lres, alg.lres),
-        "rres": (a.rres, alg.rres),
-    }
     # all member pairs (ai, x) against all (bi, y), in blocks of whole rows ai
     # of about QUASI_BLOCK_CELLS pairs; a witness is the least (ai, bi, x, y)
     pa, px = np.nonzero(members)
     step = max(1, QUASI_BLOCK_CELLS * a.size // max(1, len(pa)) ** 2)
     starts = np.searchsorted(pa, np.arange(0, a.size + step, step))
-    for law, (alg_op, dual_op) in ops.items():
+    for law in BINARY_OPS:
+        alg_op, dual_op = getattr(a, law), getattr(alg, law)
         for lo, hi in zip(starts[:-1], starts[1:]):
             r, q = np.nonzero(~members[alg_op[pa[lo:hi, None], pa], dual_op[px[lo:hi, None], px]])
             if len(r):
@@ -458,15 +445,9 @@ def embedding_check(gf: GentzenFrame, dual: DualAlgebra) -> FrameReport:
     f, a = gf.frame, gf.algebra
     alg = dual.algebra
     image = _locate(dual.closed, f.n_rel[:, gf.to_wp].T)
-    for law, (alg_op, dual_op) in {
-        "meet": (a.meet, alg.meet),
-        "join": (a.join, alg.join),
-        "prod": (a.prod, alg.prod),
-        "lres": (a.lres, alg.lres),
-        "rres": (a.rres, alg.rres),
-    }.items():
-        got = dual_op[image[:, None], image[None, :]]
-        want = image[alg_op]
+    for law in BINARY_OPS:
+        got = getattr(alg, law)[image[:, None], image[None, :]]
+        want = image[getattr(a, law)]
         if not (got == want).all():
             report.add(f"homomorphism ({law})", tuple(int(v) for v in np.argwhere(got != want)[0]))
     if not (alg.star[image] == image[a.star]).all():

@@ -179,6 +179,17 @@ def _first_bad(mask: np.ndarray) -> tuple:
     return tuple(int(v) for v in idx[0])
 
 
+def residuation_law(report, laws: tuple[str, str], rel: np.ndarray, op: np.ndarray,
+                    lres: np.ndarray, rres: np.ndarray) -> None:
+    """x.y rel z iff y rel lres[x, z] iff x rel rres[z, y], over all triples
+    (x, y, z): report each of the two laws at its first broken triple.  For
+    a model rel is its order, for a frame its relation."""
+    lhs = rel[op]
+    for law, via in zip(laws, (rel[:, lres].transpose(1, 0, 2), rel[:, rres.T])):
+        if not (lhs == via).all():
+            report.add(law, tuple(int(v) for v in np.argwhere(lhs != via)[0]))
+
+
 def validate_algebra(a: FiniteActionLattice) -> AlgebraReport:
     """Check every defining law, reporting one witness per broken law.  The
     laws are checked once per model; each call gets its own report."""
@@ -217,14 +228,7 @@ def _validate_algebra(a: FiniteActionLattice) -> AlgebraReport:
             break
     if not (p[a.one, :] == np.arange(n)).all() or not (p[:, a.one] == np.arange(n)).all():
         report.add("product unit", (a.one,))
-    # residuation: x . y <= z iff y <= x \ z iff x <= z / y
-    xyz = le[p]
-    via_l = le[:, a.lres].transpose(1, 0, 2)
-    via_r = le[:, a.rres.T]
-    if not (xyz == via_l).all():
-        report.add("left residuation", _first_bad(xyz == via_l))
-    if not (xyz == via_r).all():
-        report.add("right residuation", _first_bad(xyz == via_r))
+    residuation_law(report, ("left residuation", "right residuation"), le, p, a.lres, a.rres)
     # least element
     if not le[a.zero, :].all():
         report.add("zero is least", _first_bad(le[a.zero, :]))
@@ -303,10 +307,12 @@ def _algebra(name, elements, le, meet, join, prod, one, zero) -> FiniteActionLat
     lres, rres = np.empty((n, n), dtype=order.dtype), np.empty((n, n), dtype=order.dtype)
     greatest(prod, lres, "left")
     greatest(prod.T, rres.T, "right")
-    return FiniteActionLattice(
+    a = FiniteActionLattice(
         name=name, elements=tuple(elements), le=le, meet=meet, join=join, prod=prod,
         lres=lres, rres=rres, star=star_table(join, prod, one), zero=zero, one=one,
     )
+    a.__dict__["_lawful"] = True  # see _ranges; a dataclasses.replace copy is unmarked
+    return a
 
 
 def _chain(name: str, n: int) -> FiniteActionLattice:
@@ -453,11 +459,12 @@ def _open_grids(n: int, k: int) -> tuple:
 def _ranges(a: FiniteActionLattice) -> dict:
     """The (plain, times-n) pairs of the ranges "J" and "M" of
     :func:`_polarity_reduction`: x != 0 is join-irreducible exactly when
-    some y < x has one element fewer below it.  The lemmas need the laws, so
-    a model known to break them (its validation failed; :func:`model_from_json`
-    validates each model it reads) keeps every element in both ranges."""
+    some y < x has one element fewer below it.  The lemmas need the laws: a
+    library model (:func:`_algebra` marks it lawful) is trusted, any other is
+    validated (the report is kept on it), and one that breaks the laws keeps
+    every element in both ranges."""
     lt, down, up = a.le & ~np.eye(a.size, dtype=bool), a.le.sum(axis=0), a.le.sum(axis=1)
-    lawless = "_validation" in a.__dict__ and not validate_algebra(a).ok
+    lawless = not a.__dict__.get("_lawful") and not validate_algebra(a).ok
     joins = lawless | (lt & (down[:, None] == down - 1)).any(axis=0) | (np.arange(a.size) == a.zero)
     meets = lawless | (lt & (up == up[:, None] - 1)).any(axis=1) | (down == a.size)
     return {kind: _pair(np.flatnonzero(v), a.size, a.tables.dtype) for kind, v in (("J", joins), ("M", meets))}
@@ -756,7 +763,6 @@ def model_from_json(data: dict) -> FiniteActionLattice:
         if key != "le" and not (np.issubdtype(table.dtype, np.integer)
                                 and ((table >= 0) & (table < n)).all()):
             raise ModelError(f"model file: {key} names no element index 0..{n - 1}")
-    validate_algebra(a)  # kept on a: queries decide a model that breaks the laws on its whole grid
     return a
 
 

@@ -411,10 +411,15 @@ def prove(goal: Sequent, user_rules: Sequence[SchematicRule] = (),
         stats.budget = "STEP_CAP"
         return SearchResult(False, None, "step budget exhausted", stats)
     finally:
-        log.clear()   # the closures hold it in a cycle: free it before the next collection
         stats.sequents = len(table)
         stats.visit_capped = sum(e.visits > VISIT_CAP for e in table.values())
         stats.seconds = perf_counter() - start
+        # entries refer to each other through their premises, and candidates
+        # and _combine to themselves through their cells: break both cycles
+        # so the table is freed when the search returns, not at a collection
+        for e in table.values():
+            e.expansions.clear()
+        candidates = _combine = None
     if stats.visit_capped:
         stats.budget = "VISIT_CAP"
         return SearchResult(False, None, f"visit cap reached: {stats.visit_capped} sequent(s) "

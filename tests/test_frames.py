@@ -366,9 +366,11 @@ def test_broken_rows_matches_definition(case):
                 for x in range(P.shape[1]) for b in range(len(Q)) for y in range(Q.shape[1]))
             for a in range(len(P))]
     assert frames._broken_rows(*case).tolist() == want
-    # one row per block, and a few rows per block, give the same rows
-    for budget in (1, 300):
-        with mock.patch.object(frames, "GENTZEN_BLOCK_BYTES", budget):
+    # the default budget gathers all pairs (a, x) in one block; 1 and 8
+    # bytes, one pair per block (a pair's rows are at least one word), and
+    # 300 bytes a few pairs per block give the same rows
+    for budget in (1, 8, 300):
+        with mock.patch.object(models, "BIT_BLOCK_BYTES", budget):
             assert frames._broken_rows(*case).tolist() == want
 
 
@@ -380,22 +382,29 @@ CORRUPTED_TABLES = [("frame", t) for t in ("n_rel", "op", "lres_w", "rres_w")] +
 
 
 def _corrupted_frames(rng: random.Random, per_table: int):
-    """Gentzen frames of small models with one entry of one table changed."""
-    models = [two_chain(), three_chain(), rel_algebra(2), truncated_words(3, "a"), truncated_words(5, "a")]
-    for a in models:
+    """Gentzen frames of small models with one entry of one table changed,
+    then of the 64-element truncated_words(6, "a") with two per table, and
+    with the product of its top by itself dropped to the bottom: there the
+    pairs of (.R) fill two blocks of _broken_rows, and that last frame's
+    only broken (.R) element, the top, is in the second."""
+    cases = [(a, per_table) for a in (two_chain(), three_chain(), rel_algebra(2),
+                                      truncated_words(3, "a"), truncated_words(5, "a"))]
+    for a, count in cases + [(truncated_words(6, "a"), 2)]:
         gf = frame_of_algebra(a)
         for part, table in CORRUPTED_TABLES:
-            for _ in range(per_table):
+            for _ in range(count):
                 old = getattr(getattr(gf, part), table)
                 entry = tuple(rng.randrange(size) for size in old.shape)
                 yield _broken(gf, part, table, entry,
                               not old[entry] if old.dtype == bool else
                               rng.choice([v for v in range(a.size) if v != old[entry]]))
+    yield _broken(gf, "algebra", "prod", (63, 63), 0)
 
 
 def test_whole_table_laws_match_element_loops():
-    # 5 models x 10 tables x 7 entries: the laws the element loops checked
-    # are reported at the loops' witnesses, in their place among the others
+    # 5 models x 10 tables x 7 entries, and 2 per table of a 64-element
+    # model: the laws the element loops checked are reported at the loops'
+    # witnesses, in their place among the others
     broken = Counter()
     for gf in _corrupted_frames(random.Random(10), per_table=7):
         for star in (True, False):

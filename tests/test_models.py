@@ -445,7 +445,8 @@ def test_a_model_file_breaking_the_laws_is_decided_on_its_whole_grid():
     # rel2 with the product of {00,01} and {10,11} raised to the top breaks
     # associativity and residuation; the reduced grid of a and b (5 x 5
     # irreducibles) would miss the failure at a = 3, b = 12, but a model read
-    # from a file is validated, and one that breaks the laws keeps every element
+    # from a file is validated before a reduced query, and one that breaks the
+    # laws keeps every element
     data = model_to_json(rel_algebra(2))
     data["prod"][3][12] = 15
     a = model_from_json(data)
@@ -456,6 +457,35 @@ def test_a_model_file_breaking_the_laws_is_decided_on_its_whole_grid():
     assert want == (("a", 3), ("b", 12))
     assert find_sequent_counterexample(a, s) == want
     assert soundness_audit([s], [a]).valuations == 16 * 16
+
+
+def test_reduced_grid_verdict_does_not_depend_on_call_history(monkeypatch):
+    # the broken rel2 above as a dataclasses.replace copy: it is not a
+    # library model, so it is validated before its first reduced query, and
+    # queried only, validated first, or queried, validated and queried again,
+    # it gives the whole grid's witness
+    prod = rel_algebra(2).prod.copy()
+    prod[3, 12] = 15
+    s = parse_sequent("a . (b | 0), 1 |- a . (0 \\ b)")
+    want = (("a", 3), ("b", 12))
+    validated = []
+    real = models._validate_algebra
+    monkeypatch.setattr(models, "_validate_algebra", lambda a: validated.append(a.name) or real(a))
+    queried = dataclasses.replace(rel_algebra(2), prod=prod)
+    assert find_sequent_counterexample(queried, s) == want
+    first = dataclasses.replace(rel_algebra(2), prod=prod)
+    assert not validate_algebra(first).ok
+    assert find_sequent_counterexample(first, s) == want
+    again = dataclasses.replace(rel_algebra(2), prod=prod)
+    assert find_sequent_counterexample(again, s) == want
+    assert not validate_algebra(again).ok
+    assert find_sequent_counterexample(again, s) == want
+    assert validated == ["rel2"] * 3   # once per copy, the report kept on it
+    # a reducible query on a library model trusts its constructor
+    library_model = rel_algebra(2)
+    assert find_sequent_counterexample(library_model, s) is None
+    assert models.kept(library_model, "_ranges", models._ranges)["J"][0].size < library_model.size
+    assert validated == ["rel2"] * 3
 
 
 def _check_reduction(a, s) -> bool | None:

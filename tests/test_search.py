@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import itertools
 
 import pytest
@@ -384,6 +385,24 @@ def test_replay_refuses_what_a_rerun_could_change(monkeypatch):
     stats.expansions = 7
     assert search._replay(log, empty, 2, stats)
     assert state() == (3, 4, [x, y, x] * 2, 11, 1)
+
+
+@pytest.mark.parametrize("text", ["(a | b)* |- (a* . b)* . a*", "a* . a |- a . a*",
+                                  "(a . b)*, a |- a . (b . a)*"])
+def test_search_table_is_freed_when_the_search_ends(text):
+    # the table's entries and the search's closures refer to each other;
+    # the search breaks those cycles, so almost nothing is left to the
+    # cyclic collector (over 2,000 objects for the first goal otherwise);
+    # the result is kept, as its proof is not the search's to free
+    prove(seq(text))   # the first search builds what every later one shares
+    gc.collect()
+    gc.disable()
+    try:
+        result = prove(seq(text))
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left < 50, (result.reason, left)
 
 
 def test_instances_built_as_consumed():

@@ -9,8 +9,20 @@ every run is that tree's own ``actbench/run.py`` in a fresh process for the
 the side that runs first alternates, the base going first on even seeds.
 After the pairs, each side gets one traced run per workload.  The file holds
 the environment, every run's end-to-end metrics, the median and quartiles of
-each side, the change's wins per metric (ties count for neither side) and
-the per-layer metrics of the traced runs.  Progress goes to stderr.
+each side, the change's wins per metric (ties count for neither side), a
+verdict per end-to-end metric and the per-layer metrics of the traced runs.
+Progress, and each workload's table of verdicts, go to stderr.
+
+A verdict reads one metric on one workload, with its ``BENCHMARK.json``
+bound taken relative to the base median:
+
+* ``worse``: the change's median is worse than the base median by more than
+  the bound;
+* ``unresolved``: the base's interquartile range is wider than the bound,
+  and not every change run beats every base run;
+* ``better``: the change wins at least 9 of 10 pairs, and its median is
+  better than the base median by more than the base's interquartile range;
+* ``no worse``: everything else.
 """
 
 from __future__ import annotations
@@ -60,7 +72,22 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summary(pairs: list[dict], better: dict[str, str]) -> dict:
+def verdict(base: list[float], change: list[float], sign: int, bound: float) -> str:
+    """The reading of one metric's runs, as the module docstring defines it;
+    sign is 1 where higher is better, -1 where lower is."""
+    (b, c), limit = (quartiles(v) for v in (base, change)), bound * abs(statistics.median(base))
+    gain, spread = sign * (c["median"] - b["median"]), b["q3"] - b["q1"]
+    if gain < -limit:
+        return "worse"
+    if spread > limit and not all(sign * (y - x) > 0 for x in base for y in change):
+        return "unresolved"
+    wins = sum(sign * (y - x) > 0 for x, y in zip(base, change))
+    if 10 * wins >= 9 * len(base) and gain > spread:
+        return "better"
+    return "no worse"
+
+
+def summary(pairs: list[dict], better: dict[str, str], bounds: dict[str, float]) -> dict:
     out = {}
     for name, direction in better.items():
         sides = {side: [p[side][name] for p in pairs] for side in SIDES}
@@ -68,7 +95,19 @@ def summary(pairs: list[dict], better: dict[str, str]) -> dict:
         wins = sum(sign * (c - b) > 0 for b, c in zip(sides["base"], sides["change"]))
         out[name] = {**{side: quartiles(v) for side, v in sides.items()}, "change_wins": wins,
                      "pairs": len(pairs)}
+        if name in bounds:
+            out[name]["verdict"] = verdict(sides["base"], sides["change"], sign, bounds[name])
     return out
+
+
+def print_verdicts(workload: str, summary: dict) -> None:
+    print(f"{workload}: {'metric':<13} {'base':>10} {'change':>10} {'wins':>6}  verdict",
+          file=sys.stderr)
+    for name, m in summary.items():
+        if "verdict" in m:
+            print(f"{'':{len(workload) + 2}}{name:<13} {m['base']['median']:>10.4g} "
+                  f"{m['change']['median']:>10.4g} {m['change_wins']:>3}/{m['pairs']:<2}  "
+                  f"{m['verdict']}", file=sys.stderr)
 
 
 def seeds(text: str) -> list[int]:
@@ -93,6 +132,7 @@ def main() -> int:
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     better["failed_frac"] = "lower"
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     import numpy
 
     report = {
@@ -120,7 +160,8 @@ def main() -> int:
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{s} {pair[s]['ops_per_s']:.1f} ops/s" for s in SIDES), file=sys.stderr)
                 pairs.append(pair)
-            entry = {"pairs": pairs, "summary": summary(pairs, better)}
+            entry = {"pairs": pairs, "summary": summary(pairs, better, bounds)}
+            print_verdicts(workload, entry["summary"])
             if args.trace_seed is not None:
                 entry["traced"] = {"seed": args.trace_seed, **{
                     side: run(trees[side], workload, args.trace_seed, seconds, 1)
