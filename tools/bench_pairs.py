@@ -72,16 +72,16 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def verdict(base: list[float], change: list[float], sign: int, bound: float) -> str:
+def verdict(base: list[float], change: list[float], wins: int, sign: int, bound: float) -> str:
     """The reading of one metric's runs, as the module docstring defines it;
     sign is 1 where higher is better, -1 where lower is."""
-    (b, c), limit = (quartiles(v) for v in (base, change)), bound * abs(statistics.median(base))
+    b, c = quartiles(base), quartiles(change)
+    limit = bound * abs(b["median"])
     gain, spread = sign * (c["median"] - b["median"]), b["q3"] - b["q1"]
     if gain < -limit:
         return "worse"
     if spread > limit and not all(sign * (y - x) > 0 for x in base for y in change):
         return "unresolved"
-    wins = sum(sign * (y - x) > 0 for x, y in zip(base, change))
     if 10 * wins >= 9 * len(base) and gain > spread:
         return "better"
     return "no worse"
@@ -96,7 +96,7 @@ def summary(pairs: list[dict], better: dict[str, str], bounds: dict[str, float])
         out[name] = {**{side: quartiles(v) for side, v in sides.items()}, "change_wins": wins,
                      "pairs": len(pairs)}
         if name in bounds:
-            out[name]["verdict"] = verdict(sides["base"], sides["change"], sign, bounds[name])
+            out[name]["verdict"] = verdict(sides["base"], sides["change"], wins, sign, bounds[name])
     return out
 
 
