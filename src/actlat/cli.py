@@ -294,21 +294,11 @@ def cmd_models(args) -> int:
         result = eval_formula(a, valuation, f)
         _emit(args, {"model": a.name, "value": a.elements[result]}, a.elements[result])
         return OK
-    if args.action == "check-seq":
+    if args.action in ("check-seq", "check-qe"):
         a = _resolve_model(args.model)
-        s = parse_sequent(args.expr)
-        witness = find_sequent_counterexample(a, s)
-        if witness is None:
-            _emit(args, {"model": a.name, "holds": True}, "holds")
-            return OK
-        named = {k: a.elements[v] for k, v in witness}
-        _emit(args, {"model": a.name, "holds": False, "valuation": named},
-              f"fails at {named}")
-        return REJECTED
-    if args.action == "check-qe":
-        a = _resolve_model(args.model)
-        q = parse_quasiequation(args.expr)
-        witness = find_quasieq_counterexample(a, q)
+        parse, find = ((parse_sequent, find_sequent_counterexample) if args.action == "check-seq"
+                       else (parse_quasiequation, find_quasieq_counterexample))
+        witness = find(a, parse(args.expr))
         if witness is None:
             _emit(args, {"model": a.name, "holds": True}, "holds")
             return OK

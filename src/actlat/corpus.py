@@ -3,7 +3,10 @@ suite, the demos, and the bundled audit runner."""
 
 from __future__ import annotations
 
+import functools
 import random
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -333,12 +336,7 @@ def random_analytic_quasiequations(seed: int, count: int):
 # one line per criterion and the test suite asserts them all.
 
 
-from dataclasses import dataclass as _dataclass
-import functools as _functools
-import time as _time
-
-
-@_dataclass
+@dataclass
 class CriterionResult:
     number: int
     name: str
@@ -348,13 +346,13 @@ class CriterionResult:
 
 
 def _result(number, name, start, passed, detail="") -> CriterionResult:
-    return CriterionResult(number, name, passed, detail, _time.perf_counter() - start)
+    return CriterionResult(number, name, passed, detail, time.perf_counter() - start)
 
 
 def _crit_rule_engine() -> CriterionResult:
     from .rules import classify, example_structural_rules, q_of
 
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     ex = example_structural_rules()
     want = "(x <= y & z.y.w <= u) => z.x.w <= u"
     got = str(q_of(ex["Cut"]))
@@ -373,7 +371,7 @@ def _crit_admissibility(seed: int) -> CriterionResult:
     from .proof_core import check_wf, id_expand, zeroR_admit
     from .syntax import Sequent
 
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     rules = RuleSet()
     failures = []
     for i, f in enumerate(random_formulas(seed, 200, max_size=12, max_star_depth=2)):
@@ -400,7 +398,7 @@ def _crit_progress() -> CriterionResult:
     from .progress import check_cyclic_progress
     from .proof_core import check_cyclic_local
 
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     rules = RuleSet()
     failures = []
     for name, proof in canonical_proofs(rules).items():
@@ -417,7 +415,7 @@ def _crit_progress() -> CriterionResult:
                    failures[0] if failures else "3 accepted, 10 rejected with cycles")
 
 
-@_functools.cache
+@functools.cache
 def _searched_proofs() -> tuple:
     """Cut-free search under the default config for every corpus goal, run
     once per process: (name, goal, extras, user rules, rule set, result)."""
@@ -434,7 +432,7 @@ def _searched_proofs() -> tuple:
     return tuple(out)
 
 
-@_functools.cache
+@functools.cache
 def _library_completions() -> dict:
     """The completion of every library model (its frame, star-Gentzen report,
     dual algebra and embedding report), built once per process."""
@@ -448,7 +446,7 @@ def _crit_translation() -> CriterionResult:
     from .proof_core import check_wf
     from .translate import check_lazy_prefix, nwf_to_wf, wf_to_nwf
 
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     failures = []
     for name, goal, extras, user, rules, result in _searched_proofs():
         if not result.found:
@@ -495,7 +493,7 @@ def _crit_projection() -> CriterionResult:
     from .syntax import Star
     from .translate import CyclicLazy, iter_addresses, project_cyclic, project_single
 
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     rules = RuleSet()
     failures = []
     compared = 0
@@ -548,7 +546,7 @@ def _crit_projection() -> CriterionResult:
 def _crit_soundness() -> CriterionResult:
     from .models import soundness_audit
 
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     models = [c.gentzen.algebra for c in _library_completions().values()]
     failures = []
     checked = 0
@@ -568,7 +566,7 @@ def _crit_frames(seed: int) -> CriterionResult:
     from .frames import check_nuclear, gamma, quasimorphism_check, set_product
     from .models import validate_algebra
 
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     completions = _library_completions()
@@ -613,7 +611,7 @@ def _transfer_quasiequations(seed: int):
 def _crit_transfer(seed: int) -> CriterionResult:
     from .frames import verify_transfer
 
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     failures = []
     qes = _transfer_quasiequations(seed)
     completions = _library_completions()
@@ -628,7 +626,7 @@ def _crit_transfer(seed: int) -> CriterionResult:
 def _crit_macneille(seed: int) -> CriterionResult:
     from .models import holds_quasieq
 
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     failures = []
     qes = _transfer_quasiequations(seed)
     completions = _library_completions()
@@ -675,7 +673,7 @@ def _crit_cut_elimination() -> CriterionResult:
     from .progress import check_cyclic_progress
     from .proof_core import check_cyclic_local
 
-    t0 = _time.perf_counter()
+    t0 = time.perf_counter()
     models = [two_chain(), three_chain(), rel_algebra(1), rel_algebra(2)]
     failures = []
     with_cut = 0

@@ -19,30 +19,32 @@ rows with the basics until no new row appears.  A row's words are its key
 to be closed (a meet, a residual of a nuclear frame) is found by its key.
 (.R), (\\L) and (/L) quantify over two related pairs; :func:`_broken_rows`
 tests them the same way, per pair of the first, the packed rows of the
-second relation against rows of the law.
+second relation against rows of the law.  Frame satisfaction of an analytic
+quasiequation is one such test per valuation of its product variables: the
+packed row of the conclusion's product must contain the meet of the
+premises' rows.
 
 Frames, Gentzen frames and dual algebras are immutable values, as models are:
 frozen dataclasses over read-only tables.  Each fact derived from one (a
-model's frame, a frame's nuclear report and dual, a Gentzen frame's
-star-Gentzen report) is computed once and kept on it, so :func:`macneille`
-reuses an audit's work.
+model's frame, a frame's packed relation, nuclear report and dual, a Gentzen
+frame's star-Gentzen report) is computed once and kept on it, so
+:func:`macneille` reuses an audit's work.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import models
 from .models import (FiniteActionLattice, _open_grids, holds_quasieq, kept, outside, pack,
                      read_only, residuation_law, star_table, subset_law, validate_algebra)
-from .rules import Quasiequation, is_analytic_quasiequation
-from .syntax import Formula, One, Prod, Var
+from .rules import Quasiequation, is_analytic_quasiequation, product_vars
 
 CLOSED_SET_CAP = 4096
-QUASI_BLOCK_CELLS = 1 << 16   # member pairs per block of quasimorphism_check
 BINARY_OPS = ("meet", "join", "prod", "lres", "rres")  # the tables the image maps must preserve
 
 
@@ -73,6 +75,20 @@ class ResiduatedFrame:
     def wp_size(self) -> int:
         return len(self.wp_names)
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The relation as packed rows: row x is {z : x N z}."""
+        rows = pack(self.n_rel)
+        read_only(rows)
+        return rows
+
+    @cached_property
+    def cols(self) -> np.ndarray:
+        """The relation as packed columns: row z is {x : x N z}."""
+        cols = pack(self.n_rel.T)
+        read_only(cols)
+        return cols
+
 
 @dataclass
 class FrameReport:
@@ -101,13 +117,13 @@ def _check_nuclear(f: ResiduatedFrame) -> FrameReport:
 def polar_right(f: ResiduatedFrame, xs: np.ndarray) -> np.ndarray:
     """For each row of xs (a subset of W), the elements of W' related to all
     of it: the columns of the relation that contain it."""
-    return ~outside(pack(f.n_rel.T), pack(xs)[..., None, :])
+    return ~outside(f.cols, pack(xs)[..., None, :])
 
 
 def polar_left(f: ResiduatedFrame, zs: np.ndarray) -> np.ndarray:
     """For each row of zs (a subset of W'), the elements of W related to all
     of it: the rows of the relation that contain it."""
-    return ~outside(pack(f.n_rel), pack(zs)[..., None, :])
+    return ~outside(f.rows, pack(zs)[..., None, :])
 
 
 def gamma(f: ResiduatedFrame, xs: np.ndarray) -> np.ndarray:
@@ -193,7 +209,7 @@ def _dual_algebra(f: ResiduatedFrame) -> DualAlgebra:
         raise FrameError(f"frame is not nuclear: {nuclear.violations[0]}")
     start = time.perf_counter()
     n = f.w_size
-    basics = pack(f.n_rel.T)
+    basics = f.cols
     bits = pack(np.ones((1, n), dtype=bool))
     rounds = 0
     while True:
@@ -314,7 +330,7 @@ def check_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
     report = FrameReport()
     N = f.n_rel
     w_of, wp_of = gf.to_w, gf.to_wp
-    Nb, Cb = pack(N), pack(N.T)
+    Nb, Cb = f.rows, f.cols
     Nw, C = Nb[w_of], Cb[wp_of]
     # (Id)
     if not N[w_of, wp_of].all():
@@ -371,7 +387,7 @@ def check_star_gentzen(gf: GentzenFrame, with_cut: bool = True) -> FrameReport:
 def _star_gentzen(gf: GentzenFrame, with_cut: bool) -> FrameReport:
     report = check_gentzen(gf, with_cut)
     f, a = gf.frame, gf.algebra
-    N, Nb = f.n_rel, pack(f.n_rel)
+    N, Nb = f.n_rel, f.rows
     w_of, wp_of = gf.to_w, gf.to_wp
     # (0L): x N 0 -> x N z for all z
     if f.zero_wp is None:
@@ -387,7 +403,7 @@ def _star_gentzen(gf: GentzenFrame, with_cut: bool) -> FrameReport:
     # packed row (s, x) of after is {y : x o y N s}
     stars = np.flatnonzero(np.bincount(star_wp, minlength=f.wp_size))
     after = pack(N.T[stars].take(f.op, axis=1))[np.searchsorted(stars, star_wp)]
-    subset_law(report, "(*R1)", after, pack(N.T[star_wp])[:, None], where=N[:, wp_of].T)
+    subset_law(report, "(*R1)", after, f.cols[star_wp][:, None], where=N[:, wp_of].T)
     # (*L): (a^(n) N z for all n) -> a* N z, over the powers of all elements
     # at once, until every element's next power is one it has had
     rows, power = np.arange(a.size), np.full(a.size, f.eps)
@@ -408,7 +424,7 @@ def quasimorphism_check(gf: GentzenFrame, dual: DualAlgebra) -> FrameReport:
     f, a = gf.frame, gf.algebra
     alg = dual.algebra
     # members[ai, i]: closed set i belongs to the image of ai
-    inside = ~outside(pack(f.n_rel[:, gf.to_wp].T), pack(dual.closed)[:, None])
+    inside = ~outside(f.cols[gf.to_wp], pack(dual.closed)[:, None])
     members = dual.closed[:, gf.to_w].T & inside.T
     if not members[a.one, alg.one]:
         report.add("unit membership", (int(alg.one),))
@@ -417,9 +433,9 @@ def quasimorphism_check(gf: GentzenFrame, dual: DualAlgebra) -> FrameReport:
         if not members[a.zero, zero_set]:
             report.add("zero membership", (zero_set,))
     # all member pairs (ai, x) against all (bi, y), in blocks of whole rows ai
-    # of about QUASI_BLOCK_CELLS pairs; a witness is the least (ai, bi, x, y)
+    # of about models._BLOCK_CELLS pairs; a witness is the least (ai, bi, x, y)
     pa, px = np.nonzero(members)
-    step = max(1, QUASI_BLOCK_CELLS * a.size // max(1, len(pa)) ** 2)
+    step = max(1, models._BLOCK_CELLS * a.size // max(1, len(pa)) ** 2)
     starts = np.searchsorted(pa, np.arange(0, a.size + step, step))
     for law in BINARY_OPS:
         alg_op, dual_op = getattr(a, law), getattr(alg, law)
@@ -467,59 +483,44 @@ def embedding_check(gf: GentzenFrame, dual: DualAlgebra) -> FrameReport:
 # Frame satisfaction of analytic quasiequations and its transfer to duals.
 
 
-def _product_vars(term: Formula) -> list[str]:
-    if isinstance(term, Var):
-        return [term.name]
-    if isinstance(term, One):
-        return []
-    if isinstance(term, Prod):
-        return _product_vars(term.left) + _product_vars(term.right)
-    raise FrameError(f"not a variable product: {term}")
-
-
 def frame_satisfies_q(f: ResiduatedFrame, q: Quasiequation) -> bool:
     return frame_q_counterexample(f, q) is None
 
 
 def frame_q_counterexample(f: ResiduatedFrame, q: Quasiequation):
-    """Exhaustive valuation of the product variables into the monoid sort and
-    the bound variable into the second sort."""
+    """Exhaustive valuation of the product variables into the monoid sort:
+    at each, the packed row of the conclusion's product must contain the
+    meet of the premises' rows, or the whole of W' without premises.  The
+    witness is the first valuation, over the variables in sorted order, and
+    the least z of the second sort that breaks it."""
     if not is_analytic_quasiequation(q):
         raise FrameError("frame satisfaction is defined for analytic quasiequations")
-    bound = q.conclusion.rhs.name
-    names = sorted(set(_product_vars(q.conclusion.lhs)))
-    terms = [_product_vars(p.lhs) for p in q.premises]
-    concl = _product_vars(q.conclusion.lhs)
+    names = sorted(set(product_vars(q.conclusion.lhs)))
     n = f.w_size
     if n ** len(names) * f.wp_size > 64_000_000:
         raise FrameError(
             f"frame satisfaction over {len(names)} product variables on "
             f"{n} elements exceeds the exhaustive budget"
         )
+    grids = {name: plain for name, (plain, _) in zip(names, _open_grids(n, len(names)))}
 
-    def eval_word(word, grids):
-        out = None
-        for v in word:
-            cur = grids[v]
-            out = cur if out is None else f.op[out, cur]
-        if out is None:
-            return np.full((), f.eps)
-        return out
+    def row(term):
+        # each product starts from its first variable; the empty one is eps
+        word = product_vars(term)
+        out = grids[word[0]] if word else f.eps
+        for v in word[1:]:
+            out = f.op[out, grids[v]]
+        return f.rows[out]
 
-    k = len(names)
-    grids = {name: plain for name, (plain, _) in zip(names, _open_grids(n, k))}
-    # premise/conclusion values; broadcast against the bound variable axis
-    concl_val = eval_word(concl, grids)
-    ok = f.n_rel[concl_val][..., :]
-    for word in terms:
-        val = eval_word(word, grids)
-        ok = ok | ~f.n_rel[val][..., :]
-    if ok.all():
+    # the conclusion holds every variable, so its rows span the grid (given
+    # one axis when there is none); no premises meet to the whole of W'
+    premises = [row(p.lhs) for p in q.premises] or [pack(np.ones((1, f.wp_size), dtype=bool))]
+    report = FrameReport()
+    subset_law(report, "satisfaction", np.atleast_2d(row(q.conclusion.lhs)), *premises)
+    if report.ok:
         return None
-    idx = np.argwhere(~np.broadcast_to(ok, (n,) * k + (f.wp_size,)))[0]
-    witness = {name: int(i) for name, i in zip(names, idx[:-1])}
-    witness[bound] = int(idx[-1])
-    return tuple(sorted(witness.items()))
+    *at, z = report.violations[0][1]
+    return tuple(sorted({**dict(zip(names, at)), q.conclusion.rhs.name: z}.items()))
 
 
 @dataclass

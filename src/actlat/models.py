@@ -48,7 +48,8 @@ from .syntax import (
 )
 
 _GRID_LIMIT = 4_000_000   # beyond VAR_CAP variables, grids above this are refused
-_BLOCK_CELLS = 1 << 16    # cells per block of the query kernel and the residual search
+_BLOCK_CELLS = 1 << 16    # cells per block of the query kernel, the residual search and
+                          # the member pairs of frames.quasimorphism_check
 BIT_BLOCK_BYTES = 1 << 18  # bytes per temporary of a packed subset test
 VAR_CAP = 4
 

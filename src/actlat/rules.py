@@ -565,13 +565,17 @@ def _rename_canonical(qe: Quasiequation, order: list[str]) -> Quasiequation:
     return Quasiequation(tuple(ren_ineq(p) for p in qe.premises), ren_ineq(qe.conclusion))
 
 
-def _vars_in_order(f: Formula, seen: list[str]) -> None:
-    if isinstance(f, Var):
-        if f.name not in seen:
-            seen.append(f.name)
-    elif isinstance(f, Prod):
-        _vars_in_order(f.left, seen)
-        _vars_in_order(f.right, seen)
+def product_vars(term: Formula) -> list[str] | None:
+    """The variables of a product of variables and 1, left to right with
+    repeats; None when the term is not such a product."""
+    if isinstance(term, Var):
+        return [term.name]
+    if isinstance(term, One):
+        return []
+    if isinstance(term, Prod):
+        left, right = product_vars(term.left), product_vars(term.right)
+        return None if left is None or right is None else left + right
+    return None
 
 
 def q_of(rule: SchematicRule) -> Quasiequation:
@@ -587,10 +591,8 @@ def q_of(rule: SchematicRule) -> Quasiequation:
         Inequation(t_term(p.lhs), t_term((p.rhs,))) for p in rule.premises
     )
     conc = Inequation(t_term(rule.conclusion.lhs), t_term((rule.conclusion.rhs,)))
-    order: list[str] = []
-    for iq in prem + (conc,):
-        _vars_in_order(iq.lhs, order)
-        _vars_in_order(iq.rhs, order)
+    order = list(dict.fromkeys(v for iq in prem + (conc,)
+                               for t in (iq.lhs, iq.rhs) for v in product_vars(t)))
     return _rename_canonical(Quasiequation(prem, conc), order)
 
 
@@ -603,50 +605,20 @@ def q_a_of(rule: SchematicRule) -> Quasiequation:
     _, _, upsilon, mids, beta = analytic_parts(rule)
     prem = tuple(Inequation(t_term(m), t_term((beta,))) for m in mids)
     conc = Inequation(t_term(upsilon), t_term((beta,)))
-    order: list[str] = []
-    _vars_in_order(conc.lhs, order)
-    _vars_in_order(conc.rhs, order)
-    for iq in prem:
-        _vars_in_order(iq.lhs, order)
-        _vars_in_order(iq.rhs, order)
+    order = list(dict.fromkeys(v for iq in (conc,) + prem
+                               for t in (iq.lhs, iq.rhs) for v in product_vars(t)))
     return _rename_canonical(Quasiequation(prem, conc), order)
 
 
 def is_analytic_quasiequation(q: Quasiequation) -> bool:
     """Conclusion is a product of distinct variables below a fresh variable,
     premises are products of those variables below the same variable."""
-    seen: list[str] = []
-    _vars_in_order(q.conclusion.lhs, seen)
-    if not isinstance(q.conclusion.rhs, Var) or q.conclusion.rhs.name in seen:
+    concl, z = product_vars(q.conclusion.lhs), q.conclusion.rhs
+    if concl is None or len(set(concl)) != len(concl) or not isinstance(z, Var) or z.name in concl:
         return False
-    # distinctness: re-walk counting duplicates
-    count: list[str] = []
-
-    def walk(f: Formula) -> bool:
-        if isinstance(f, Var):
-            count.append(f.name)
-            return True
-        if isinstance(f, Prod):
-            return walk(f.left) and walk(f.right)
-        return isinstance(f, One)
-
-    if not walk(q.conclusion.lhs) or len(count) != len(set(count)):
-        return False
-    allowed = set(count)
     for p in q.premises:
-        if p.rhs != q.conclusion.rhs:
-            return False
-        inner: list[str] = []
-
-        def walk_p(f: Formula) -> bool:
-            if isinstance(f, Var):
-                inner.append(f.name)
-                return True
-            if isinstance(f, Prod):
-                return walk_p(f.left) and walk_p(f.right)
-            return isinstance(f, One)
-
-        if not walk_p(p.lhs) or not set(inner) <= allowed:
+        inner = product_vars(p.lhs)
+        if p.rhs != z or inner is None or not set(inner) <= set(concl):
             return False
     return True
 

@@ -1,5 +1,6 @@
 """Shared generators and reference implementations for the test suite."""
 
+import itertools
 import random
 
 import numpy as np
@@ -133,6 +134,37 @@ def loop_quasimorphism(gf, dual) -> list:
     if bad.any():
         found.append(("star", tuple(int(v) for v in np.argwhere(bad)[0])))
     return found
+
+
+def _word(term: Formula) -> list:
+    """The variables of a product of variables and 1, left to right."""
+    if isinstance(term, Prod):
+        return _word(term.left) + _word(term.right)
+    return [term.name] if isinstance(term, Var) else []
+
+
+def loop_frame_q_counterexample(f, q):
+    """The witness of ``frame_q_counterexample`` for an analytic
+    quasiequation, one valuation of the product variables at a time, in
+    sorted variable order, with the least z of the second sort whose bool
+    column breaks it: the reference for the packed row test.  Each product
+    is folded from its first variable; the empty one is the frame's eps."""
+    names = sorted(set(_word(q.conclusion.lhs)))
+
+    def value(term, val):
+        word = _word(term)
+        out = val[word[0]] if word else f.eps
+        for v in word[1:]:
+            out = f.op[out, val[v]]
+        return out
+
+    for values in itertools.product(range(f.w_size), repeat=len(names)):
+        val = dict(zip(names, values))
+        bad = np.logical_and.reduce([~f.n_rel[value(q.conclusion.lhs, val)],
+                                     *(f.n_rel[value(p.lhs, val)] for p in q.premises)])
+        if bad.any():
+            return tuple(sorted({**val, q.conclusion.rhs.name: int(bad.argmax())}.items()))
+    return None
 
 
 def _reference_eval(a, grids: dict, f: Formula) -> np.ndarray:

@@ -19,6 +19,7 @@ from actlat.frames import (
     dual_algebra,
     embedding_check,
     frame_of_algebra,
+    frame_q_counterexample,
     frame_satisfies_q,
     gamma,
     macneille,
@@ -39,9 +40,11 @@ from actlat.models import (
     validate_algebra,
     holds_quasieq,
 )
-from actlat.rules import example_structural_rules, q_a_of
+from actlat.corpus import random_analytic_quasiequations
+from actlat.rules import example_structural_rules, is_analytic_quasiequation, parse_quasiequation, q_a_of
 from tests.helpers import (broadcast_gentzen_laws, broadcast_order_laws, float32_within,
-                           lexsort_distinct, loop_gentzen_laws, loop_quasimorphism, reference_dual)
+                           lexsort_distinct, loop_frame_q_counterexample, loop_gentzen_laws,
+                           loop_quasimorphism, reference_dual)
 
 EX = example_structural_rules()
 
@@ -446,9 +449,9 @@ def _corrupted_duals(rng, per_table):
             yield total, dataclasses.replace(dual, closed=rows)
 
 
-@pytest.mark.parametrize("block", [frames.QUASI_BLOCK_CELLS, 1, 50])
+@pytest.mark.parametrize("block", [models._BLOCK_CELLS, 1, 50])
 def test_quasimorphism_witness_matches_element_loop(monkeypatch, block):
-    monkeypatch.setattr(frames, "QUASI_BLOCK_CELLS", block)
+    monkeypatch.setattr(models, "_BLOCK_CELLS", block)
     broken = Counter()
     for gf, dual in _corrupted_duals(random.Random(3), per_table=6):
         got = quasimorphism_check(gf, dual).violations
@@ -471,6 +474,54 @@ def test_frame_satisfaction_matches_algebra():
         f = frame_of_algebra(a).frame
         assert frame_satisfies_q(f, qc) == holds_quasieq(a, qc), a.name
         assert frame_satisfies_q(f, qwk) == holds_quasieq(a, qwk), a.name
+
+
+def _satisfaction_frames(rng: random.Random):
+    """Algebra frames, copies of them with one entry of the relation or the
+    monoid changed, and random frames whose second sort is not a multiple
+    of 64 elements: one word, several, and rows of one bit."""
+    for a in (two_chain(), three_chain(), rel_algebra(1), truncated_words(3, "a")):
+        gf = frame_of_algebra(a)
+        yield gf.frame
+        for table in ("n_rel", "op") * 3:
+            old = getattr(gf.frame, table)
+            entry = tuple(rng.randrange(size) for size in old.shape)
+            yield _broken(gf, "frame", table, entry,
+                          not old[entry] if old.dtype == bool else rng.randrange(a.size)).frame
+    nrng = np.random.default_rng(rng.randrange(1 << 30))
+    for w, wp in ((1, 1), (2, 5), (3, 63), (4, 65), (3, 70), (2, 130)):
+        for density in (0.3, 0.8, 1.0):
+            yield ResiduatedFrame(
+                f"random {w}x{wp}", tuple(map(str, range(w))), tuple(map(str, range(wp))),
+                nrng.random((w, wp)) < density, nrng.integers(0, w, (w, w)), int(nrng.integers(w)),
+                nrng.integers(0, wp, (w, wp)), nrng.integers(0, wp, (wp, w)))
+
+
+def test_frame_satisfaction_witness_matches_element_loop():
+    edges = [parse_quasiequation(t) for t in (
+        "() => x.y <= z", "(x <= z) => 1 <= z", "(1 <= z) => x <= z", "() => 1 <= z")]
+    qes = [q_a_of(EX["C"]), q_a_of(EX["Wk"])] + random_analytic_quasiequations(6, 12) + edges
+    outcomes = Counter()
+    for f in _satisfaction_frames(random.Random(8)):
+        for q in qes:
+            if not is_analytic_quasiequation(q):
+                with pytest.raises(FrameError, match="defined for analytic quasiequations"):
+                    frame_q_counterexample(f, q)
+                continue
+            got = frame_q_counterexample(f, q)
+            assert got == loop_frame_q_counterexample(f, q), (f.name, str(q))
+            outcomes[got is None] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+    # a unit conclusion has no product variables: the witness is z alone
+    assert frame_q_counterexample(frame_of_algebra(two_chain()).frame, edges[3]) == (("z", 0),)
+
+
+def test_frame_satisfaction_refuses_a_grid_over_the_budget():
+    f = frame_of_algebra(truncated_words()).frame
+    with pytest.raises(FrameError) as err:
+        frame_q_counterexample(f, parse_quasiequation("(x.z <= w) => x.y.z <= w"))
+    assert str(err.value) == ("frame satisfaction over 3 product variables on 128 elements "
+                              "exceeds the exhaustive budget")
 
 
 def test_transfer_biconditional():

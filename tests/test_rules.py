@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from actlat import rules
+from actlat.corpus import random_analytic_rule
 from actlat.rules import (
     ClassificationError,
     FVar,
@@ -14,13 +16,16 @@ from actlat.rules import (
     RuleSet,
     SchematicRule,
     SVar,
+    analytic_parts,
     ancestry,
     builtin_rules,
     classify,
     example_structural_rules,
     instantiate,
     instantiate_premise,
+    is_analytic_quasiequation,
     match_conclusion,
+    parse_quasiequation,
     parse_rule_file,
     principal_position,
     q_a_of,
@@ -215,6 +220,51 @@ def test_q_a_of_Wk():
 def test_q_a_rejects_non_analytic():
     with pytest.raises(ClassificationError):
         q_a_of(EX["Cut"])
+
+
+def _printed(pairs, order) -> str:
+    """A quasiequation from (antecedent, succedent) pairs of a rule, the last
+    the conclusion, as rules prints it: its variables are x, y, z, ... in
+    order of first occurrence in the pairs taken in the given order."""
+    names = {}
+    for i in order:
+        lhs, rhs = pairs[i]
+        for item in (*lhs, rhs):
+            names.setdefault(item.name, "xyzwuv"[len(names)])
+    ineqs = [f"{'.'.join(names[item.name] for item in lhs) or '1'} <= {names[rhs.name]}"
+             for lhs, rhs in pairs]
+    return f"({' & '.join(ineqs[:-1])}) => {ineqs[-1]}"
+
+
+def test_q_of_and_q_a_of_name_variables_in_order_of_first_occurrence():
+    # q_of reads the premises first, q_a_of the conclusion's middle first
+    rng = random.Random(12)
+    drawn = [random_analytic_rule(rng, i) for i in range(200)]
+    for rule in [r for r in EX.values() if classify(r).structural] + drawn:
+        pairs = [(p.lhs, p.rhs) for p in (*rule.premises, rule.conclusion)]
+        assert str(q_of(rule)) == _printed(pairs, range(len(pairs))), rule.name
+        if classify(rule).analytic:
+            _, _, upsilon, mids, beta = analytic_parts(rule)
+            pairs = [(m, beta) for m in mids] + [(upsilon, beta)]
+            assert str(q_a_of(rule)) == _printed(pairs, [len(mids), *range(len(mids))]), rule.name
+
+
+@pytest.mark.parametrize("text, analytic", [
+    ("(x.x <= z & 1 <= z & y.x <= z) => x.y <= z", True),
+    ("() => x.y <= z", True),                      # no premises
+    ("(1 <= z & 1.1 <= z) => 1 <= z", True),        # a unit conclusion
+    ("(x <= z) => x.x <= z", False),               # a repeated conclusion variable
+    ("(x <= z) => x.z <= z", False),               # z in the conclusion
+    ("(x <= z) => 1 <= z", False),                 # a premise variable not in the conclusion
+    ("(x.y <= z & w <= z) => x.y <= z", False),
+    ("(x <= w) => x.y <= z", False),               # a premise whose right side is not z
+    ("(x <= z.z) => x.y <= z", False),
+    ("(x | y <= z) => x.y <= z", False),           # a join in a premise
+    ("() => x | y <= z", False),                   # a join in the conclusion
+    ("() => x <= 1", False),                       # a right side that is not a variable
+])
+def test_is_analytic_quasiequation(text, analytic):
+    assert is_analytic_quasiequation(parse_quasiequation(text)) is analytic
 
 
 def test_equation_form():
