@@ -547,9 +547,11 @@ def t_term(items: Sequence[object]) -> Formula:
 
 
 def _rename_canonical(qe: Quasiequation, order: list[str]) -> Quasiequation:
+    """qe with each variable renamed by its place among the distinct names
+    of order: x, y, z, w, u, v, then x1, y1, ..."""
     pool = ["x", "y", "z", "w", "u", "v"]
     names = {}
-    for i, old in enumerate(order):
+    for i, old in enumerate(dict.fromkeys(order)):
         names[old] = pool[i % len(pool)] + ("" if i < len(pool) else str(i // len(pool)))
 
     def ren(f: Formula) -> Formula:
@@ -591,8 +593,9 @@ def q_of(rule: SchematicRule) -> Quasiequation:
         Inequation(t_term(p.lhs), t_term((p.rhs,))) for p in rule.premises
     )
     conc = Inequation(t_term(rule.conclusion.lhs), t_term((rule.conclusion.rhs,)))
-    order = list(dict.fromkeys(v for iq in prem + (conc,)
-                               for t in (iq.lhs, iq.rhs) for v in product_vars(t)))
+    order: list[str] = []
+    for iq in prem + (conc,):
+        order += product_vars(iq.lhs) + product_vars(iq.rhs)
     return _rename_canonical(Quasiequation(prem, conc), order)
 
 
@@ -605,8 +608,9 @@ def q_a_of(rule: SchematicRule) -> Quasiequation:
     _, _, upsilon, mids, beta = analytic_parts(rule)
     prem = tuple(Inequation(t_term(m), t_term((beta,))) for m in mids)
     conc = Inequation(t_term(upsilon), t_term((beta,)))
-    order = list(dict.fromkeys(v for iq in (conc,) + prem
-                               for t in (iq.lhs, iq.rhs) for v in product_vars(t)))
+    order: list[str] = []
+    for iq in (conc,) + prem:
+        order += product_vars(iq.lhs) + product_vars(iq.rhs)
     return _rename_canonical(Quasiequation(prem, conc), order)
 
 

@@ -41,7 +41,8 @@ from actlat.models import (
     holds_quasieq,
 )
 from actlat.corpus import random_analytic_quasiequations
-from actlat.rules import example_structural_rules, is_analytic_quasiequation, parse_quasiequation, q_a_of
+from actlat.rules import (example_structural_rules, is_analytic_quasiequation, parse_quasiequation,
+                          q_a_of)
 from tests.helpers import (broadcast_gentzen_laws, broadcast_order_laws, float32_within,
                            lexsort_distinct, loop_frame_q_counterexample, loop_gentzen_laws,
                            loop_quasimorphism, reference_dual)
