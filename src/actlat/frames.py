@@ -505,7 +505,7 @@ def frame_q_counterexample(f: ResiduatedFrame, q: Quasiequation):
     grids = {name: plain for name, (plain, _) in zip(names, _open_grids(n, len(names)))}
 
     def row(term):
-        # each product starts from its first variable; the empty one is eps
+        # start from the first variable: a frame's eps need not be a unit
         word = product_vars(term)
         out = grids[word[0]] if word else f.eps
         for v in word[1:]:
