@@ -296,9 +296,13 @@ def _broken_rows(P, Q, f, g, R) -> np.ndarray:
     """Entry a is true when some x with P[a, x] and some (b, y) with Q[b, y]
     have R[f[a, b], g[x, y]] false: when, for some pair (a, x) with P[a, x],
     some packed row b of Q is not inside the row (x, f[a, b]) of U, where
-    U[x, c] = {y : R[c, g[x, y]]}.  The pairs' rows of U are gathered in
-    blocks of at most BIT_BLOCK_BYTES."""
-    u, rows = pack(R.T[g].transpose(0, 2, 1)), pack(Q)
+    U[x, c] = {y : R[c, g[x, y]]}.  U is built, and the pairs' rows of U
+    gathered, in blocks of at most BIT_BLOCK_BYTES."""
+    rows = pack(Q)
+    u = np.empty((len(g), len(R), rows.shape[-1]), dtype=rows.dtype)
+    step = max(1, models.BIT_BLOCK_BYTES // g[0].size // len(R))
+    for lo in range(0, len(g), step):
+        u[lo:lo + step] = pack(R.T[g[lo:lo + step]].transpose(0, 2, 1))
     pa, px = np.nonzero(P)
     step = max(1, models.BIT_BLOCK_BYTES // max(8, rows.nbytes))
     out = np.zeros(len(P), dtype=bool)

@@ -50,7 +50,7 @@ from .syntax import (
 _GRID_LIMIT = 4_000_000   # beyond VAR_CAP variables, grids above this are refused
 _BLOCK_CELLS = 1 << 16    # cells per block of the query kernel, the residual search and
                           # the member pairs of frames.quasimorphism_check
-BIT_BLOCK_BYTES = 1 << 18  # bytes per temporary of a packed subset test
+BIT_BLOCK_BYTES = 1 << 16  # bytes per temporary of a law check, below glibc's mmap threshold
 VAR_CAP = 4
 
 
@@ -66,7 +66,8 @@ def read_only(*tables: np.ndarray) -> None:
 
 def kept(obj, key: str, make, *args):
     """make(obj, *args), computed on first use and kept on obj under key: a
-    fact of an immutable object (a frozen dataclass with read-only tables)."""
+    fact of an immutable object, a frozen dataclass such as a model (with
+    read-only tables) or a quasiequation (its equation form)."""
     memo = obj.__dict__
     if key not in memo:
         memo[key] = make(obj, *args)
@@ -122,8 +123,9 @@ class FiniteActionLattice:
     """A finite action lattice given by its tables over elements 0..n-1.
 
     A model is immutable, its tables read-only, so each fact derived from
-    it (validation, frame, the tables the queries read) is kept on it.  To
-    change a table, build a new model, as ``dataclasses.replace`` does.
+    it (validation, frame, quasiequation verdicts, the tables the queries
+    read) is kept on it.  To change a table, build a new model, as
+    ``dataclasses.replace`` does; the copy starts with no kept facts.
     """
 
     name: str
@@ -184,11 +186,17 @@ def residuation_law(report, laws: tuple[str, str], rel: np.ndarray, op: np.ndarr
                     lres: np.ndarray, rres: np.ndarray) -> None:
     """x.y rel z iff y rel lres[x, z] iff x rel rres[z, y], over all triples
     (x, y, z): report each of the two laws at its first broken triple.  For
-    a model rel is its order, for a frame its relation."""
-    lhs = rel[op]
-    for law, via in zip(laws, (rel[:, lres].transpose(1, 0, 2), rel[:, rres.T])):
-        if not (lhs == via).all():
-            report.add(law, tuple(int(v) for v in np.argwhere(lhs != via)[0]))
+    a model rel is its order, for a frame its relation.  The triples are
+    gathered in blocks of x of at most BIT_BLOCK_BYTES per table."""
+    first, step = {}, max(1, BIT_BLOCK_BYTES // rel.size)
+    for lo in range(0, len(op), step):
+        lhs, x = rel[op[lo:lo + step]], slice(lo, lo + step)
+        for law, via in zip(laws, (rel[:, lres[x]].transpose(1, 0, 2), rel[x][:, rres.T])):
+            if law not in first and not (lhs == via).all():
+                first[law] = tuple(int(v) for v in np.argwhere(lhs != via)[0] + (lo, 0, 0))
+    for law in laws:  # in law order, each at its first broken triple
+        if law in first:
+            report.add(law, first[law])
 
 
 def validate_algebra(a: FiniteActionLattice) -> AlgebraReport:
@@ -457,15 +465,20 @@ def _open_grids(n: int, k: int) -> tuple:
     return tuple((plain.reshape(shape), times_n.reshape(shape)) for shape in shapes)
 
 
+def _lawless(a: FiniteActionLattice) -> bool:
+    """Whether a breaks the laws: a library model (:func:`_algebra` marks it
+    lawful) is trusted, any other is validated (the report is kept on it)."""
+    return not a.__dict__.get("_lawful") and not validate_algebra(a).ok
+
+
 def _ranges(a: FiniteActionLattice) -> dict:
     """The (plain, times-n) pairs of the ranges "J" and "M" of
     :func:`_polarity_reduction`: x != 0 is join-irreducible exactly when
-    some y < x has one element fewer below it.  The lemmas need the laws: a
-    library model (:func:`_algebra` marks it lawful) is trusted, any other is
-    validated (the report is kept on it), and one that breaks the laws keeps
-    every element in both ranges."""
+    some y < x has one element fewer below it.  The lemmas need the laws, so
+    a model that breaks them (:func:`_lawless`) keeps every element in both
+    ranges."""
     lt, down, up = a.le & ~np.eye(a.size, dtype=bool), a.le.sum(axis=0), a.le.sum(axis=1)
-    lawless = not a.__dict__.get("_lawful") and not validate_algebra(a).ok
+    lawless = _lawless(a)
     joins = lawless | (lt & (down[:, None] == down - 1)).any(axis=0) | (np.arange(a.size) == a.zero)
     meets = lawless | (lt & (up == up[:, None] - 1)).any(axis=1) | (down == a.size)
     return {kind: _pair(np.flatnonzero(v), a.size, a.tables.dtype) for kind, v in (("J", joins), ("M", meets))}
@@ -574,7 +587,13 @@ def holds_sequent(a: FiniteActionLattice | Evaluator, s: Sequent) -> bool:
     that cover the variables of s (reusing the values it holds)."""
     if isinstance(a, Evaluator):
         return bool(a.sequent(s).all())
-    return find_sequent_counterexample(a, s) is None
+    return _holds_reduced(a, s, _polarity_reduction(s))
+
+
+def _holds_reduced(a: FiniteActionLattice, s: Sequent, kinds: dict) -> bool:
+    """Whether s holds in a, decided on the grid of the given polarity kinds
+    alone: a failure there is a real valuation, so no witness walk follows."""
+    return _check_all_valuations(a, kinds, lambda ev: ev.sequent(s))[0] is None
 
 
 def find_sequent_counterexample(a: FiniteActionLattice, s: Sequent):
@@ -631,7 +650,26 @@ def _sequent_counterexample(a: FiniteActionLattice, s: Sequent) -> tuple:
 
 
 def holds_quasieq(a: FiniteActionLattice, q: Quasiequation) -> bool:
-    return find_quasieq_counterexample(a, q) is None
+    """Whether q holds in a, the verdict kept on the model: decided as the
+    sequent t |- t1 | ... | tk of its equation form (:func:`qe_to_equation`),
+    or s |- t of its conclusion when it has no premises, on the reduced
+    grid.  One with no equation form, or with premises on a model that
+    breaks the laws the form needs (join least, 0 bottom), walks its grid."""
+    verdicts = kept(a, "_verdicts", lambda _: {})
+    if q not in verdicts:
+        form = kept(q, "_form", _equation_form)
+        verdicts[q] = find_quasieq_counterexample(a, q) is None \
+            if form is None or (q.premises and _lawless(a)) else _holds_reduced(a, *form)
+    return verdicts[q]
+
+
+def _equation_form(q: Quasiequation) -> tuple | None:
+    """The sequent that decides q on a lawful model and its polarity kinds."""
+    eq = qe_to_equation(q) if q.premises else q.conclusion
+    if eq is None:
+        return None
+    s = Sequent((eq.lhs,), eq.rhs)
+    return s, _polarity_reduction(s)
 
 
 def find_quasieq_counterexample(a: FiniteActionLattice, q: Quasiequation):
@@ -664,12 +702,10 @@ def rule_models(models, rules) -> tuple[list[FiniteActionLattice], list[str], li
     """The models in which every given rule is sound, then the names of those
     where one fails, then of those its query cannot decide (a ModelError).
     An analytic rule is judged by :func:`q_a_of`, any other structural rule
-    by the equation form of :func:`q_of` (one variable fewer), or by q_of
-    itself when it has none; a rule that is not structural leaves no model."""
+    by :func:`q_of`, through its equation form (one variable fewer) where it
+    has one; a rule that is not structural leaves no model."""
     structural = all(classify(r).structural for r in rules)
     qs = [q_a_of(r) if classify(r).analytic else q_of(r) for r in rules] if structural else []
-    qs = [q if classify(r).analytic or (eq := qe_to_equation(q)) is None else Quasiequation((), eq)
-          for r, q in zip(rules, qs)]
     sound, skipped, undecided = [], [], []
     for a in models:
         verdict = structural

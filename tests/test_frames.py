@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 from actlat import frames, models
 from actlat.frames import (
     FrameError,
+    FrameReport,
     ResiduatedFrame,
     _distinct,
     _locate,
@@ -389,8 +391,8 @@ def _corrupted_frames(rng: random.Random, per_table: int):
     """Gentzen frames of small models with one entry of one table changed,
     then of the 64-element truncated_words(6, "a") with two per table, and
     with the product of its top by itself dropped to the bottom: there the
-    pairs of (.R) fill two blocks of _broken_rows, and that last frame's
-    only broken (.R) element, the top, is in the second."""
+    pairs of (.R) fill six blocks of _broken_rows, and that last frame's
+    only broken (.R) element, the top, is in the last."""
     cases = [(a, per_table) for a in (two_chain(), three_chain(), rel_algebra(2),
                                       truncated_words(3, "a"), truncated_words(5, "a"))]
     for a, count in cases + [(truncated_words(6, "a"), 2)]:
@@ -669,6 +671,69 @@ def test_packed_gentzen_laws_match_the_broadcast_forms():
             assert [v for v in got if v[0] in rewritten] == want
             broken.update(law for law, _ in want)
     assert all(broken[law] >= 3 for law in rewritten), broken
+
+
+def _whole_table_residuation(rel, op, lres, rres) -> list:
+    """The former residuation check: three whole n^3 gathers."""
+    lhs = rel[op]
+    return [(law, tuple(int(v) for v in np.argwhere(lhs != via)[0]))
+            for law, via in zip(("left", "right"), (rel[:, lres].transpose(1, 0, 2), rel[:, rres.T]))
+            if (lhs != via).any()]
+
+
+def test_residuation_reports_the_laws_in_law_order(monkeypatch):
+    # rel2 with lres[12, 0] and rres[2, 14] changed: the right law breaks at
+    # x = 8, the left at x = 12, so with one x per block the right one is
+    # found first and must still be reported second
+    a = rel_algebra(2)
+    lres, rres = a.lres.copy(), a.rres.copy()
+    lres[12, 0], rres[2, 14] = 1, 9
+    want = [("left", (12, 1, 0)), ("right", (8, 14, 2))]
+    assert _whole_table_residuation(a.le, a.prod, lres, rres) == want
+    for budget in (models.BIT_BLOCK_BYTES, a.size ** 2, 1):
+        monkeypatch.setattr(models, "BIT_BLOCK_BYTES", budget)
+        report = FrameReport()
+        models.residuation_law(report, ("left", "right"), a.le, a.prod, lres, rres)
+        assert report.violations == want
+
+
+def test_residuation_matches_the_whole_table_check():
+    # corrupted models and frames, the 64-element ones over several blocks
+    rng, broken = random.Random(29), Counter()
+    for a in SEMANTICS_MODELS:
+        f = frame_of_algebra(a).frame
+        for _ in range(6):
+            tables = {"rel": f.n_rel.copy(), "op": f.op.copy(), "lres": f.lres_w.copy(),
+                      "rres": f.rres_w.copy()}
+            for name in rng.sample(sorted(tables), 2):
+                t, entry = tables[name], (rng.randrange(a.size), rng.randrange(a.size))
+                t[entry] = not t[entry] if t.dtype == bool else rng.randrange(a.size)
+            want = _whole_table_residuation(*tables.values())
+            report = FrameReport()
+            models.residuation_law(report, ("left", "right"), *tables.values())
+            assert report.violations == want, a.name
+            broken.update(law for law, _ in want)
+    assert broken["left"] >= 10 and broken["right"] >= 10, broken
+
+
+def test_law_checks_at_128_elements_stay_under_one_mebibyte():
+    # every temporary of validation, the nuclear check and the Gentzen laws
+    # is bounded by BIT_BLOCK_BYTES; whole n^3 tables took 8.1, 8.0 and 4.1 MiB
+    a = truncated_words()
+    gf = frame_of_algebra(a)
+    checks = {"validation": lambda: models._validate_algebra(a),
+              "nuclear": lambda: frames._check_nuclear(gf.frame),
+              "gentzen": lambda: check_gentzen(gf)}
+    peaks = {}
+    for name, check in checks.items():
+        check()  # the frame's packed relation, kept on it
+        tracemalloc.start()
+        try:
+            assert check().ok
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < 1 << 20, peaks
 
 
 def _corrupted_models(rng: random.Random, per_table: int):

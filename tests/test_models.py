@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from actlat import models
 from actlat.corpus import random_analytic_quasiequations, random_analytic_rule
+from actlat.frames import dual_algebra, frame_of_algebra
 from actlat.models import (
     FiniteActionLattice,
     ModelError,
@@ -642,6 +643,124 @@ def test_rule_models_agrees_with_q_of(rule):
 def test_rule_models_leaves_no_model_for_a_non_structural_rule():
     sound, skipped, undecided = rule_models([two_chain()], [builtin_rules()["prodR"]])
     assert (sound, skipped, undecided) == ([], ["two_chain"], [])
+
+
+# The verdict path: holds_quasieq decides a quasiequation through its
+# equation form on the reduced grid, holds_sequent stops after a failing
+# reduced pass.  Both must give the whole grid's verdict on the library, the
+# semantics benchmark's models, their duals and copies with one entry changed.
+SEMANTICS_POOL = [q_a_of(EX["C"]), q_a_of(EX["Wk"])] + random_analytic_quasiequations(7, 64)
+
+
+@functools.cache
+def verdict_models() -> list:
+    words = [truncated_words(k, "a") for k in (3, 5, 6)]
+    base = [*library().values(), *words]
+    duals = [dual_algebra(frame_of_algebra(a).frame).algebra for a in base if a.size < 128]
+    rng, copies = random.Random(29), []
+    for a in base:
+        for table in ("join", "prod"):
+            t = getattr(a, table).copy()
+            x, y = rng.randrange(a.size), rng.randrange(a.size)
+            t[x, y] = (t[x, y] + rng.randrange(1, a.size)) % a.size
+            copies.append(dataclasses.replace(a, **{table: t}))
+    return base + duals + copies
+
+
+def _verdict_quasieqs(atoms: list, max_vars: int):
+    """Pool quasiequations, ones shaped (t1 <= z & ...) => t <= z, premise-free
+    ones and random ones (mostly with no equation form), over at most
+    max_vars variables, z included."""
+    z, terms = Var("z"), formulas(3, atoms)
+    shaped = st.builds(lambda ts, t: Quasiequation(tuple(Inequation(p, z) for p in ts), Inequation(t, z)),
+                       st.lists(terms, min_size=1, max_size=3), terms)
+    free = st.builds(lambda lhs, rhs: Quasiequation((), Inequation(lhs, rhs)), terms,
+                     formulas(3, atoms + [z]))
+    pool = [q for q in ANALYTIC_QES + SEMANTICS_POOL if len(_variables(q)) <= max_vars]
+    return st.one_of(shaped, free, _query_strategies(atoms, pool)[1])
+
+
+# by carrier size: each model's atoms keep the reference grid small
+VERDICT_QUERIES = [(16, _verdict_quasieqs(ATOMS, 4), QUERIES[True][0]),
+                   (64, _verdict_quasieqs(ATOMS[1:], 3), QUERIES[True][0]),
+                   (256, _verdict_quasieqs(ATOMS[2:], 2), QUERIES[False][0])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_verdicts_match_the_whole_grid_reference(data):
+    a = data.draw(st.sampled_from(verdict_models()))
+    quasieqs, sequents = next((q, s) for size, q, s in VERDICT_QUERIES if a.size <= size)
+    q, s = data.draw(quasieqs), data.draw(sequents)
+    want = reference_counterexample(a, q.premises, q.conclusion)
+    assert holds_quasieq(a, q) == (want is None), (a.name, str(q))
+    assert find_quasieq_counterexample(a, q) == want
+    want = reference_counterexample(a, (), sequent_inequation(s))
+    assert holds_sequent(a, s) == (want is None), (a.name, str(s))
+    assert find_sequent_counterexample(a, s) == want
+
+
+def test_pool_verdicts_match_the_whole_grid():
+    # every variable of every pool equation form is J1, so each is decided
+    # on the join-irreducibles and 0; the whole-grid kernel is the reference
+    assert all(set(models.kept(q, "_form", models._equation_form)[1].values()) == {"J"}
+               for q in SEMANTICS_POOL)
+    for a in verdict_models():
+        if a.size < 128:
+            assert [holds_quasieq(a, q) for q in SEMANTICS_POOL] == \
+                [find_quasieq_counterexample(a, q) is None for q in SEMANTICS_POOL], a.name
+
+
+def test_a_lawless_copy_decides_a_quasiequation_on_its_own_grid(monkeypatch):
+    # two_chain with 1 | 1 = 0: the join is no upper bound, so the equation
+    # form a.b <= a | b fails at a = b = 1 where the quasiequation holds; the
+    # copy is validated once and then walks the quasiequation's whole grid
+    a, b, z = Var("a"), Var("b"), Var("z")
+    q = Quasiequation((Inequation(a, z), Inequation(b, z)), Inequation(Prod(a, b), z))
+    join = two_chain().join.copy()
+    join[1, 1] = 0
+    lawless = dataclasses.replace(two_chain(), join=join)
+    assert not models._holds_reduced(lawless, *models._equation_form(q))
+    validated, walked = [], []
+    real_validate, real_walk = models._validate_algebra, models.find_quasieq_counterexample
+    monkeypatch.setattr(models, "_validate_algebra", lambda m: validated.append(m.name) or real_validate(m))
+    monkeypatch.setattr(models, "find_quasieq_counterexample",
+                        lambda m, q: walked.append(m.name) or real_walk(m, q))
+    copy = dataclasses.replace(two_chain(), join=join)
+    assert reference_counterexample(copy, q.premises, q.conclusion) is None
+    assert holds_quasieq(copy, q) and holds_quasieq(copy, q)  # the second is the kept verdict
+    assert (validated, walked) == (["two_chain"], ["two_chain"])
+    # a library model trusts its constructor and takes the equation form
+    assert holds_quasieq(two_chain(), q)
+    assert (validated, walked) == (["two_chain"], ["two_chain"])
+
+
+def test_kept_facts_are_never_served_to_a_copy():
+    qc = q_a_of(EX["C"])  # (x.x <= y) => x <= y, equation form x <= x.x
+    good = two_chain()
+    assert holds_quasieq(good, qc) and qc in good.__dict__["_verdicts"]
+    prod = good.prod.copy()
+    prod[1, 1] = 0
+    broken = dataclasses.replace(good, prod=prod)
+    assert "_verdicts" not in broken.__dict__
+    assert not holds_quasieq(broken, qc)
+    assert reference_counterexample(broken, qc.premises, qc.conclusion) == (("x", 1), ("y", 0))
+    # a copy of the quasiequation with another premise gets its own form
+    x, y = Var("x"), Var("y")
+    weaker = dataclasses.replace(qc, premises=(Inequation(x, y),))
+    assert "_form" in qc.__dict__ and "_form" not in weaker.__dict__
+    assert not holds_quasieq(rel_algebra(2), qc) and holds_quasieq(rel_algebra(2), weaker)
+
+
+def test_equation_form_decides_past_the_variable_cap():
+    # q_of(e) has 5 variables, 32^5 cells on words_a5: its witness query is
+    # refused, and its verdict is decided on the 4 variables of its equation
+    # form (exchange holds: one letter's words commute)
+    qe, words = q_of(EX["e"]), truncated_words(5, "a")
+    with pytest.raises(ModelError):
+        find_quasieq_counterexample(words, qe)
+    assert holds_quasieq(words, qe)
+    assert not holds_quasieq(truncated_words(), qe)
 
 
 def test_model_json_round_trip():

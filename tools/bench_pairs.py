@@ -8,10 +8,13 @@ every run is that tree's own ``actbench/run.py`` in a fresh process for the
 ``run_seconds`` of ``BENCHMARK.json``.  Pair i runs both sides on seed i;
 the side that runs first alternates, the base going first on even seeds.
 After the pairs, each side gets one traced run per workload.  The file holds
-the environment, every run's end-to-end metrics, the median and quartiles of
-each side, the change's wins per metric (ties count for neither side), a
-verdict per end-to-end metric and the per-layer metrics of the traced runs.
-Progress, and each workload's table of verdicts, go to stderr.
+the environment, every run's end-to-end metrics, its minor page faults
+(``minor_faults``) and system CPU time (``sys_s``), read from
+``getrusage(RUSAGE_CHILDREN)`` before and after the run, the median and
+quartiles of each side, the change's wins per metric (ties count for neither
+side), a verdict per end-to-end metric and the per-layer metrics of the
+traced runs.  Progress, and each workload's table of medians and verdicts,
+go to stderr.
 
 A verdict reads one metric on one workload, with its ``BENCHMARK.json``
 bound taken relative to the base median:
@@ -31,6 +34,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -57,13 +61,17 @@ def export(ref: str, into: Path) -> str:
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, str(tree / "actbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=20 * seconds + 120)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     if proc.returncode != 0 or not result["correct"]:
         raise SystemExit(f"{tree.name} {workload} seed {seed}: exit {proc.returncode}, "
                          f"{proc.stderr.strip()}")
     out = {name: m["value"] for name, m in result["metrics"].items()}
     out["failed_frac"] = result["failed"] / result["attempted"]
+    out["minor_faults"] = after.ru_minflt - before.ru_minflt
+    out["sys_s"] = after.ru_stime - before.ru_stime
     return out
 
 
@@ -104,10 +112,9 @@ def print_verdicts(workload: str, summary: dict) -> None:
     print(f"{workload}: {'metric':<13} {'base':>10} {'change':>10} {'wins':>6}  verdict",
           file=sys.stderr)
     for name, m in summary.items():
-        if "verdict" in m:
-            print(f"{'':{len(workload) + 2}}{name:<13} {m['base']['median']:>10.4g} "
-                  f"{m['change']['median']:>10.4g} {m['change_wins']:>3}/{m['pairs']:<2}  "
-                  f"{m['verdict']}", file=sys.stderr)
+        print(f"{'':{len(workload) + 2}}{name:<13} {m['base']['median']:>10.4g} "
+              f"{m['change']['median']:>10.4g} {m['change_wins']:>3}/{m['pairs']:<2}  "
+              f"{m.get('verdict', '')}", file=sys.stderr)
 
 
 def seeds(text: str) -> list[int]:
@@ -131,7 +138,7 @@ def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    better["failed_frac"] = "lower"
+    better.update(failed_frac="lower", minor_faults="lower", sys_s="lower")
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     import numpy
 
