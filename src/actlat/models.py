@@ -654,7 +654,7 @@ def holds_quasieq(a: FiniteActionLattice, q: Quasiequation) -> bool:
     sequent t |- t1 | ... | tk of its equation form (:func:`qe_to_equation`),
     or s |- t of its conclusion when it has no premises, on the reduced
     grid.  One with no equation form, or with premises on a model that
-    breaks the laws the form needs (join least, 0 bottom), walks its grid."""
+    breaks the laws the form needs (join least, 0 bottom), walks its whole grid."""
     verdicts = kept(a, "_verdicts", lambda _: {})
     if q not in verdicts:
         form = kept(q, "_form", _equation_form)
@@ -664,7 +664,7 @@ def holds_quasieq(a: FiniteActionLattice, q: Quasiequation) -> bool:
 
 
 def _equation_form(q: Quasiequation) -> tuple | None:
-    """The sequent that decides q on a lawful model and its polarity kinds."""
+    """The sequent that decides q on a lawful model and its polarity kinds, or None."""
     eq = qe_to_equation(q) if q.premises else q.conclusion
     if eq is None:
         return None
