@@ -165,9 +165,10 @@ def _lookup(keys: np.ndarray, sets: np.ndarray) -> np.ndarray:
 
 
 def _locate(closed: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """Index of the closure of each row of sets: the least closed set above
-    it, which comes first among them because it is a subset of all of them."""
-    return (~outside(pack(closed), pack(sets)[..., None, :])).argmax(axis=-1)
+    """Index of the closure of each row of sets among the packed closed
+    sets: the least closed set above it, which comes first among them
+    because it is a subset of all of them."""
+    return (~outside(closed, pack(sets)[..., None, :])).argmax(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -189,6 +190,13 @@ class DualAlgebra:
 
     def __post_init__(self):
         read_only(self.closed)
+
+    @cached_property
+    def packed(self) -> np.ndarray:
+        """The closed sets as packed rows."""
+        packed = pack(self.closed)
+        read_only(packed)
+        return packed
 
 
 def dual_algebra(f: ResiduatedFrame) -> DualAlgebra:
@@ -248,7 +256,7 @@ def _dual_algebra(f: ResiduatedFrame) -> DualAlgebra:
 
     eps = np.zeros(n, dtype=bool)
     eps[f.eps] = True
-    one = int(_locate(closed, eps))
+    one = int(_locate(bits, eps))
     rows, members = np.nonzero(closed)  # each closed set's name lists its members
     names = [f.w_names[x] for x in members.tolist()]
     cuts = np.searchsorted(rows, np.arange(k + 1)).tolist()
@@ -428,12 +436,12 @@ def quasimorphism_check(gf: GentzenFrame, dual: DualAlgebra) -> FrameReport:
     f, a = gf.frame, gf.algebra
     alg = dual.algebra
     # members[ai, i]: closed set i belongs to the image of ai
-    inside = ~outside(f.cols[gf.to_wp], pack(dual.closed)[:, None])
+    inside = ~outside(f.cols[gf.to_wp], dual.packed[:, None])
     members = dual.closed[:, gf.to_w].T & inside.T
     if not members[a.one, alg.one]:
         report.add("unit membership", (int(alg.one),))
     if f.zero_wp is not None:
-        zero_set = int(_locate(dual.closed, f.n_rel[:, f.zero_wp]))
+        zero_set = int(_locate(dual.packed, f.n_rel[:, f.zero_wp]))
         if not members[a.zero, zero_set]:
             report.add("zero membership", (zero_set,))
     # all member pairs (ai, x) against all (bi, y), in blocks of whole rows ai
@@ -464,7 +472,7 @@ def embedding_check(gf: GentzenFrame, dual: DualAlgebra) -> FrameReport:
     report = FrameReport()
     f, a = gf.frame, gf.algebra
     alg = dual.algebra
-    image = _locate(dual.closed, f.n_rel[:, gf.to_wp].T)
+    image = _locate(dual.packed, f.n_rel[:, gf.to_wp].T)
     for law in BINARY_OPS:
         got = getattr(alg, law)[image[:, None], image[None, :]]
         want = image[getattr(a, law)]

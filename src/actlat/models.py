@@ -7,10 +7,11 @@ star-continuity: the star of each element must equal the join of its
 finitely many distinct powers, walked for all elements at once.
 
 Library models are built by one constructor from their order, lattice
-tables and product: residuals are the greatest solutions of x.y <= z, found
-for all fixed factors of one side in blocks of 64K cells, star the least
-solution of x* = 1 | x*.x.  Relations and word sets are subsets of atoms
-under a partial product, numbered by bitmask.
+tables and product: residuals are the greatest solutions of x.y <= z, each
+the join of the join-irreducible solutions, folded for all fixed factors of
+one side at once; star is the least solution of x* = 1 | x*.x.  Relations
+and word sets are subsets of atoms under a partial product, numbered by
+bitmask.
 
 Validity queries evaluate formulas over all valuations at once.  Each model
 keeps its tables raveled in the narrowest unsigned dtype that holds n*n,
@@ -48,9 +49,10 @@ from .syntax import (
 )
 
 _GRID_LIMIT = 4_000_000   # beyond VAR_CAP variables, grids above this are refused
-_BLOCK_CELLS = 1 << 16    # cells per block of the query kernel, the residual search and
-                          # the member pairs of frames.quasimorphism_check
-BIT_BLOCK_BYTES = 1 << 16  # bytes per temporary of a law check, below glibc's mmap threshold
+_BLOCK_CELLS = 1 << 16    # cells per block of the query kernel and the member pairs of
+                          # frames.quasimorphism_check
+BIT_BLOCK_BYTES = 1 << 16  # bytes per temporary of a law check or the residual fold, below
+                           # glibc's mmap threshold
 VAR_CAP = 4
 
 
@@ -284,36 +286,54 @@ def star_table(join: np.ndarray, prod: np.ndarray, one: int) -> np.ndarray:
         star = grown
 
 
+def _join_irreducible(le: np.ndarray) -> np.ndarray:
+    """Where x is join-irreducible in the finite lattice ordered by le: x
+    is not the least element and some y < x has one element fewer below it,
+    so y is the only lower cover of x.  Under le.T, the meet-irreducibles."""
+    down = le.sum(axis=0)
+    return (le & ~np.eye(len(le), dtype=bool) & (down[:, None] == down - 1)).any(axis=0)
+
+
 def _algebra(name, elements, le, meet, join, prod, one, zero) -> FiniteActionLattice:
     """A model from its order, lattice operations, product and constants.
 
-    x \\ z and z / y are the greatest solutions of x.y <= z, found for all
-    fixed left (then right) factors at once, in blocks of at most 64K cells:
-    for fixed factor f, row z of the candidate matrix holds the solutions for
-    z, and the residual is the candidate whose down-set holds the whole row.
-    Star comes from :func:`star_table`.
+    x \\ z and z / y are the greatest solutions of x.y <= z, each a join of
+    join-irreducibles.  In a finite lattice every y is the join of the
+    join-irreducibles below it (:func:`_join_irreducible`), and a residuated
+    product preserves joins, so x \\ z = join{j in J : x.j <= z}, and z / y
+    is the same on the other side.  For all fixed left (then right) factors
+    at once, the join is folded over J from zero, in blocks of fixed factors
+    of at most BIT_BLOCK_BYTES per temporary; then each fold c is checked to
+    be a solution, x.c <= z.
+
+    The product must be monotone; with that, the fold is exact, errors
+    included.  Every solution y lies below c, since each j <= y has
+    x.j <= x.y <= z.  So when c is a solution it is the greatest, and when it
+    is not there is no greatest one: a ModelError names the first missing
+    residual, left side before right, row by row.  Star comes from
+    :func:`star_table`.
     """
     n = len(elements)
-    # candidates are tried largest down-set first: a greatest one comes first
-    order = np.argsort(-le.sum(axis=0), kind="stable")
-    above = np.ascontiguousarray(le.T)  # above[z, y]: y <= z
-    below_order = above[:, order]
+    irreducibles = np.flatnonzero(_join_irreducible(le))
+    step = max(1, BIT_BLOCK_BYTES // (n * np.dtype(np.intp).itemsize))
+    offsets, zs, flat_le = np.arange(step)[:, None] * n, np.arange(n), le.ravel()
 
     def greatest(table: np.ndarray, out: np.ndarray, side: str) -> None:
         """Fill out[f, z] with the greatest y with table[f, y] <= z."""
-        step = max(1, _BLOCK_CELLS // (n * n))
         for lo in range(0, n, step):
-            cand = above[:, table[lo:lo + step, order]].transpose(1, 0, 2)  # [f, z, k]
-            best = order[cand.argmax(axis=2)]
-            ok = cand.any(axis=2) & (cand <= below_order[best]).all(axis=2)
+            block = np.ascontiguousarray(table[lo:lo + step])  # block[f] = table[lo + f]
+            c = np.full(block.shape, zero)
+            for j in irreducibles:
+                c = np.where(le[block[:, j]], join[:, j].take(c), c)
+            ok = flat_le.take(block.take(c + offsets[:len(block)]) * n + zs)  # table[f, c] <= z
             if not ok.all():
                 f, z = (int(v) for v in np.argwhere(~ok)[0])
                 fixed, z = elements[lo + f], elements[z]
                 pair = f"{fixed} \\ {z}" if side == "left" else f"{z} / {fixed}"
                 raise ModelError(f"{name}: missing {side} residual {pair}")
-            out[lo:lo + step] = best
+            out[lo:lo + step] = c
 
-    lres, rres = np.empty((n, n), dtype=order.dtype), np.empty((n, n), dtype=order.dtype)
+    lres, rres = np.empty((n, n), dtype=np.intp), np.empty((n, n), dtype=np.intp)
     greatest(prod, lres, "left")
     greatest(prod.T, rres.T, "right")
     a = FiniteActionLattice(
@@ -354,7 +374,11 @@ def _powerset(name: str, atoms, atom_prod: np.ndarray, unit: int) -> FiniteActio
     prod = np.zeros((n, n), dtype=int)
     for i, j in zip(*np.nonzero(atom_prod >= 0)):
         prod[np.ix_(has[:, i], has[:, j])] |= 1 << int(atom_prod[i, j])
-    elements = tuple("{" + ",".join(atoms[i] for i in np.flatnonzero(row)) + "}" for row in has)
+    # the subsets with bit i set are those without it, each followed by atom i
+    names = [""]
+    for atom in atoms:
+        names += [f"{name},{atom}" for name in names]
+    elements = tuple("{" + name[1:] + "}" for name in names)
     return _algebra(name, elements, (xs[:, None] & ~xs[None, :]) == 0,
                     xs[:, None] & xs[None, :], xs[:, None] | xs[None, :], prod,
                     one=unit, zero=0)
@@ -473,14 +497,12 @@ def _lawless(a: FiniteActionLattice) -> bool:
 
 def _ranges(a: FiniteActionLattice) -> dict:
     """The (plain, times-n) pairs of the ranges "J" and "M" of
-    :func:`_polarity_reduction`: x != 0 is join-irreducible exactly when
-    some y < x has one element fewer below it.  The lemmas need the laws, so
-    a model that breaks them (:func:`_lawless`) keeps every element in both
-    ranges."""
-    lt, down, up = a.le & ~np.eye(a.size, dtype=bool), a.le.sum(axis=0), a.le.sum(axis=1)
+    :func:`_polarity_reduction`, the irreducibles of :func:`_join_irreducible`
+    with 0 or the top.  The lemmas need the laws, so a model that breaks them
+    (:func:`_lawless`) keeps every element in both ranges."""
     lawless = _lawless(a)
-    joins = lawless | (lt & (down[:, None] == down - 1)).any(axis=0) | (np.arange(a.size) == a.zero)
-    meets = lawless | (lt & (up == up[:, None] - 1)).any(axis=1) | (down == a.size)
+    joins = lawless | _join_irreducible(a.le) | (np.arange(a.size) == a.zero)
+    meets = lawless | _join_irreducible(a.le.T) | (a.le.sum(axis=0) == a.size)
     return {kind: _pair(np.flatnonzero(v), a.size, a.tables.dtype) for kind, v in (("J", joins), ("M", meets))}
 
 

@@ -96,6 +96,30 @@ def star_by_powers(a, x: int) -> int:
     return acc
 
 
+def loop_residuals(le: np.ndarray, prod: np.ndarray) -> tuple:
+    """x \\ z and z / y as the greatest solutions of x.y <= z, found from
+    the definition for one fixed factor at a time: the solution whose
+    down-set holds every solution.  The reference for the residuals of
+    ``actlat.models._algebra``.  Returns (lres, rres, missing): missing is
+    None, or the first pair without a greatest solution, left side before
+    right, row by row, as ("left", x, z) or ("right", z, y), and then the
+    tables are None."""
+    n, found = len(le), []
+    below = le.astype(float)  # below[y, g]: y <= g
+    for side, table in (("left", prod), ("right", prod.T)):
+        out = np.empty((n, n), dtype=np.intp)
+        for f in range(n):
+            solves = le[table[f]].T  # solves[z, y]: f.y <= z (y.f <= z on the right)
+            held = solves.astype(float) @ below  # held[z, g]: solutions y <= g
+            greatest = solves & (held == solves.sum(axis=1, keepdims=True))
+            if not greatest.any(axis=1).all():
+                z = int(np.flatnonzero(~greatest.any(axis=1))[0])
+                return None, None, (side, f, z) if side == "left" else (side, z, f)
+            out[f] = greatest.argmax(axis=1)
+        found.append(out)
+    return found[0], found[1].T, None
+
+
 def lexsort_distinct(rows: np.ndarray) -> np.ndarray:
     """The distinct rows by a lexsort with the last column as primary key:
     the reference order for ``actlat.frames._distinct``."""
@@ -116,7 +140,7 @@ def loop_quasimorphism(gf, dual) -> list:
     if not members[a.one, alg.one]:
         found.append(("unit membership", (int(alg.one),)))
     if f.zero_wp is not None:
-        zero_set = int(_locate(dual.closed, f.n_rel[:, f.zero_wp]))
+        zero_set = int(_locate(pack(dual.closed), f.n_rel[:, f.zero_wp]))
         if not members[a.zero, zero_set]:
             found.append(("zero membership", (zero_set,)))
     pb, py = np.nonzero(members)

@@ -140,7 +140,7 @@ def test_locate_finds_least_closed_superset(case):
     f, xs, _ = case
     every = np.array([[(i >> x) & 1 for x in range(f.w_size)] for i in range(2 ** f.w_size)], dtype=bool)
     closed = lexsort_distinct(gamma(f, every))
-    found = _locate(closed, xs)
+    found = _locate(pack(closed), xs)
     for row, i in zip(xs, found):
         supersets = [c for c in closed if not (row & ~c).any()]
         assert not (row & ~closed[i]).any()
@@ -431,6 +431,18 @@ def test_quasimorphism_on_algebra_frames():
         assert report.ok, (a.name, report.violations)
 
 
+def test_closed_sets_are_packed_once_per_dual(monkeypatch):
+    gf = frame_of_algebra(truncated_words(3, "a"))
+    dual = dual_algebra(gf.frame)
+    assert dual.packed is dual.packed and (dual.packed == pack(dual.closed)).all()
+    packed_rows = []
+    monkeypatch.setattr(frames, "pack", lambda rows: packed_rows.append(rows) or pack(rows))
+    assert quasimorphism_check(gf, dual).ok and embedding_check(gf, dual).ok
+    assert packed_rows and not any(rows is dual.closed for rows in packed_rows)
+    again = dataclasses.replace(dual, closed=dual.closed[::-1].copy())
+    assert (again.packed == dual.packed[::-1]).all()
+
+
 def _corrupted_duals(rng, per_table):
     """Duals of small algebra frames with one entry of one operation table
     changed; then, per model, duals whose closed sets are replaced by sparse
@@ -572,7 +584,7 @@ def test_model_and_frame_tables_are_read_only():
     dual = dual_algebra(gf.frame)
     tables = [getattr(a, t) for t in ("le", "meet", "join", "prod", "lres", "rres", "star")]
     tables += [getattr(gf.frame, t) for t in ("n_rel", "op", "lres_w", "rres_w")]
-    for t in tables + [gf.to_w, gf.to_wp, dual.closed]:
+    for t in tables + [gf.to_w, gf.to_wp, dual.closed, dual.packed]:
         corner = (0,) * t.ndim
         with pytest.raises(ValueError, match="read-only"):
             t[corner] = t[corner]

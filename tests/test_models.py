@@ -39,8 +39,8 @@ from actlat.rules import (Inequation, Quasiequation, RuleSet, builtin_rules,
                           example_structural_rules, q_a_of, q_of, qe_to_equation)
 from actlat.syntax import Prod, Sequent, Star, Var, parse_formula, parse_sequent, variables
 
-from tests.helpers import (ATOMS, formulas, random_formula, reference_counterexample,
-                           star_by_powers)
+from tests.helpers import (ATOMS, formulas, loop_residuals, random_formula,
+                           reference_counterexample, star_by_powers)
 
 EX = example_structural_rules()
 
@@ -169,12 +169,13 @@ def test_algebra_without_residuals_rejected(monkeypatch):
     # on the chain 0 < 1 < 2, x . y = max(x, y) has unit 0, but no y gives
     # 1 . y <= 0, so 1 \ 0 does not exist; x . y = y has every left residual
     # (x \ z = z), but x . 1 = 1 for all x, so 0 / 1 does not exist, while
-    # x . 0 = 0 gives 0 / 0 = 2.  With 9-cell blocks, each block holds one
-    # fixed factor, so the failing one is found in a later block.
+    # x . 0 = 0 gives 0 / 0 = 2.  With 24-byte temporaries, each block of the
+    # fold holds one fixed factor (a row of 3 intp entries), so the failing
+    # one is found in a later block.
     i = np.arange(3)
     chain, low, high = i[:, None] <= i[None, :], np.minimum.outer(i, i), np.maximum.outer(i, i)
-    for cells in (models._BLOCK_CELLS, 9):
-        monkeypatch.setattr(models, "_BLOCK_CELLS", cells)
+    for budget in (models.BIT_BLOCK_BYTES, 3 * np.dtype(np.intp).itemsize):
+        monkeypatch.setattr(models, "BIT_BLOCK_BYTES", budget)
         with pytest.raises(ModelError) as err:
             _algebra("max_chain", ("0", "1", "2"), chain, low, high, high, one=0, zero=0)
         assert str(err.value) == "max_chain: missing left residual 1 \\ 0"
@@ -182,6 +183,102 @@ def test_algebra_without_residuals_rejected(monkeypatch):
             _algebra("right_chain", ("0", "1", "2"), chain, low, high, np.tile(i, (3, 1)),
                      one=0, zero=0)
         assert str(err.value) == "right_chain: missing right residual 0 / 1"
+
+
+def test_residuals_match_the_relational_closed_form():
+    # R \ S = -(R~ ; -S) and S / R = -(-S ; R~), with R~ the converse
+    for k in (1, 2, 3):
+        a, xs = rel_algebra(k), np.arange(1 << k * k)
+        top, converse = xs[-1], np.zeros_like(xs)
+        for i, j in itertools.product(range(k), repeat=2):
+            converse |= (xs >> (i * k + j) & 1) << (j * k + i)
+        assert (a.lres == top ^ a.prod[converse[:, None], top ^ xs]).all()
+        assert (a.rres == top ^ a.prod[top ^ xs[:, None], converse]).all()
+
+
+SMALL_MODELS = {
+    **{name: functools.partial(lambda name: library()[name], name) for name in library()},
+    **{f"words_a{k}": functools.partial(truncated_words, k, "a") for k in range(1, 8)},
+    "words_ab3": functools.partial(truncated_words, 3, "ab"),
+    **{f"chain{n}": functools.partial(_chain, f"chain{n}", n) for n in range(1, 9)},
+}
+
+
+@pytest.mark.parametrize("name", SMALL_MODELS)
+def test_residuals_match_the_greatest_solution_loop(name):
+    a = SMALL_MODELS[name]()
+    lres, rres, missing = loop_residuals(a.le, a.prod)
+    assert missing is None and (a.lres == lres).all() and (a.rres == rres).all()
+    for t in (a.lres, a.rres):
+        assert t.dtype == np.intp and t.flags.c_contiguous and not t.flags.writeable
+
+
+def _monotone_case(pick) -> tuple:
+    """A chain of 2..6 elements or the powerset of 1..3 atoms, with a
+    monotone product: each entry is the join of the entries of a picked
+    table at or below it in both factors; sometimes 0 absorbs, or one
+    factor's joins are preserved, first by the picked table.  Also the
+    fixed factors per block of the fold: all at once, or 1 or 2."""
+    if pick(["chain", "powerset"]) == "chain":
+        i = np.arange(pick(range(2, 7)))
+        le, meet, join = i[:, None] <= i, np.minimum.outer(i, i), np.maximum.outer(i, i)
+    else:
+        i = np.arange(1 << pick(range(1, 4)))
+        le, meet, join = (i[:, None] & ~i) == 0, i[:, None] & i, i[:, None] | i
+    n, irreducible = len(i), np.flatnonzero(models._join_irreducible(le))
+    raw = np.array([pick(range(n)) for _ in range(n * n)]).reshape(n, n)
+    if pick([False, True]):
+        raw[0] = raw[:, 0] = 0
+    additive = pick([None, 0, 1])  # a factor whose joins the product preserves
+    if additive is not None:  # so the residuals over the other factor exist
+        t = raw.T if additive == 0 else raw
+        for y in range(n):
+            t[:, y] = functools.reduce(lambda u, v: join[u, v],
+                                       [t[:, j] for j in irreducible if le[j, y]], np.zeros(n, int))
+    prod = np.array([[functools.reduce(lambda u, v: join[u, v], raw[np.ix_(le[:, x], le[:, y])].flat)
+                      for y in range(n)] for x in range(n)])
+    return le, meet, join, prod, pick([None, 1, 2])
+
+
+def _fold_against_loop(case) -> tuple | None:
+    """Build a model of the case and check it against :func:`loop_residuals`:
+    the same tables, or the same first missing pair; returns that pair."""
+    le, meet, join, prod, rows = case
+    names = tuple(f"e{v}" for v in range(len(le)))
+    budget = rows * len(le) * np.dtype(np.intp).itemsize if rows else models.BIT_BLOCK_BYTES
+    lres, rres, missing = loop_residuals(le, prod)
+    with mock.patch.object(models, "BIT_BLOCK_BYTES", budget):
+        if missing is None:
+            a = _algebra("m", names, le, meet, join, prod, one=0, zero=0)
+            assert (a.lres == lres).all() and (a.rres == rres).all()
+            return None
+        with pytest.raises(ModelError) as err:
+            _algebra("m", names, le, meet, join, prod, one=0, zero=0)
+    side, u, v = missing
+    pair = f"{names[u]} \\ {names[v]}" if side == "left" else f"{names[u]} / {names[v]}"
+    assert str(err.value) == f"m: missing {side} residual {pair}"
+    return missing
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fold_residuals_of_monotone_products_match_the_loop(data):
+    _fold_against_loop(_monotone_case(lambda options: data.draw(st.sampled_from(list(options)))))
+
+
+def test_fold_errors_are_exact_past_the_first_row_and_block():
+    # the first missing pair sits in a later row, and with 1 or 2 fixed
+    # factors per block in a later block, on both sides
+    rng, later = random.Random(5), collections.Counter()
+    for _ in range(300):
+        case = _monotone_case(lambda options: rng.choice(list(options)))
+        missing = _fold_against_loop(case)
+        if missing is not None:
+            side, fixed = missing[0], missing[1] if missing[0] == "left" else missing[2]
+            later[side, "row"] += fixed > 0
+            later[side, "block"] += bool(case[-1]) and fixed >= case[-1]
+    assert all(later[side, where] >= 5 for side in ("left", "right")
+               for where in ("row", "block")), later
 
 
 def test_truncated_words_tables_pinned():
