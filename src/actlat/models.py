@@ -377,7 +377,7 @@ def _powerset(name: str, atoms, atom_prod: np.ndarray, unit: int) -> FiniteActio
     # the subsets with bit i set are those without it, each followed by atom i
     names = [""]
     for atom in atoms:
-        names += [f"{name},{atom}" for name in names]
+        names += [f"{subset},{atom}" for subset in names]
     elements = tuple("{" + name[1:] + "}" for name in names)
     return _algebra(name, elements, (xs[:, None] & ~xs[None, :]) == 0,
                     xs[:, None] & xs[None, :], xs[:, None] | xs[None, :], prod,
