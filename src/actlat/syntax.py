@@ -80,24 +80,6 @@ class Star(Formula):
 _BINARY = (Meet, Join, Prod, LRes, RRes)
 
 
-def formula_size(f: Formula) -> int:
-    """Number of nodes in the formula tree."""
-    if isinstance(f, _BINARY):
-        return 1 + formula_size(f.left) + formula_size(f.right)
-    if isinstance(f, Star):
-        return 1 + formula_size(f.body)
-    return 1
-
-
-def star_depth(f: Formula) -> int:
-    """Maximal nesting depth of ``*`` in the formula."""
-    if isinstance(f, _BINARY):
-        return max(star_depth(f.left), star_depth(f.right))
-    if isinstance(f, Star):
-        return 1 + star_depth(f.body)
-    return 0
-
-
 def variables(f: Formula) -> set[str]:
     if isinstance(f, Var):
         return {f.name}

@@ -162,13 +162,42 @@ class NodeView:
 
 
 class LazyPreproof:
-    """Expand-on-demand preproof; re-expansion of an address is stable.  The
-    views nwf_to_wf reads give ``key(addr)``: equal keys, equal subtrees."""
+    """Expand-on-demand preproof, walked once per address: one memo maps an
+    address to its state, built from the parent's state by one child step
+    once the step is among the parent's child indices (else AddressError),
+    and its view, built on the first ``node_at``.  A subclass gives its root
+    state, a state's child indices (None: every natural), one child step and
+    a state's view; the views nwf_to_wf reads give ``key(addr)`` through
+    ``_key``: equal keys, equal subtrees.
+    """
 
-    rules: RuleSet
+    def __init__(self, rules: RuleSet):
+        self.rules = rules
+        self._memo: dict[tuple[int, ...], list] = {}
 
-    def node_at(self, addr: tuple[int, ...]) -> NodeView:
-        raise NotImplementedError
+    def _entry(self, addr: tuple[int, ...]) -> list:
+        """[state, view or None] at an address."""
+        entry = self._memo.get(addr)
+        if entry is None:
+            if addr:
+                parent, step = self._entry(addr[:-1])[0], addr[-1]
+                indices = self._indices(parent)
+                if indices is not None and step not in indices:
+                    raise AddressError(f"no child {step} at {addr[:-1]}")
+                state = self._child(parent, step)
+            else:
+                state = self._root()
+            entry = self._memo[addr] = [state, None]
+        return entry
+
+    def node_at(self, addr) -> NodeView:
+        entry = self._entry(tuple(addr))
+        if entry[1] is None:
+            entry[1] = self._view(entry[0])
+        return entry[1]
+
+    def key(self, addr):
+        return self._key(self._entry(tuple(addr))[0])
 
 
 def _indices_for(rules: RuleSet, app: RuleApp) -> tuple[int, ...] | None:
@@ -177,58 +206,49 @@ def _indices_for(rules: RuleSet, app: RuleApp) -> tuple[int, ...] | None:
 
 class WfLazy(LazyPreproof):
     def __init__(self, proof: WfProof, rules: RuleSet | None = None):
+        super().__init__(rules or RuleSet())
         self.proof = proof
-        self.rules = rules or RuleSet()
-        self._memo: dict[tuple[int, ...], WfProof] = {(): proof}
 
-    def _node(self, addr: tuple[int, ...]) -> WfProof:
-        if addr in self._memo:
-            return self._memo[addr]
-        parent = self._node(addr[:-1])
-        step = addr[-1]
-        if parent.is_omega:
-            node = parent.children(step)
-        else:
-            indices = _indices_for(self.rules, parent.app)
-            if step not in indices:
-                raise AddressError(f"no child {step} at {addr[:-1]}")
-            node = parent.children[indices.index(step)]
-        self._memo[addr] = node
-        return node
+    def _root(self):
+        return self.proof
 
-    def node_at(self, addr):
-        node = self._node(tuple(addr))
-        return NodeView(node.sequent, node.app,
-                        None if node.is_omega else _indices_for(self.rules, node.app))
+    def _indices(self, node: WfProof):
+        return None if node.is_omega else _indices_for(self.rules, node.app)
+
+    def _child(self, node: WfProof, step: int) -> WfProof:
+        if node.is_omega:
+            return node.children(step)
+        return node.children[self._indices(node).index(step)]
+
+    def _view(self, node: WfProof) -> NodeView:
+        return NodeView(node.sequent, node.app, self._indices(node))
 
 
 class CyclicLazy(LazyPreproof):
-    def __init__(self, proof: CyclicProof, rules: RuleSet | None = None):
-        self.proof = proof
-        self.rules = rules or RuleSet()
-        self._memo: dict[tuple[int, ...], str] = {(): proof.root}
+    """States are node ids, which are the keys."""
 
-    def _node_id(self, addr: tuple[int, ...]) -> str:
-        if addr in self._memo:
-            return self._memo[addr]
-        parent_id = self._node_id(addr[:-1])
-        parent = self.proof.node(parent_id)
-        indices = _indices_for(self.rules, parent.app)
+    def __init__(self, proof: CyclicProof, rules: RuleSet | None = None):
+        super().__init__(rules or RuleSet())
+        self.proof = proof
+
+    def _root(self):
+        return self.proof.root
+
+    def _indices(self, nid: str):
+        indices = _indices_for(self.rules, self.proof.node(nid).app)
         if indices is None:
             raise ProofError("infinitary rules cannot occur in a cyclic proof")
-        step = addr[-1]
-        if step not in indices:
-            raise AddressError(f"no child {step} at {addr[:-1]}")
-        nid = parent.children[indices.index(step)]
-        self._memo[addr] = nid
-        return nid
+        return indices
 
-    def node_at(self, addr):
-        node = self.proof.node(self._node_id(tuple(addr)))
+    def _child(self, nid: str, step: int) -> str:
+        return self.proof.node(nid).children[self._indices(nid).index(step)]
+
+    def _view(self, nid: str) -> NodeView:
+        node = self.proof.node(nid)
         return NodeView(node.sequent, node.app, _indices_for(self.rules, node.app))
 
-    def key(self, addr):
-        return self._node_id(tuple(addr))
+    def _key(self, nid: str) -> str:
+        return nid
 
 
 class SubtreeLazy(LazyPreproof):
@@ -258,74 +278,58 @@ def as_lazy(proof, rules: RuleSet | None = None) -> LazyPreproof:
 # Projection.
 
 
-_ProjState = tuple[StarAssignment, NodeView, RuleInstance, NodeView | None]
-
-
 class ProjectedLazy(LazyPreproof):
     """The f-projection of a preproof.
 
     Node addresses coincide with source addresses: the replaced left star
     steps keep their child index (0 for the vanishing power, 1 through the
     right-child product rule), and every other node keeps its own indices.
+    A state is the address, the assignment there, the source node and its instance.
     """
 
     def __init__(self, src: LazyPreproof, f: StarAssignment, rules: RuleSet | None = None):
+        super().__init__(rules or src.rules)
         self.src = src
-        self.rules = rules or src.rules
         self.f0 = dict(f)
-        # the projected node is None until node_at first asks for it
-        self._states: dict[tuple[int, ...], _ProjState] = {}
 
-    def _case(self, view: NodeView, f: StarAssignment) -> tuple[str, int | None]:
-        if view.app.rule == "starL":
-            k = view.app.principal
-            if k in f:
-                return ("zero", k) if f[k] == 0 else ("succ", k)
-        return ("copy", None)
+    def _assigned(self, view: NodeView, f: StarAssignment) -> int | None:
+        """The principal position of a left star step that f assigns."""
+        k = view.app.principal
+        return k if view.app.rule == "starL" and k in f else None
 
-    def _state(self, addr: tuple[int, ...]) -> _ProjState:
-        """The assignment at an address, the source node there, its rule
-        instance and the projected node, if already computed."""
-        if addr in self._states:
-            return self._states[addr]
-        if not addr:
-            f = dict(self.f0)
-            validate_assignment(f, self.src.node_at(()).sequent)
-        else:
-            parent, step = addr[:-1], addr[-1]
-            fp, view, ri, _ = self._state(parent)
-            case, k = self._case(view, fp)
-            if case == "zero":
-                if step != 0:
-                    raise AddressError(f"no child {step} at {parent}")
-                f = {p - (p > k): v for p, v in fp.items() if p != k}
-            elif case == "succ":
-                if step != 1:
-                    raise AddressError(f"no child {step} at {parent}")
-                f = {p + (p > k): v for p, v in fp.items() if p != k}
-                f[k + 1] = fp[k] - 1
-            else:
-                f = evolve_assignment(fp, ri, step)
+    def _source(self, addr: tuple[int, ...], f: StarAssignment):
         view = self.src.node_at(addr)
-        state = (f, view, RuleInstance(self.rules.resolve(view.app.rule), view.app.inst), None)
-        self._states[addr] = state
-        return state
+        return addr, f, view, RuleInstance(self.rules.resolve(view.app.rule), view.app.inst)
 
-    def node_at(self, addr):
-        addr = tuple(addr)
-        f, view, ri, projected = self._state(addr)
-        if projected is None:
-            projected = self._project(f, view, ri)
-            self._states[addr] = (f, view, ri, projected)
-        return projected
+    def _root(self):
+        validate_assignment(self.f0, self.src.node_at(()).sequent)
+        return self._source((), dict(self.f0))
 
-    def key(self, addr):
-        f = self._state(tuple(addr))[0]  # an empty assignment copies the source
+    def _indices(self, state):
+        _, f, view, _ = state
+        k = self._assigned(view, f)
+        return view.child_indices if k is None else ((1,) if f[k] else (0,))
+
+    def _child(self, state, step: int):
+        addr, fp, view, ri = state
+        k = self._assigned(view, fp)
+        if k is None:
+            f = evolve_assignment(fp, ri, step)
+        elif fp[k] == 0:
+            f = {p - (p > k): v for p, v in fp.items() if p != k}
+        else:
+            f = {p + (p > k): v for p, v in fp.items() if p != k}
+            f[k + 1] = fp[k] - 1
+        return self._source(addr + (step,), f)
+
+    def _key(self, state):
+        addr, f, _, _ = state  # an empty assignment copies the source
         return (tuple(sorted(f.items())), self.src.key(addr)) if f else self.src.key(addr)
 
-    def _project(self, f: StarAssignment, view: NodeView, ri: RuleInstance) -> NodeView:
-        case, k = self._case(view, f)
-        if case == "copy":
+    def _view(self, state) -> NodeView:
+        _, f, view, ri = state
+        k = self._assigned(view, f)
+        if k is None:
             if not f:
                 return view
             projected, _, conclusion = check_rule_uniformity(ri, f)
@@ -333,9 +337,8 @@ class ProjectedLazy(LazyPreproof):
             return NodeView(conclusion, app, view.child_indices)
         # the packed power at k is 1 or alpha . alpha^(n-1)
         sequent = project_sequent(view.sequent, f)
-        if case == "zero":
-            return NodeView(sequent, rule_app(self.rules, "oneL", sequent, principal=k), (0,))
-        return NodeView(sequent, rule_app(self.rules, "prodL1", sequent, principal=k), (1,))
+        rule, index = ("prodL1", 1) if f[k] else ("oneL", 0)
+        return NodeView(sequent, rule_app(self.rules, rule, sequent, principal=k), (index,))
 
 
 def project_proof(proof, f: StarAssignment, rules: RuleSet | None = None) -> ProjectedLazy:
@@ -357,13 +360,16 @@ def project_single(proof, k: int, n: int, rules: RuleSet | None = None) -> Proje
 
 class OmLazy(LazyPreproof):
     """Replace every left star node by a modified infinitary node whose
-    premise family projects the unfolding premise at each depth."""
+    premise family projects the unfolding premise at each depth.
+
+    A state is the OmLazy that owns the address, the source address it
+    reads there and the source node.
+    """
 
     def __init__(self, src: LazyPreproof, rules: RuleSet | None = None):
+        super().__init__(rules or src.rules)
         self.src = src
-        self.rules = rules or src.rules
         self._subs: dict[tuple[tuple[int, ...], int], OmLazy] = {}
-        self._cursors: dict[tuple[int, ...], tuple[OmLazy, tuple[int, ...], NodeView]] = {}
 
     def _omega_child(self, src_addr: tuple[int, ...], k: int, step: int) -> "OmLazy":
         key = (src_addr, step)
@@ -373,31 +379,28 @@ class OmLazy(LazyPreproof):
             self._subs[key] = OmLazy(projected, self.rules)
         return self._subs[key]
 
-    def _cursor(self, addr: tuple[int, ...]):
-        """The OmLazy that owns an address, the source address it reads
-        there and the source node, one step on from the parent's cursor."""
-        if addr not in self._cursors:
-            owner, cur = self, ()
-            if addr:
-                owner, cur, view = self._cursor(addr[:-1])
-                step = addr[-1]
-                if view.app.rule == "starL" and step:
-                    owner, cur = owner._omega_child(cur, view.app.principal, step), ()
-                elif view.child_indices is not None and step not in view.child_indices:
-                    raise AddressError(f"no child {step} at {addr[:-1]}")
-                else:
-                    cur += (step,)
-            self._cursors[addr] = (owner, cur, owner.src.node_at(cur))
-        return self._cursors[addr]
+    def _root(self):
+        return self, (), self.src.node_at(())
 
-    def node_at(self, addr):
-        _, _, view = self._cursor(tuple(addr))
+    def _indices(self, state):
+        return None if state[2].app.rule == "starL" else state[2].child_indices
+
+    def _child(self, state, step: int):
+        owner, cur, view = state
+        if view.app.rule == "starL" and step:
+            owner, cur = owner._omega_child(cur, view.app.principal, step), ()
+        else:
+            cur += (step,)
+        return owner, cur, owner.src.node_at(cur)
+
+    def _view(self, state) -> NodeView:
+        view = state[2]
         if view.app.rule == "starL":
             return NodeView(view.sequent, make_app(self.rules, "starLomegaM", view.app.inst), None)
         return view
 
-    def key(self, addr):
-        owner, cur, _ = self._cursor(tuple(addr))
+    def _key(self, state):
+        owner, cur, _ = state
         return owner.src.key(cur)
 
 
@@ -509,13 +512,11 @@ class LadderLazy(LazyPreproof):
     """
 
     def __init__(self, proof: WfProof, rules: RuleSet | None = None):
+        super().__init__(rules or RuleSet())
         self.proof = proof
-        self.rules = rules or RuleSet()
-        # per address: the source node, the ladder depth (None off the
-        # spines) and the view, None until node_at first asks for it
-        self._memo: dict[tuple[int, ...], tuple[WfProof, int | None, NodeView | None]] = {}
 
     def _enter(self, node: WfProof) -> tuple[WfProof, int | None]:
+        """The state at a wf node: the node and its ladder depth (None off a spine)."""
         if not node.is_omega:
             return node, None
         if node.app.rule != "starLomega":
@@ -527,38 +528,21 @@ class LadderLazy(LazyPreproof):
             raise ProofError(f"principal mark of starLomega is {k!r}, not a starred occurrence")
         return node, 0
 
-    def _state(self, addr: tuple[int, ...]):
-        if addr in self._memo:
-            return self._memo[addr]
-        if not addr:
-            node, j = self._enter(self.proof)
-        else:
-            node, j, _ = self._state(addr[:-1])
-            step = addr[-1]
-            if j is not None:
-                if step == 0:
-                    node, j = self._enter(node.children(j))
-                elif step == 1:
-                    j += 1
-                else:
-                    raise AddressError(f"no child {step} at {addr[:-1]}")
-            else:
-                indices = _indices_for(self.rules, node.app)
-                if step not in indices:
-                    raise AddressError(f"no child {step} at {addr[:-1]}")
-                node, j = self._enter(node.children[indices.index(step)])
-        state = self._memo[addr] = (node, j, None)
-        return state
+    def _root(self):
+        return self._enter(self.proof)
 
-    def node_at(self, addr):
-        addr = tuple(addr)
-        node, j, view = self._state(addr)
-        if view is None:
-            view = self._view(node, j)
-            self._memo[addr] = (node, j, view)
-        return view
+    def _indices(self, state):
+        node, j = state
+        return _indices_for(self.rules, node.app) if j is None else (0, 1)
 
-    def _view(self, node: WfProof, j: int | None) -> NodeView:
+    def _child(self, state, step: int):
+        node, j = state
+        if j is None:
+            return self._enter(node.children[self._indices(state).index(step)])
+        return self._enter(node.children(j)) if step == 0 else (node, j + 1)
+
+    def _view(self, state) -> NodeView:
+        node, j = state
         if j is None:
             return NodeView(node.sequent, node.app, _indices_for(self.rules, node.app))
         k, ant = node.app.principal, node.sequent.antecedent

@@ -15,14 +15,12 @@ from actlat.syntax import (
     Star,
     Var,
     Zero,
-    formula_size,
     parse_formula,
     parse_sequent,
     power_formula,
     power_seq,
     print_formula,
     print_sequent,
-    star_depth,
 )
 
 a, b, c = Var("a"), Var("b"), Var("c")
@@ -133,13 +131,6 @@ def formulas(draw, depth=4):
 @given(formulas())
 def test_round_trip_property(f):
     assert parse_formula(print_formula(f)) == f
-
-
-def test_size_and_star_depth():
-    f = parse_formula("(a . b)* & 1")
-    assert formula_size(f) == 6
-    assert star_depth(f) == 1
-    assert star_depth(parse_formula("a** | b*")) == 2
 
 
 def test_power_seq():

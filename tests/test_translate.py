@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from actlat.corpus import canonical_star_id, canonical_two_star
@@ -22,6 +24,7 @@ from actlat.translate import (
     AddressError,
     AssignmentError,
     CyclicLazy,
+    as_lazy,
     check_lazy_prefix,
     check_rule_uniformity,
     evolve_assignment,
@@ -409,6 +412,28 @@ def test_om_rejects_a_missing_child():
     assert root.child_indices is None
     with pytest.raises(AddressError):
         lazy.node_at((2, 5))
+
+
+def test_lazy_preproofs_reject_a_missing_child():
+    star_id, two_star = canonical_star_id(RS), canonical_two_star(RS)
+    wf = nwf_to_wf(star_id, rules=RS)
+    cases = [
+        (as_lazy(wf, RS), (0,), 0),
+        (as_lazy(two_star, RS), (), 2),
+        (om(two_star, RS), (2,), 5),
+        (wf_to_nwf(wf, RS), (), 2),  # on a spine: children 0 and 1
+        (wf_to_nwf(wf, RS), (0,), 0),  # off the spines: the leaf |- a*
+        # copied starL nodes, with an empty and a non-empty assignment
+        (project_proof(two_star, {}, RS), (), 2),
+        (project_single(two_star, 1, 1, RS), (), 2),
+        (project_single(star_id, 0, 0, RS), (), 1),  # zero: child 0 only
+        (project_single(star_id, 0, 1, RS), (), 0),  # succ: child 1 only
+    ]
+    for lazy, parent, step in cases:
+        view = lazy.node_at(parent)
+        assert lazy.node_at(parent) is view
+        with pytest.raises(AddressError, match=re.escape(f"no child {step} at {parent}")):
+            lazy.node_at(parent + (step,))
 
 
 def test_nwf_to_wf_rejects_non_progressing():
